@@ -5,6 +5,17 @@
 
 namespace fdbist::bist {
 
+namespace {
+
+std::uint32_t misr_signature(int width,
+                             std::span<const std::int64_t> words) {
+  Misr misr(width);
+  misr.absorb_all(words);
+  return misr.signature();
+}
+
+} // namespace
+
 BistKit::BistKit(const rtl::FilterDesign& design, int misr_width)
     : design_(design), lowered_(gate::lower(design.graph)),
       faults_(fault::order_for_simulation(
@@ -30,10 +41,23 @@ std::vector<std::int64_t> BistKit::golden_response(
 
 std::uint32_t BistKit::golden_signature(
     std::span<const std::int64_t> stimulus) const {
-  Misr misr(misr_width_);
-  const auto trace = golden_response(stimulus);
-  misr.absorb_all(trace);
-  return misr.signature();
+  return misr_signature(misr_width_, golden_response(stimulus));
+}
+
+BistReport BistKit::make_report(fault::FaultSimResult result,
+                                std::span<const std::int64_t> stimulus) const {
+  BistReport report;
+  report.vectors = stimulus.size();
+  report.total_faults = result.total_faults;
+  report.detected = result.detected;
+  // The compiled engine already ran the fault-free machine; its output
+  // words give the golden signature without another sweep.
+  report.golden_signature =
+      result.good_outputs.empty()
+          ? golden_signature(stimulus)
+          : misr_signature(misr_width_, result.good_outputs);
+  report.fault_result = std::move(result);
+  return report;
 }
 
 BistReport BistKit::evaluate(tpg::Generator& gen, std::size_t vectors,
@@ -41,15 +65,9 @@ BistReport BistKit::evaluate(tpg::Generator& gen, std::size_t vectors,
   FDBIST_REQUIRE(vectors > 0, "need at least one test vector");
   gen.reset();
   const auto stimulus = gen.generate_raw(vectors);
-
-  BistReport report;
-  report.vectors = vectors;
-  report.fault_result =
-      fault::simulate_faults(lowered_.netlist, stimulus, faults_, opt);
-  report.total_faults = report.fault_result.total_faults;
-  report.detected = report.fault_result.detected;
-  report.golden_signature = golden_signature(stimulus);
-  return report;
+  return make_report(
+      fault::simulate_faults(lowered_.netlist, stimulus, faults_, opt),
+      stimulus);
 }
 
 Expected<BistReport> BistKit::evaluate_campaign(
@@ -62,14 +80,7 @@ Expected<BistReport> BistKit::evaluate_campaign(
   auto campaign =
       fault::run_campaign(lowered_.netlist, stimulus, faults_, opt);
   if (!campaign) return campaign.error();
-
-  BistReport report;
-  report.vectors = vectors;
-  report.fault_result = std::move(campaign->sim);
-  report.total_faults = report.fault_result.total_faults;
-  report.detected = report.fault_result.detected;
-  report.golden_signature = golden_signature(stimulus);
-  return report;
+  return make_report(std::move(campaign->sim), stimulus);
 }
 
 std::vector<fault::Fault> BistKit::undetected_faults(

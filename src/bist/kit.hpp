@@ -56,7 +56,8 @@ public:
       std::span<const std::int64_t> stimulus) const;
 
   /// Full evaluation: generate `vectors` patterns, fault simulate the
-  /// whole universe, compute the golden signature.
+  /// whole universe, compute the golden signature (read from the
+  /// compiled engine's good trace, so the fault-free machine runs once).
   BistReport evaluate(tpg::Generator& gen, std::size_t vectors,
                       const fault::FaultSimOptions& opt = {}) const;
 
@@ -81,6 +82,12 @@ public:
                          std::span<const std::int64_t> stimulus) const;
 
 private:
+  /// Wrap a finished fault simulation of `stimulus` into a report. The
+  /// golden signature comes from the result's good_outputs when the run
+  /// recorded them, else from golden_signature(stimulus).
+  BistReport make_report(fault::FaultSimResult result,
+                         std::span<const std::int64_t> stimulus) const;
+
   const rtl::FilterDesign& design_;
   gate::LoweredDesign lowered_;
   std::vector<fault::Fault> faults_;

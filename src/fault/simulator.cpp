@@ -6,6 +6,7 @@
 #include <mutex>
 #include <optional>
 
+#include "common/bits.hpp"
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "fault/checkpoint.hpp"
@@ -103,6 +104,7 @@ Expected<void> FaultSimResult::merge(const FaultSimResult& part,
       signature_detect[offset + i] = part.signature_detect[i];
     if (part.detect_cycle[i] >= 0) ++detected;
   }
+  if (good_outputs.empty()) good_outputs = part.good_outputs;
   stats.merge(part.stats);
   return {};
 }
@@ -141,6 +143,21 @@ std::uint64_t now_ns() {
   return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now().time_since_epoch())
                            .count());
+}
+
+/// The signed value of an output bit group (LSB first) in every row of
+/// a good trace.
+std::vector<std::int64_t> read_output_words(
+    const gate::GoodTrace& trace, const std::vector<gate::NetId>& bits) {
+  std::vector<std::int64_t> out(trace.cycles);
+  for (std::size_t t = 0; t < trace.cycles; ++t) {
+    const std::uint64_t* row = trace.row(t);
+    std::uint64_t raw = 0;
+    for (std::size_t j = 0; j < bits.size(); ++j)
+      raw |= (gate::GoodTrace::broadcast(row, bits[j]) & 1u) << j;
+    out[t] = sign_extend(raw, static_cast<int>(bits.size()));
+  }
+  return out;
 }
 
 } // namespace
@@ -198,8 +215,8 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
   //     only remaps its faults (a subset of the artifact's keyed
   //     universe) through the artifact's retarget map. Pipeline stats
   //     are credited by whoever built the artifact, never here.
-  //   * Scratch path: the historical per-call pipeline + compile +
-  //     per-pass trace recording, now with a prep-time breakdown.
+  //   * Scratch path: the per-call pipeline + compile + one full-budget
+  //     trace recording, with a prep-time breakdown.
   //
   // FullSweep ignores the artifact and stays the unoptimized reference.
   const CompiledArtifact* art =
@@ -278,6 +295,25 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
   // savings counters are comparable across pass configurations.
   const std::uint64_t full_sweep_gates = nl.logic_gate_count();
 
+  // The compiled engine's good trace: the artifact's, or one full-budget
+  // recording per call. Batch kernels only read row prefixes, so the
+  // same trace serves the stage-1 weed-out and the full-budget stage.
+  std::optional<gate::GoodTrace> recorded;
+  const gate::GoodTrace* trace = nullptr;
+  if (engine == FaultSimEngine::Compiled && !faults.empty()) {
+    if (art != nullptr) {
+      trace = &art->trace;
+    } else {
+      const std::uint64_t t0 = now_ns();
+      recorded = gate::record_good_trace(sched, stimulus, stimulus.size());
+      result.stats.prep_trace_ns += now_ns() - t0;
+      result.stats.good_trace_cycles += stimulus.size();
+      trace = &*recorded;
+    }
+    result.good_outputs =
+        read_output_words(*trace, sim_nl->outputs().front());
+  }
+
   // Progress counts *finalized* faults — detected, or survived the full
   // stimulus — so the reported sequence climbs monotonically to the
   // total exactly once even though the engine takes two passes. The
@@ -302,8 +338,8 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
   // the next pass — identical to the sequential engine's for any
   // thread count.
   //
-  // The compiled engine records the good trace once per pass on the
-  // calling thread; batches then touch only their fault cones.
+  // The compiled engine's batches read the good trace recorded once per
+  // call above and touch only their fault cones.
   //
   // Cancellation stops workers at batch boundaries: a batch that never
   // ran leaves its faults unfinalized (and out of the survivor list, so
@@ -311,23 +347,6 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
   // their verdicts — the partial result is valid, just incomplete.
   auto run_pass = [&](const std::vector<std::size_t>& indices,
                       std::size_t budget, bool final_pass) {
-    std::optional<gate::GoodTrace> trace;
-    const gate::GoodTrace* trace_ptr = nullptr;
-    if (engine == FaultSimEngine::Compiled && !indices.empty()) {
-      if (art != nullptr) {
-        // The artifact's trace covers the full stimulus; batch kernels
-        // only read row prefixes, so it serves every budget. Nothing is
-        // recorded, which is exactly the time this path saves.
-        trace_ptr = &art->trace;
-      } else {
-        const std::uint64_t t0 = now_ns();
-        trace = gate::record_good_trace(sched, stimulus, budget);
-        result.stats.prep_trace_ns += now_ns() - t0;
-        result.stats.good_trace_cycles += budget;
-        trace_ptr = &*trace;
-      }
-    }
-
     const std::size_t num_batches = (indices.size() + fpb - 1) / fpb;
     const std::size_t workers =
         std::max<std::size_t>(1, std::min(threads, num_batches));
@@ -346,7 +365,7 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
           std::vector<std::size_t>& survivors = batch_survivors[b];
           pool[worker]->run_batch(
               sim_faults, stimulus, {indices.data() + base, count}, budget,
-              trace_ptr, full_sweep_gates, result.detect_cycle.data(),
+              trace, full_sweep_gates, result.detect_cycle.data(),
               survivors, opt.signature,
               sig_on ? result.signature_detect.data() : nullptr);
           batch_ran[b] = 1;

@@ -17,10 +17,11 @@
 //
 //   * Compiled (default): PPSFP-style good-machine reuse. The netlist
 //     is compiled once (gate/schedule.hpp), the fault-free machine runs
-//     once per pass recording a bit-packed good trace, and each batch
-//     then evaluates only the union of its faults' structural fan-out
-//     cones (closed through registers), reading out-of-cone operands
-//     from the trace. Results are bit-identical to the full sweep —
+//     once per call recording a bit-packed good trace over the full
+//     stimulus (both stages read it), and each batch then evaluates
+//     only the union of its faults' structural fan-out cones (closed
+//     through registers), reading out-of-cone operands from the
+//     trace. Results are bit-identical to the full sweep —
 //     anything outside the cone provably holds the good value.
 //   * FullSweep: every batch re-evaluates the whole netlist each clock
 //     (the pre-compilation engine). Retained as the differential
@@ -73,7 +74,9 @@ struct FaultSimStats {
   /// Logic-gate evaluations a full sweep would have performed for the
   /// same simulated cycles (= logic gates x cycles_simulated).
   std::uint64_t gates_full_sweep = 0;
-  /// Fault-free cycles spent recording good traces (compiled engine).
+  /// Fault-free cycles spent recording good traces (compiled engine):
+  /// one full-budget recording per simulate_faults call that compiled
+  /// its own schedule, none when it ran off an artifact.
   std::uint64_t good_trace_cycles = 0;
   /// Sum over batches of |cone gates| / |original logic gates| (the
   /// unoptimized denominator, so savings stay comparable across pass
@@ -284,6 +287,12 @@ struct FaultSimResult {
   /// with detect_cycle >= 0 but signature_detect == 0 aliased in the
   /// compactor.
   std::vector<std::uint8_t> signature_detect;
+  /// Fault-free value of the observed output word (the netlist's first
+  /// output group) each cycle, read from the good trace the compiled
+  /// engine ran against. Empty when the run had no trace (FullSweep, or
+  /// no faults); merge() adopts the first non-empty copy. BistKit reads
+  /// its golden signature from it instead of simulating again.
+  std::vector<std::int64_t> good_outputs;
   /// False iff the run was cut short by the cancellation token — some
   /// faults then carry no verdict and `missed()` overstates misses.
   bool complete = true;

@@ -307,7 +307,7 @@ private:
 };
 
 /// The 64-lane scalar instantiation, with the historical std::uint64_t
-/// surface every non-kernel consumer (serial oracle, trace recording,
+/// surface every non-kernel consumer (serial oracle, golden response,
 /// tests) is written against.
 class WordSim : public WordSimT<common::simd_word<1>> {
 public:
@@ -333,7 +333,23 @@ public:
 /// Simulate the fault-free machine over `stimulus[0, cycles)` (single
 /// primary input, as in the fault engine) and record every net's value
 /// each cycle, bit-packed. The trace is immutable afterwards and shared
-/// read-only by every cone-restricted batch of a fault-simulation pass.
+/// read-only by every cone-restricted batch of a fault-simulation call.
+///
+/// Lanes are time segments, not machines. With S = ceil(cycles / 64),
+/// lane k of one 64-lane sweep simulates cycles [kS, kS + S): lane 0
+/// from reset, lane k+1 from lane k's end state in the previous sweep
+/// (reset on the first). Sweeps repeat until a sweep's end states,
+/// shifted up one lane, equal the start states it used, over the lanes
+/// that hold cycles. Then every segment began from its exact state —
+/// lane 0 by construction, lane k+1 because lane k ended exactly — so
+/// that sweep is the sequential trace. One more sweep from the same
+/// start states is recorded, each step's lane words going through a
+/// 64x64 bit transpose straight into trace rows, so nothing beyond one
+/// step of net words is held next to the trace. Each sweep makes at
+/// least one more lane exact, so at most 64 sweeps run before the
+/// recorded one; a datapath that forgets its initial state within S
+/// cycles (an FIR, and in practice the IIR cascade's quantized
+/// feedback) reaches the fixed point in two.
 GoodTrace record_good_trace(const CompiledSchedule& schedule,
                             std::span<const std::int64_t> stimulus,
                             std::size_t cycles);

@@ -30,6 +30,23 @@ std::string describe_mutation(const gate::Netlist& nl, std::int32_t index) {
          gate::gate_op_name(nl.gate(target).op) + ")";
 }
 
+/// Trace equality: the segment-parallel recorder's row for `cycle` must
+/// hold, for every net, the value the lane-0 sweep `ws` just computed.
+Finding diff_trace_row(const gate::GoodTrace& trace, const gate::WordSim& ws,
+                       std::size_t cycle) {
+  const std::uint64_t* row = trace.row(cycle);
+  for (std::size_t i = 0; i < ws.netlist().size(); ++i) {
+    const auto id = static_cast<gate::NetId>(i);
+    const std::uint64_t got = gate::GoodTrace::broadcast(row, id);
+    if (got != ws.net(id))
+      return Finding::fail("good-trace: net n" + std::to_string(i) +
+                           " cycle " + std::to_string(cycle) +
+                           ": recorder=" + std::to_string(got & 1u) +
+                           " lane-0 sweep=" + std::to_string(ws.net(id) & 1u));
+  }
+  return Finding::ok();
+}
+
 } // namespace
 
 bool apply_gate_mutation(gate::Netlist& nl, std::int32_t index) {
@@ -75,11 +92,14 @@ Finding check_rtl_case(const RtlCase& c) {
     return Finding::ok(); // nothing to mutate — vacuously consistent
 
   rtl::Simulator rs(g);
-  gate::WordSim ws(low.netlist);
+  const gate::CompiledSchedule sched(low.netlist);
+  gate::WordSim ws(sched);
   const auto stim = driven_stimulus(c);
+  const auto trace = gate::record_good_trace(sched, stim, stim.size());
   for (std::size_t cycle = 0; cycle < stim.size(); ++cycle) {
     rs.step(stim[cycle]);
     ws.step_broadcast(stim[cycle]);
+    if (auto f = diff_trace_row(trace, ws, cycle)) return f;
     for (const rtl::NodeId out : g.outputs()) {
       const std::int64_t want = rs.raw(out);
       const std::int64_t got =
@@ -166,6 +186,16 @@ Finding check_stats_invariants(const fault::FaultSimResult& r,
   if (s.engine == fault::FaultSimEngine::Compiled &&
       s.good_trace_cycles == 0 && s.cycles_simulated > 0)
     return fail("compiled engine recorded no good trace");
+  // One good-machine recording per call: a compiled run that compiled
+  // its own schedule records the full budget exactly once, and both
+  // stages read it.
+  if (s.engine == fault::FaultSimEngine::Compiled &&
+      s.schedule_compilations == 1 && fault_count > 0 &&
+      s.good_trace_cycles != vectors)
+    return fail("compiled run recorded " +
+                std::to_string(s.good_trace_cycles) +
+                " good-trace cycles for a " + std::to_string(vectors) +
+                "-vector stimulus (one full-budget recording per call)");
   return Finding::ok();
 }
 
@@ -217,10 +247,13 @@ Finding check_filter_case(const FilterCase& c) {
   auto low = gate::lower(d.graph);
   const auto stim = filter_stimulus(c);
 
-  // Row 1: RTL behavioural vs gate-level, word-for-word at the output.
+  // Row 1: RTL behavioural vs gate-level, word-for-word at the output,
+  // and the recorded good trace vs the same lane-0 sweep, net for net.
   {
     rtl::Simulator rs(d.graph);
-    gate::WordSim ws(low.netlist);
+    const gate::CompiledSchedule sched(low.netlist);
+    gate::WordSim ws(sched);
+    const auto trace = gate::record_good_trace(sched, stim, stim.size());
     const rtl::NodeId out = d.graph.outputs().front();
     // Row 2: the linear model's worst-case amplitude bound must hold at
     // the output every cycle (L1 bound plus accumulated truncation).
@@ -230,6 +263,7 @@ Finding check_filter_case(const FilterCase& c) {
     for (std::size_t cycle = 0; cycle < stim.size(); ++cycle) {
       rs.step(stim[cycle]);
       ws.step_broadcast(stim[cycle]);
+      if (auto f = diff_trace_row(trace, ws, cycle)) return f;
       const std::int64_t want = rs.raw(out);
       const std::int64_t got =
           ws.lane_value(low.node_bits[std::size_t(out)], 0);

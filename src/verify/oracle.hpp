@@ -4,7 +4,9 @@
 // Oracle matrix (see DESIGN.md §10):
 //
 //   RtlCase     rtl::Simulator  vs  gate::WordSim        raw words/cycle
+//               record_good_trace vs WordSim lane 0      every net/cycle
 //   FilterCase  rtl::Simulator  vs  gate::WordSim        output words
+//               record_good_trace vs WordSim lane 0      every net/cycle
 //               linear model (rtl/linear_model.hpp)      |y| <= L1 bound
 //               Compiled engine vs  FullSweep engine     detect cycles
 //               one-shot engine vs  sliced campaign      detect cycles
@@ -46,7 +48,8 @@ Finding check_rtl_case(const RtlCase& c);
 Finding check_filter_case(const FilterCase& c);
 
 /// Internal-consistency invariants every FaultSimResult must satisfy
-/// (engine tag, verdict/count agreement, cycle ranges, work counters).
+/// (engine tag, verdict/count agreement, cycle ranges, work counters,
+/// one full-budget good-trace recording per compiled call).
 /// Exposed so property tests can apply it to results they produce.
 Finding check_stats_invariants(const fault::FaultSimResult& r,
                                fault::FaultSimEngine requested,

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
 #include "bist/kit.hpp"
 #include "bist/misr.hpp"
+#include "designs/registry.hpp"
+#include "fault/schedule_cache.hpp"
 #include "tpg/generators.hpp"
 
 namespace fdbist::bist {
@@ -139,6 +145,95 @@ TEST(Kit, RejectsZeroVectors) {
   auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
   EXPECT_THROW(kit.evaluate(*gen, 0), precondition_error);
 }
+
+class KitGolden : public ::testing::TestWithParam<std::string> {
+protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("fdbist_kit_golden_" + GetParam());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+  std::filesystem::path dir_;
+};
+
+// The report's golden signature must equal an independent fault-free
+// sweep (golden_signature) for every Table 4 TPG, through every route
+// that fills it: read from the compiled engine's good trace (scratch,
+// caller-supplied artifact, fresh campaign, warm disk cache) or
+// recomputed when the run recorded none (FullSweep, a campaign resumed
+// from a complete checkpoint).
+TEST_P(KitGolden, ReportSignatureMatchesFaultFreeSweep) {
+  constexpr std::size_t kVectors = 256;
+  const auto design = designs::make_design(GetParam());
+  const BistKit kit(design);
+  for (const auto kind :
+       {tpg::GeneratorKind::Lfsr1, tpg::GeneratorKind::LfsrD,
+        tpg::GeneratorKind::LfsrM, tpg::GeneratorKind::Ramp}) {
+    const std::string cell = GetParam() + "/" + tpg::kind_name(kind);
+    auto gen = tpg::make_generator(kind, design.stats().width_in);
+    const auto stim = gen->generate_raw(kVectors); // evaluate resets
+    const std::uint32_t want = kit.golden_signature(stim);
+    auto check = [&](const BistReport& r, bool from_trace,
+                     const char* route) {
+      EXPECT_EQ(r.golden_signature, want) << cell << " " << route;
+      EXPECT_EQ(r.fault_result.good_outputs.empty(), !from_trace)
+          << cell << " " << route;
+    };
+
+    fault::FaultSimOptions opt;
+    check(kit.evaluate(*gen, kVectors, opt), true, "evaluate Auto");
+    opt.engine = fault::FaultSimEngine::FullSweep;
+    check(kit.evaluate(*gen, kVectors, opt), false, "evaluate FullSweep");
+    fault::ScheduleCache::Config cfg;
+    cfg.dir = (dir_ / "cache").string();
+    {
+      // The cold acquisition writes the disk entry the warm campaign
+      // below loads, and supplies the caller's artifact.
+      fault::ScheduleCache cold(cfg);
+      fault::ArtifactCacheStats s;
+      opt.engine = fault::FaultSimEngine::Auto;
+      opt.artifact = cold.acquire(kit.lowered().netlist, stim, kit.faults(),
+                                  opt.passes, s);
+      ASSERT_NE(opt.artifact, nullptr) << cell;
+      check(kit.evaluate(*gen, kVectors, opt), true, "evaluate artifact");
+    }
+
+    // Two slices, so the merged result adopts one slice's words.
+    fault::CampaignOptions copt;
+    copt.family = static_cast<std::uint32_t>(design.family);
+    copt.checkpoint_every = kit.faults().size() / 2 + 1;
+    copt.checkpoint_path = (dir_ / "campaign.ckpt").string();
+    std::filesystem::remove(copt.checkpoint_path);
+    auto fresh = kit.evaluate_campaign(*gen, kVectors, copt);
+    ASSERT_TRUE(fresh) << cell << ": " << fresh.error().to_string();
+    check(*fresh, true, "campaign fresh");
+    copt.resume = true;
+    auto resumed = kit.evaluate_campaign(*gen, kVectors, copt);
+    ASSERT_TRUE(resumed) << cell << ": " << resumed.error().to_string();
+    check(*resumed, false, "campaign resumed from a complete checkpoint");
+
+    fault::ScheduleCache warm(cfg);
+    copt.resume = false;
+    copt.checkpoint_path.clear();
+    copt.schedule_cache = &warm;
+    auto cached = kit.evaluate_campaign(*gen, kVectors, copt);
+    ASSERT_TRUE(cached) << cell << ": " << cached.error().to_string();
+    check(*cached, true, "campaign warm disk cache");
+    EXPECT_EQ(cached->fault_result.stats.artifact_disk_hits, 1u) << cell;
+  }
+}
+
+std::vector<std::string> registered_designs() {
+  std::vector<std::string> names;
+  for (const auto& e : designs::design_registry()) names.push_back(e.name);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, KitGolden, ::testing::ValuesIn(registered_designs()),
+    [](const ::testing::TestParamInfo<std::string>& p) { return p.param; });
 
 } // namespace
 } // namespace fdbist::bist

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/env.hpp"
@@ -146,25 +148,82 @@ TEST(CompiledSchedule, ConesCloseThroughRegisters) {
       << "fixture has no fault site reaching a register";
 }
 
-TEST(GoodTrace, MatchesFullSimulationLaneZero) {
-  const auto low = lowered_fir({0.3, -0.42, 0.11}, "trace");
-  const CompiledSchedule sched(low.netlist);
-  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
-  const auto stim = gen->generate_raw(48);
-  const auto trace = record_good_trace(sched, stim, stim.size());
-  ASSERT_EQ(trace.cycles, stim.size());
-
+// The lane-0 reference: a sequential step_broadcast sweep, packed into
+// GoodTrace's row layout.
+std::vector<std::uint64_t> lane_zero_rows(const CompiledSchedule& sched,
+                                          std::span<const std::int64_t> stim) {
+  const std::size_t n = sched.size();
+  const std::size_t wpc = (n + 63) / 64;
+  std::vector<std::uint64_t> rows(wpc * stim.size(), 0);
   WordSim sim(sched);
   for (std::size_t t = 0; t < stim.size(); ++t) {
     sim.step_broadcast(stim[t]);
-    const std::uint64_t* row = trace.row(t);
-    for (std::size_t i = 0; i < sched.size(); ++i) {
-      const auto id = static_cast<NetId>(i);
-      const std::uint64_t want = sim.net(id) & 1u ? ~std::uint64_t{0} : 0;
-      ASSERT_EQ(GoodTrace::broadcast(row, id), want)
-          << "cycle " << t << " net " << i;
+    for (std::size_t i = 0; i < n; ++i)
+      rows[t * wpc + i / 64] |= (sim.net(static_cast<NetId>(i)) & 1u)
+                                << (i % 64);
+  }
+  return rows;
+}
+
+// Every trace length must reproduce the reference's leading rows. The
+// lengths straddle the segment boundaries: S = 1 with fewer than 64
+// lanes (1, 2, 63), S = 1 over all 64 lanes (64), S = 2 and 3 with the
+// last lane part-filled (65, 129) and full (128), and the paper budget.
+void expect_trace_matches_lane_zero(const Netlist& nl,
+                                    std::span<const std::int64_t> stim,
+                                    const std::string& what) {
+  const CompiledSchedule sched(nl);
+  const auto want = lane_zero_rows(sched, stim);
+  const std::size_t wpc = (sched.size() + 63) / 64;
+  for (const std::size_t len : {1, 2, 63, 64, 65, 128, 129, 4096}) {
+    ASSERT_LE(len, stim.size());
+    const auto trace = record_good_trace(sched, stim, len);
+    ASSERT_EQ(trace.cycles, len) << what;
+    ASSERT_EQ(trace.words_per_cycle, wpc) << what;
+    ASSERT_EQ(trace.bits.size(), len * wpc) << what;
+    const auto bad =
+        std::mismatch(trace.bits.begin(), trace.bits.end(), want.begin());
+    if (bad.first != trace.bits.end()) {
+      const auto at = std::size_t(bad.first - trace.bits.begin());
+      FAIL() << what << " length " << len << ": cycle " << at / wpc
+             << " word " << at % wpc << " differs from the lane-0 sweep";
     }
   }
+}
+
+TEST(GoodTrace, MatchesFullSimulationLaneZero) {
+  // Carry-save lowering covers LP, BP and DEC2; HP's carry-save
+  // lowering does not build yet and IIR4 has no carry-save form.
+  const std::set<std::string> carry_save = {"LP", "BP", "DEC2"};
+  for (const auto& entry : designs::design_registry()) {
+    const auto d = designs::make_design(entry.name);
+    auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD,
+                                   d.stats().width_in);
+    const auto stim = gen->generate_raw(4096);
+    expect_trace_matches_lane_zero(lower(d.graph).netlist, stim,
+                                   entry.name + "/ripple");
+    if (carry_save.count(entry.name) != 0)
+      expect_trace_matches_lane_zero(lower_carry_save(d).netlist, stim,
+                                     entry.name + "/carry-save");
+  }
+}
+
+TEST(GoodTrace, SelfInvertingRegisterNeedsEverySweep) {
+  // A register fed by its own inverse never forgets its initial state:
+  // with an odd segment length every lane's start state is wrong until
+  // the lane below it is exact, so the recorder's fixed point takes one
+  // sweep per lane (64 at length 64, where S = 1).
+  Netlist nl;
+  const NetId x = nl.add_gate(GateOp::Input);
+  const NetId q = nl.add_gate(GateOp::RegOut);
+  const NetId d = nl.add_gate(GateOp::Not, q);
+  const NetId y = nl.add_gate(GateOp::Xor, q, x);
+  nl.registers().push_back({d, q});
+  nl.inputs() = {{x}};
+  nl.outputs() = {{y}};
+  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
+  const auto stim = gen->generate_raw(4096);
+  expect_trace_matches_lane_zero(nl, stim, "toggle");
 }
 
 // The heart of the refactor: the cone-restricted compiled engine must be

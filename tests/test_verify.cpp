@@ -5,6 +5,7 @@
 // exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "common/env.hpp"
@@ -127,6 +128,14 @@ TEST(VerifyOracle, StatsInvariantsRejectTamperedResults) {
                   .failed);
   tampered = r;
   tampered.stats.gates_evaluated = tampered.stats.gates_full_sweep + 1;
+  EXPECT_TRUE(check_stats_invariants(tampered, opt.engine, faults.size(),
+                                     stim.size())
+                  .failed);
+  // A scratch run records the good trace once over the full budget;
+  // recording it again for the 128-vector stage must be flagged.
+  EXPECT_EQ(r.stats.good_trace_cycles, stim.size());
+  tampered = r;
+  tampered.stats.good_trace_cycles += std::min<std::size_t>(128, stim.size());
   EXPECT_TRUE(check_stats_invariants(tampered, opt.engine, faults.size(),
                                      stim.size())
                   .failed);
