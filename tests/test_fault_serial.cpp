@@ -1,5 +1,6 @@
 // Differential testing: the word-parallel fault simulator must agree
 // with the serial reference, fault for fault and cycle for cycle.
+#include <ostream>
 #include <gtest/gtest.h>
 
 #include "fault/serial.hpp"
@@ -14,6 +15,14 @@ struct Case {
   tpg::GeneratorKind gen;
   std::size_t vectors;
 };
+
+// Names the case in test listings. gtest would otherwise print the raw
+// bytes of the struct, coefficient vector's heap addresses included, and
+// the ctest name of each case would change from run to run.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << tpg::kind_name(c.gen) << ' ' << c.coefs.size() << " taps "
+      << c.vectors << " vectors";
+}
 
 class SerialVsParallel : public ::testing::TestWithParam<Case> {};
 

@@ -1,5 +1,7 @@
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <type_traits>
 #include <gtest/gtest.h>
 
 #include "dsp/spectrum.hpp"
@@ -12,19 +14,26 @@ namespace {
 
 // ------------------------------------------------------------- LFSR core
 
+// gtest names each case after the bytes of its parameter (there is no
+// printer for this struct), so the struct must have no padding: padding
+// bytes are never initialised and would give a case a different ctest
+// name on every build. Hence an int-sized LFSR type rather than a bool.
+enum class LfsrType : std::int32_t { Type1, Type2 };
+
 struct LfsrCase {
   int width;
-  bool type2;
+  LfsrType type;
   ShiftDirection dir;
 };
+static_assert(std::has_unique_object_representations_v<LfsrCase>);
 
 class LfsrMaximalLength : public ::testing::TestWithParam<LfsrCase> {};
 
 TEST_P(LfsrMaximalLength, PeriodIsTwoToNMinusOne) {
-  const auto [width, type2, dir] = GetParam();
+  const auto [width, type, dir] = GetParam();
   const std::uint64_t period = (std::uint64_t{1} << width) - 1;
   std::set<std::uint32_t> seen;
-  if (type2) {
+  if (type == LfsrType::Type2) {
     Lfsr2 l(width, 1, dir);
     for (std::uint64_t i = 0; i < period; ++i) {
       l.next_raw();
@@ -45,19 +54,19 @@ TEST_P(LfsrMaximalLength, PeriodIsTwoToNMinusOne) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, LfsrMaximalLength,
-    ::testing::Values(LfsrCase{2, false, ShiftDirection::LsbToMsb},
-                      LfsrCase{3, false, ShiftDirection::MsbToLsb},
-                      LfsrCase{8, false, ShiftDirection::LsbToMsb},
-                      LfsrCase{8, false, ShiftDirection::MsbToLsb},
-                      LfsrCase{12, false, ShiftDirection::LsbToMsb},
-                      LfsrCase{12, false, ShiftDirection::MsbToLsb},
-                      LfsrCase{16, false, ShiftDirection::LsbToMsb},
-                      LfsrCase{2, true, ShiftDirection::LsbToMsb},
-                      LfsrCase{8, true, ShiftDirection::LsbToMsb},
-                      LfsrCase{8, true, ShiftDirection::MsbToLsb},
-                      LfsrCase{12, true, ShiftDirection::LsbToMsb},
-                      LfsrCase{12, true, ShiftDirection::MsbToLsb},
-                      LfsrCase{16, true, ShiftDirection::LsbToMsb}));
+    ::testing::Values(LfsrCase{2, LfsrType::Type1, ShiftDirection::LsbToMsb},
+                      LfsrCase{3, LfsrType::Type1, ShiftDirection::MsbToLsb},
+                      LfsrCase{8, LfsrType::Type1, ShiftDirection::LsbToMsb},
+                      LfsrCase{8, LfsrType::Type1, ShiftDirection::MsbToLsb},
+                      LfsrCase{12, LfsrType::Type1, ShiftDirection::LsbToMsb},
+                      LfsrCase{12, LfsrType::Type1, ShiftDirection::MsbToLsb},
+                      LfsrCase{16, LfsrType::Type1, ShiftDirection::LsbToMsb},
+                      LfsrCase{2, LfsrType::Type2, ShiftDirection::LsbToMsb},
+                      LfsrCase{8, LfsrType::Type2, ShiftDirection::LsbToMsb},
+                      LfsrCase{8, LfsrType::Type2, ShiftDirection::MsbToLsb},
+                      LfsrCase{12, LfsrType::Type2, ShiftDirection::LsbToMsb},
+                      LfsrCase{12, LfsrType::Type2, ShiftDirection::MsbToLsb},
+                      LfsrCase{16, LfsrType::Type2, ShiftDirection::LsbToMsb}));
 
 TEST(Lfsr, PaperPolynomial12B9MaximalLength) {
   // The paper's Type 2 example: polynomial 12B9h, LSB-to-MSB.
