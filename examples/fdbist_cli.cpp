@@ -582,7 +582,7 @@ int cmd_campaign(int argc, char** argv) {
   const fault::FaultSimResult& r = res->sim;
   if (!r.complete) return print_partial(r, *res->stop_reason);
   print_coverage_line(d.name, gen->name(), *vectors, r,
-                      kit.golden_signature(stimulus));
+                      kit.golden_signature(stimulus, r));
   print_signature_line(copt.signature, r);
   return 0;
 }
@@ -791,7 +791,7 @@ int cmd_coordinate(int argc, char** argv) {
   const fault::FaultSimResult& r = res->sim;
   if (!r.complete) return print_partial(r, *res->stop_reason);
   print_coverage_line(d.name, gen->name(), *vectors, r,
-                      kit.golden_signature(stimulus));
+                      kit.golden_signature(stimulus, r));
   print_signature_line(dopt.compute.signature, r);
   return 0;
 }

@@ -44,18 +44,23 @@ std::uint32_t BistKit::golden_signature(
   return misr_signature(misr_width_, golden_response(stimulus));
 }
 
+std::uint32_t BistKit::golden_signature(
+    std::span<const std::int64_t> stimulus,
+    const fault::FaultSimResult& run) const {
+  // The compiled engine already ran the fault-free machine; its output
+  // words give the golden signature without another sweep.
+  return run.good_outputs.empty()
+             ? golden_signature(stimulus)
+             : misr_signature(misr_width_, run.good_outputs);
+}
+
 BistReport BistKit::make_report(fault::FaultSimResult result,
                                 std::span<const std::int64_t> stimulus) const {
   BistReport report;
   report.vectors = stimulus.size();
   report.total_faults = result.total_faults;
   report.detected = result.detected;
-  // The compiled engine already ran the fault-free machine; its output
-  // words give the golden signature without another sweep.
-  report.golden_signature =
-      result.good_outputs.empty()
-          ? golden_signature(stimulus)
-          : misr_signature(misr_width_, result.good_outputs);
+  report.golden_signature = golden_signature(stimulus, result);
   report.fault_result = std::move(result);
   return report;
 }

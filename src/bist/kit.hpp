@@ -55,6 +55,13 @@ public:
   std::uint32_t golden_signature(
       std::span<const std::int64_t> stimulus) const;
 
+  /// Golden MISR signature for a finished fault simulation of
+  /// `stimulus` (simulate_faults, run_campaign, run_distributed): read
+  /// from the run's good_outputs when it recorded them, else a
+  /// fault-free sweep (golden_signature(stimulus)).
+  std::uint32_t golden_signature(std::span<const std::int64_t> stimulus,
+                                 const fault::FaultSimResult& run) const;
+
   /// Full evaluation: generate `vectors` patterns, fault simulate the
   /// whole universe, compute the golden signature (read from the
   /// compiled engine's good trace, so the fault-free machine runs once).
@@ -82,9 +89,7 @@ public:
                          std::span<const std::int64_t> stimulus) const;
 
 private:
-  /// Wrap a finished fault simulation of `stimulus` into a report. The
-  /// golden signature comes from the result's good_outputs when the run
-  /// recorded them, else from golden_signature(stimulus).
+  /// Wrap a finished fault simulation of `stimulus` into a report.
   BistReport make_report(fault::FaultSimResult result,
                          std::span<const std::int64_t> stimulus) const;
 

@@ -89,16 +89,6 @@ void collect_batch_sites(std::span<const Fault> faults,
   for (const std::size_t idx : batch) sites.push_back(faults[idx].gate);
 }
 
-void append_survivors(std::span<const std::size_t> batch,
-                      const std::uint64_t* detected_words,
-                      std::vector<std::size_t>& survivors) {
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    const std::size_t lane = k + 1;
-    if (!((detected_words[lane >> 6] >> (lane & 63)) & 1u))
-      survivors.push_back(batch[k]);
-  }
-}
-
 void collect_signature_nets(const gate::Netlist& nl,
                             const SignatureOptions& sig,
                             const gate::CompiledSchedule::Cone* cone,

@@ -37,36 +37,51 @@
 
 namespace fdbist::fault::detail {
 
+/// The cycles one batch run covers: it simulates from reset at
+/// `warm_from` and counts output mismatches as detections only in
+/// [begin, end). With warm_from = begin - D (D = the settle depth,
+/// gate::CompiledSchedule::settle_depth) every net holds its exact
+/// sequential value from `begin` on, so a run over [begin, end)
+/// detects exactly what the whole-budget run detects in that window.
+struct CycleWindow {
+  std::size_t warm_from = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// What one run_batch call did.
+struct BatchRun {
+  /// Cycles stepped, warm-up included.
+  std::size_t stepped = 0;
+  /// Logic gates evaluated per cycle (the cone, or the whole netlist).
+  std::size_t gates_per_cycle = 0;
+};
+
 /// Per-worker batch executor. One instance per worker thread; the
 /// compiled schedule is shared read-only.
 class BatchWorker {
 public:
   virtual ~BatchWorker() = default;
 
-  /// One batch of `batch.size()` faults (at most lanes-1) from reset
-  /// through the first `budget` vectors. Writes first-detection cycles
-  /// for the batch's own faults (disjoint detect_cycle entries across
-  /// batches) and appends the indices still undetected to `survivors`
-  /// in fault order. `trace` selects the engine: non-null runs the
-  /// cone-restricted compiled sweep, null the full-netlist reference
-  /// sweep. `full_sweep_gates` is the logic-gate count of the
-  /// *unoptimized* netlist, so gate_eval_savings stays comparable
-  /// across pass configurations. When `sig.enabled()` (and
-  /// `signature_detect` non-null), the batch also runs a bit-sliced
-  /// difference MISR per lane — early exit is suppressed so every lane
-  /// absorbs the full budget — and sets signature_detect[i] for faults
-  /// whose final signature differs from the good machine's.
-  virtual void run_batch(std::span<const Fault> faults,
-                         std::span<const std::int64_t> stimulus,
-                         std::span<const std::size_t> batch,
-                         std::size_t budget, const gate::GoodTrace* trace,
-                         std::uint64_t full_sweep_gates,
-                         std::int32_t* detect_cycle,
-                         std::vector<std::size_t>& survivors,
-                         const SignatureOptions& sig,
-                         std::uint8_t* signature_detect) = 0;
-
-  FaultSimStats stats;
+  /// One batch of `batch.size()` faults (at most lanes-1) over
+  /// `window`. Sets detect[k] to batch member k's first detection cycle
+  /// within [window.begin, window.end), or -1, and stops early once
+  /// every member has one. `trace` selects the engine: non-null runs
+  /// the cone-restricted compiled sweep, null the full-netlist
+  /// reference sweep. When `sig.enabled()` (and `signature_detect`
+  /// non-null), the batch also runs a bit-sliced difference MISR per
+  /// lane — the window must then be the whole budget from reset, and
+  /// early exit is suppressed so every lane absorbs all of it — and
+  /// sets signature_detect[i] for faults whose final signature differs
+  /// from the good machine's.
+  virtual BatchRun run_batch(std::span<const Fault> faults,
+                             std::span<const std::int64_t> stimulus,
+                             std::span<const std::size_t> batch,
+                             CycleWindow window,
+                             const gate::GoodTrace* trace,
+                             std::int32_t* detect,
+                             const SignatureOptions& sig,
+                             std::uint8_t* signature_detect) = 0;
 };
 
 /// Factory + geometry for one backend.
@@ -100,12 +115,6 @@ const BatchKernel& batch_kernel(common::SimdBackend resolved);
 void collect_batch_sites(std::span<const Fault> faults,
                          std::span<const std::size_t> batch,
                          std::vector<gate::NetId>& sites);
-
-/// Scan detected lane words into `survivors` (batch members whose lane
-/// k+1 is still clear), in fault order.
-void append_survivors(std::span<const std::size_t> batch,
-                      const std::uint64_t* detected_words,
-                      std::vector<std::size_t>& survivors);
 
 /// The output-to-MISR wiring: every output bit o is folded (XORed) into
 /// MISR bit o mod width, so a MISR narrower than the output word still

@@ -18,18 +18,17 @@ public:
 
   explicit BatchWorkerT(const gate::CompiledSchedule& sched) : sim_(sched) {}
 
-  /// One batch from reset through the first `budget` vectors. Because
-  /// every batch restarts from reset with the same stimulus prefix,
-  /// detection cycles are exact regardless of how faults are staged
-  /// into batches — or how many lanes a word carries.
-  void run_batch(std::span<const Fault> faults,
-                 std::span<const std::int64_t> stimulus,
-                 std::span<const std::size_t> batch, std::size_t budget,
-                 const gate::GoodTrace* trace,
-                 std::uint64_t full_sweep_gates, std::int32_t* detect_cycle,
-                 std::vector<std::size_t>& survivors,
-                 const SignatureOptions& sig,
-                 std::uint8_t* signature_detect) override {
+  /// One batch over a cycle window. Because every run starts from
+  /// reset and the window's warm-up covers the settle depth, detection
+  /// cycles are exact regardless of how faults are staged into batches,
+  /// how many lanes a word carries, or how the budget is cut into
+  /// windows.
+  BatchRun run_batch(std::span<const Fault> faults,
+                     std::span<const std::int64_t> stimulus,
+                     std::span<const std::size_t> batch, CycleWindow window,
+                     const gate::GoodTrace* trace, std::int32_t* detect,
+                     const SignatureOptions& sig,
+                     std::uint8_t* signature_detect) override {
     sim_.reset();
     sim_.clear_faults();
     // Faults may only land in the lanes this batch scans below.
@@ -40,14 +39,14 @@ public:
       const W mask = W::lane_bit(static_cast<int>(k + 1));
       sim_.add_fault(f.gate, f.site, f.stuck, mask);
       live |= mask;
+      detect[k] = -1;
     }
 
-    const std::size_t logic_gates = sim_.schedule().logic_gates();
-    std::size_t cone_gates = logic_gates;
+    std::size_t gates_per_cycle = sim_.schedule().logic_gates();
     if (trace != nullptr) {
       collect_batch_sites(faults, batch, sites_);
       sim_.schedule().collect_cone(sites_, ws_, cone_);
-      cone_gates = cone_.gates.size();
+      gates_per_cycle = cone_.gates.size();
     }
 
     // Difference-MISR state, one bit-sliced register slot per MISR bit.
@@ -63,19 +62,20 @@ public:
 
     W detected = W::zero();
     std::size_t found = 0;
-    std::size_t cycles = 0;
-    for (std::size_t t = 0; t < budget; ++t) {
-      W newly;
-      if (trace != nullptr) {
-        const std::uint64_t* row = trace->row(t);
-        sim_.step_cone(cone_, row);
-        newly = sim_.cone_output_mismatch_wide(cone_, row) & live & ~detected;
-      } else {
-        sim_.step_broadcast(stimulus[t]);
-        newly = sim_.output_mismatch_wide() & live & ~detected;
-      }
+    std::size_t t = window.warm_from;
+    while (t < window.end) {
+      const std::size_t now = t++;
+      if (trace != nullptr)
+        sim_.step_cone(cone_, trace->row(now));
+      else
+        sim_.step_broadcast(stimulus[now]);
       if (sig_on) absorb_difference(sig);
-      ++cycles;
+      if (now < window.begin) continue; // warm-up: state not yet exact
+      const W newly =
+          (trace != nullptr
+               ? sim_.cone_output_mismatch_wide(cone_, trace->row(now))
+               : sim_.output_mismatch_wide()) &
+          live & ~detected;
       if (newly.none()) continue;
       detected |= newly;
       for (int wi = 0; wi < Words; ++wi) {
@@ -84,7 +84,7 @@ public:
           const int bit = std::countr_zero(m);
           m &= m - 1;
           const std::size_t lane = std::size_t(wi) * 64 + std::size_t(bit);
-          detect_cycle[batch[lane - 1]] = static_cast<std::int32_t>(t);
+          detect[lane - 1] = static_cast<std::int32_t>(now);
           ++found;
         }
       }
@@ -92,23 +92,13 @@ public:
       // batches always run the full budget.
       if (!sig_on && found == batch.size()) break;
     }
-    append_survivors(batch, detected.w, survivors);
     if (sig_on) {
       W nonzero = W::zero();
       for (int b = 0; b < sig.width; ++b) nonzero |= sig_state_[b];
       nonzero &= live;
       mark_signature_detects(batch, nonzero.w, signature_detect);
     }
-
-    stats.batches += 1;
-    stats.cycles_simulated += cycles;
-    stats.cycles_budgeted += budget;
-    stats.gates_evaluated += std::uint64_t(cone_gates) * cycles;
-    stats.gates_full_sweep += full_sweep_gates * cycles;
-    stats.cone_fraction_sum += full_sweep_gates == 0
-                                   ? 1.0
-                                   : double(cone_gates) /
-                                         double(full_sweep_gates);
+    return {t - window.warm_from, gates_per_cycle};
   }
 
 private:

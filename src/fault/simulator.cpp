@@ -1,6 +1,7 @@
 #include "fault/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <limits>
 #include <mutex>
@@ -139,6 +140,25 @@ std::size_t compiled_mem_estimate(std::size_t nets, std::size_t cycles,
          workers * nets * (lane_width / 8);
 }
 
+/// A time segment spans at least this many settle depths, so its
+/// warm-up costs at most 1/16 of it.
+constexpr std::size_t kSettleDepthsPerSegment = 16;
+
+/// Time segments for a compiled word-compare pass of `budget` cycles:
+/// n = floor(budget / (16 D)), used only when n >= 2, and none without
+/// a settle depth (registers in a cycle never forget their start
+/// state). It depends on the netlist and the budget alone, never on the
+/// thread count, so results and stats are the same at every thread
+/// count. A netlist without registers (D = 0) splits as if D were 1.
+std::size_t segment_count(std::size_t budget,
+                          std::optional<std::size_t> settle_depth) {
+  if (!settle_depth) return 1;
+  const std::size_t n =
+      budget / (kSettleDepthsPerSegment *
+                std::max<std::size_t>(*settle_depth, 1));
+  return n >= 2 ? n : 1;
+}
+
 std::uint64_t now_ns() {
   return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now().time_since_epoch())
@@ -195,7 +215,8 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
 
   const common::SimdBackend simd = detail::resolve_simd_backend(opt.simd);
   const detail::BatchKernel& kernel = detail::batch_kernel(simd);
-  const std::size_t fpb = kernel.faults_per_batch();
+  const detail::BatchKernel& narrow =
+      detail::batch_kernel(common::SimdBackend::Scalar);
   const std::size_t threads = common::resolve_threads(opt.num_threads);
 
   FaultSimEngine engine = opt.engine;
@@ -329,67 +350,127 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
     opt.progress(progress_done, faults.size());
   };
 
-  // One pass over `indices` with the first `budget` vectors: the
-  // batches are sharded dynamically across workers, each owning a
-  // private executor (a width-dispatched BatchWorker over the shared
-  // schedule) and writing disjoint detect_cycle entries. Per-batch
-  // survivor lists are concatenated in batch order afterwards, which
-  // makes the returned order — and therefore the batch composition of
-  // the next pass — identical to the sequential engine's for any
-  // thread count.
+  // One pass over `indices` with the first `budget` vectors, run as
+  // (batch x time-segment) units sharded dynamically across workers.
+  // Each worker owns a private executor (a width-dispatched BatchWorker
+  // over the shared schedule); each unit writes its own detection
+  // array. The worker that finishes a batch's last segment takes every
+  // fault's detect cycle from the earliest segment that saw it, writes
+  // the batch's disjoint detect_cycle and finalized entries and its
+  // survivor list, and books its stats. Survivor lists are concatenated in batch order
+  // afterwards, which makes the returned order — and therefore the
+  // batch composition of the next pass — identical to the sequential
+  // engine's for any thread count.
   //
-  // The compiled engine's batches read the good trace recorded once per
-  // call above and touch only their fault cones.
+  // Segments (segment_count) split compiled word-compare passes only:
+  // a signature is absorbed over the whole stimulus, and the FullSweep
+  // reference stays one sequential run per batch. Segment [b, e)
+  // starts from reset at max(0, b - D) and counts detections from b on;
+  // after D cycles every net holds its sequential value, so it detects
+  // exactly what the whole-budget run detects in [b, e). An unsplit
+  // pass is the one-segment case. Units are numbered segment-major:
+  // u = segment * num_batches + batch.
   //
-  // Cancellation stops workers at batch boundaries: a batch that never
-  // ran leaves its faults unfinalized (and out of the survivor list, so
-  // a later pass never touches them either). Batches that did run keep
-  // their verdicts — the partial result is valid, just incomplete.
+  // A pass that fits one 64-lane batch runs on the 64-lane kernel: a
+  // wider word would carry its empty lanes through every gate.
+  //
+  // Cancellation stops workers at unit boundaries: a batch whose
+  // segments did not all run leaves its faults unfinalized (and out of
+  // the survivor list, so a later pass never touches them either).
+  // Batches that finished keep their verdicts — the partial result is
+  // valid, just incomplete.
+  const std::optional<std::size_t> settle = sched.settle_depth();
   auto run_pass = [&](const std::vector<std::size_t>& indices,
                       std::size_t budget, bool final_pass) {
+    const detail::BatchKernel& k =
+        indices.size() <= narrow.faults_per_batch() ? narrow : kernel;
+    const std::size_t fpb = k.faults_per_batch();
     const std::size_t num_batches = (indices.size() + fpb - 1) / fpb;
+    const std::size_t segments =
+        trace != nullptr && !sig_on ? segment_count(budget, settle) : 1;
+    const std::size_t units = num_batches * segments;
     const std::size_t workers =
-        std::max<std::size_t>(1, std::min(threads, num_batches));
+        std::max<std::size_t>(1, std::min(threads, units));
     std::vector<std::unique_ptr<detail::BatchWorker>> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w)
-      pool.push_back(kernel.make_worker(sched));
+      pool.push_back(k.make_worker(sched));
 
+    std::vector<std::int32_t> unit_detect(units * fpb);
+    std::vector<detail::BatchRun> unit_run(units);
+    std::vector<std::atomic<std::size_t>> segments_left(num_batches);
+    for (auto& left : segments_left)
+      left.store(segments, std::memory_order_relaxed);
+    std::vector<FaultSimStats> worker_stats(workers);
     std::vector<std::vector<std::size_t>> batch_survivors(num_batches);
-    std::vector<std::uint8_t> batch_ran(num_batches, 0);
+
+    auto finish_batch = [&](FaultSimStats& st, std::size_t b) {
+      const std::size_t base = b * fpb;
+      const std::size_t count = std::min(fpb, indices.size() - base);
+      std::size_t found = 0;
+      std::size_t last = 0;
+      for (std::size_t m = 0; m < count; ++m) {
+        std::int32_t c = -1;
+        for (std::size_t s = 0; s < segments && c < 0; ++s)
+          c = unit_detect[(s * num_batches + b) * fpb + m];
+        const std::size_t idx = indices[base + m];
+        result.detect_cycle[idx] = c;
+        if (final_pass || c >= 0) result.finalized[idx] = 1;
+        if (c < 0) {
+          batch_survivors[b].push_back(idx);
+          continue;
+        }
+        ++found;
+        last = std::max(last, std::size_t(c));
+      }
+      // The sequential engine's cycles: up to the last detection when
+      // it found every fault and could exit early, else the budget.
+      const std::size_t sequential =
+          !sig_on && found == count ? last + 1 : budget;
+      std::size_t stepped = 0;
+      for (std::size_t s = 0; s < segments; ++s)
+        stepped += unit_run[s * num_batches + b].stepped;
+      FDBIST_ASSERT(stepped >= sequential,
+                    "segments stepped fewer cycles than one whole run");
+      const std::size_t gates = unit_run[b].gates_per_cycle;
+      st.batches += 1;
+      st.cycles_simulated += sequential;
+      st.cycles_budgeted += budget;
+      st.segment_overhead_cycles += stepped - sequential;
+      st.gates_evaluated += std::uint64_t(gates) * sequential;
+      st.gates_full_sweep += full_sweep_gates * sequential;
+      st.cone_fraction_sum += full_sweep_gates == 0
+                                  ? 1.0
+                                  : double(gates) / double(full_sweep_gates);
+      report_finalized(final_pass ? count : found);
+    };
+
     common::parallel_for(
-        num_batches, workers, opt.cancel,
-        [&](std::size_t worker, std::size_t b) {
+        units, workers, opt.cancel, [&](std::size_t worker, std::size_t u) {
+          const std::size_t s = u / num_batches;
+          const std::size_t b = u % num_batches;
           const std::size_t base = b * fpb;
           const std::size_t count = std::min(fpb, indices.size() - base);
-          std::vector<std::size_t>& survivors = batch_survivors[b];
-          pool[worker]->run_batch(
-              sim_faults, stimulus, {indices.data() + base, count}, budget,
-              trace, full_sweep_gates, result.detect_cycle.data(),
-              survivors, opt.signature,
+          const std::size_t begin = budget * s / segments;
+          const detail::CycleWindow window{
+              begin - std::min(begin, settle.value_or(0)), begin,
+              budget * (s + 1) / segments};
+          unit_run[u] = pool[worker]->run_batch(
+              sim_faults, stimulus, {indices.data() + base, count}, window,
+              trace, unit_detect.data() + u * fpb, opt.signature,
               sig_on ? result.signature_detect.data() : nullptr);
-          batch_ran[b] = 1;
-          report_finalized(final_pass ? count : count - survivors.size());
+          if (segments_left[b].fetch_sub(1, std::memory_order_acq_rel) == 1)
+            finish_batch(worker_stats[worker], b);
         });
 
     // Worker-local stats merge after the join; the sums are over the
-    // set of batches that ran, so they are order- and thread-count-
+    // set of batches that finished, so they are order- and thread-count-
     // independent on complete runs.
-    for (const auto& w : pool) result.stats.merge(w->stats);
+    for (const FaultSimStats& st : worker_stats) result.stats.merge(st);
 
     std::vector<std::size_t> survivors;
-    for (std::size_t b = 0; b < num_batches; ++b) {
-      if (!batch_ran[b]) continue;
-      const std::size_t base = b * fpb;
-      const std::size_t count = std::min(fpb, indices.size() - base);
-      for (std::size_t k = 0; k < count; ++k) {
-        const std::size_t idx = indices[base + k];
-        if (final_pass || result.detect_cycle[idx] >= 0)
-          result.finalized[idx] = 1;
-      }
-      survivors.insert(survivors.end(), batch_survivors[b].begin(),
-                       batch_survivors[b].end());
-    }
+    for (const std::vector<std::size_t>& batch : batch_survivors)
+      survivors.insert(survivors.end(), batch.begin(), batch.end());
     return survivors;
   };
 

@@ -22,7 +22,11 @@
 //     only the union of its faults' structural fan-out cones (closed
 //     through registers), reading out-of-cone operands from the
 //     trace. Results are bit-identical to the full sweep —
-//     anything outside the cone provably holds the good value.
+//     anything outside the cone provably holds the good value. On a
+//     netlist whose registers form no cycle, a long word-compare pass
+//     also splits each batch into time segments, each warmed up over
+//     the netlist's settle depth, so even a single batch of survivors
+//     spreads across workers.
 //   * FullSweep: every batch re-evaluates the whole netlist each clock
 //     (the pre-compilation engine). Retained as the differential
 //     reference for the compiled engine, and as the automatic fallback
@@ -64,12 +68,21 @@ struct FaultSimStats {
   /// Engine that ran (never Auto in a result).
   FaultSimEngine engine = FaultSimEngine::Auto;
   std::uint64_t batches = 0;
-  /// Clock cycles actually stepped across all batches.
+  /// Clock cycles the batches take as one run each from reset: the
+  /// budget, or up to the last detection when every fault of the batch
+  /// is found. Time segments leave it unchanged (what they add is
+  /// segment_overhead_cycles), so both engines report the same count.
   std::uint64_t cycles_simulated = 0;
   /// Clock cycles batches were budgeted for; the difference from
   /// cycles_simulated is early exit (every fault in the batch detected).
   std::uint64_t cycles_budgeted = 0;
-  /// Logic-gate evaluations performed in batch clock loops.
+  /// Cycles time-segmented passes stepped beyond cycles_simulated: each
+  /// segment's warm-up, plus the cycles a segment ran after its batch's
+  /// last detection. Always 0 on FullSweep and signature runs, which
+  /// never split a batch.
+  std::uint64_t segment_overhead_cycles = 0;
+  /// Logic-gate evaluations in batch clock loops over cycles_simulated
+  /// (cone gates x cycles on the compiled engine).
   std::uint64_t gates_evaluated = 0;
   /// Logic-gate evaluations a full sweep would have performed for the
   /// same simulated cycles (= logic gates x cycles_simulated).
@@ -83,7 +96,8 @@ struct FaultSimStats {
   /// configurations).
   double cone_fraction_sum = 0;
   /// Simulation word width in lanes (64 scalar, 256 AVX2, 512 AVX-512)
-  /// and the backend that produced it. Never Auto in a result.
+  /// of the backend the call resolved. Never Auto in a result. A pass
+  /// of at most 63 faults runs on 64 lanes whatever the backend.
   std::size_t lane_width = 0;
   common::SimdBackend simd = common::SimdBackend::Auto;
   /// Netlist-pass observability: pipeline executions (one per
@@ -152,6 +166,7 @@ struct FaultSimStats {
     batches += o.batches;
     cycles_simulated += o.cycles_simulated;
     cycles_budgeted += o.cycles_budgeted;
+    segment_overhead_cycles += o.segment_overhead_cycles;
     gates_evaluated += o.gates_evaluated;
     gates_full_sweep += o.gates_full_sweep;
     good_trace_cycles += o.good_trace_cycles;

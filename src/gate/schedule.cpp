@@ -62,6 +62,7 @@ CompiledSchedule::CompiledSchedule(const Netlist& nl) : nl_(nl), n_(nl.size()) {
   is_output_.assign(n_, 0);
   for (const auto& group : nl_.outputs())
     for (const NetId o : group) is_output_[std::size_t(o)] = 1;
+  compute_settle_depth();
 }
 
 CompiledSchedule::CompiledSchedule(const Netlist& nl, RestoreParts&& parts)
@@ -75,6 +76,37 @@ CompiledSchedule::CompiledSchedule(const Netlist& nl, RestoreParts&& parts)
                     is_output_.size() == n_ &&
                     fan_.size() == std::size_t(fan_start_[n_]),
                 "restored schedule arrays do not match the netlist");
+  compute_settle_depth();
+}
+
+void CompiledSchedule::compute_settle_depth() {
+  // Kahn's algorithm: a net is visited once all its predecessors are,
+  // so its depth is final when it leaves the queue. Only edges into a
+  // RegOut net are D->Q edges; they add one cycle.
+  std::vector<std::int32_t> pending(n_, 0);
+  for (const NetId dst : fan_) ++pending[std::size_t(dst)];
+  std::vector<std::size_t> depth(n_, 0);
+  std::vector<NetId> ready;
+  for (std::size_t i = 0; i < n_; ++i)
+    if (pending[i] == 0) ready.push_back(static_cast<NetId>(i));
+  std::size_t visited = 0;
+  std::size_t deepest = 0;
+  while (!ready.empty()) {
+    const NetId g = ready.back();
+    ready.pop_back();
+    ++visited;
+    const std::size_t d = depth[std::size_t(g)];
+    deepest = std::max(deepest, d);
+    for (const NetId succ : fanout(g)) {
+      const auto s = std::size_t(succ);
+      depth[s] = std::max(depth[s], d + (reg_of_[s] >= 0 ? 1 : 0));
+      if (--pending[s] == 0) ready.push_back(succ);
+    }
+  }
+  // Nets left unvisited sit on or behind a cycle, and every cycle
+  // passes through a register (combinational gates are in topological
+  // order).
+  if (visited == n_) settle_depth_ = deepest;
 }
 
 void CompiledSchedule::collect_cone(std::span<const NetId> sites,

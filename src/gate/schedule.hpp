@@ -16,6 +16,8 @@
 //     good-machine value in every lane, so a cone-restricted executor
 //     (gate::WordSim::step_cone) evaluates only in-cone gates and reads
 //     the rest from a recorded good trace.
+//   * Settle depth: how many cycles the netlist takes to forget its
+//     start state, or none when registers form a cycle.
 //
 // Cones are extracted per batch (one graph walk over the CSR), not
 // precomputed per site: per-site cone storage is quadratic in netlist
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -119,6 +122,15 @@ public:
     return is_output_[std::size_t(id)] != 0;
   }
 
+  /// The longest register path through the netlist: the most D->Q
+  /// edges on any path of the fan-out CSR (inputs and constants start
+  /// at 0). From cycle D on, every net's value depends only on the
+  /// stimulus of the last D cycles, not on the state the run started
+  /// from. A stuck-at fault only cuts edges, so a faulty machine
+  /// forgets at least as fast. Empty when registers form a cycle
+  /// (feedback never forgets); 0 for a netlist without registers.
+  std::optional<std::size_t> settle_depth() const { return settle_depth_; }
+
   /// The union of structural fan-out cones of a batch of fault sites,
   /// decomposed into exactly what the cone-restricted executor needs.
   struct Cone {
@@ -165,9 +177,14 @@ public:
                     Cone& out) const;
 
 private:
+  /// One topological (Kahn) walk over the CSR; both constructors call
+  /// it, so the artifact format carries no extra section.
+  void compute_settle_depth();
+
   const Netlist& nl_;
   std::size_t n_ = 0;
   std::size_t logic_gates_ = 0;
+  std::optional<std::size_t> settle_depth_;
   std::vector<GateOp> op_;
   std::vector<NetId> a_;
   std::vector<NetId> b_;

@@ -72,8 +72,15 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
           ? std::filesystem::temp_directory_path().string()
           : opt.corpus_dir;
 
-  // 1. Regression pass over the persisted corpus.
+  // 1. Regression pass over the persisted corpus. The directory is
+  // created first: it is also the scratch dir of the checkpointing
+  // properties, and the home of new reproducers.
   if (!opt.corpus_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(opt.corpus_dir, ec);
+    if (ec)
+      report.io_errors.push_back("cannot create corpus directory " +
+                                 opt.corpus_dir + ": " + ec.message());
     auto files = list_corpus(opt.corpus_dir);
     if (!files) {
       report.io_errors.push_back(files.error().to_string());

@@ -181,6 +181,13 @@ Finding check_stats_invariants(const fault::FaultSimResult& r,
   if (s.engine == fault::FaultSimEngine::FullSweep &&
       s.gates_evaluated != s.gates_full_sweep)
     return fail("full-sweep engine skipped gate evaluations");
+  // Only compiled word-compare passes split batches into time
+  // segments; everything else steps exactly cycles_simulated.
+  if ((s.engine == fault::FaultSimEngine::FullSweep ||
+       !r.signature_detect.empty()) &&
+      s.segment_overhead_cycles != 0)
+    return fail(std::to_string(s.segment_overhead_cycles) +
+                " segment overhead cycles on a run that never segments");
   if (s.mean_cone_fraction() <= 0.0 || s.mean_cone_fraction() > 1.0)
     return fail("mean cone fraction outside (0, 1]");
   if (s.engine == fault::FaultSimEngine::Compiled &&

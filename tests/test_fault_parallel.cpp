@@ -10,6 +10,7 @@
 
 #include "fault/simulator.hpp"
 #include "gate/lower.hpp"
+#include "gate/schedule.hpp"
 #include "rtl/fir_builder.hpp"
 #include "tpg/generators.hpp"
 
@@ -46,6 +47,39 @@ FaultSimResult run_with(std::size_t threads) {
   opt.num_threads = threads;
   return simulate_faults(fixture().low.netlist, fixture().stim,
                          fixture().faults, opt);
+}
+
+// The same filter over a stimulus long enough that the full-budget pass
+// splits every batch into time segments (the 128-vector weed-out stays
+// whole).
+constexpr std::size_t kSegmentedVectors = 1024;
+
+const std::vector<std::int64_t>& long_stim() {
+  static const auto stim = [] {
+    auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
+    return gen->generate_raw(kSegmentedVectors);
+  }();
+  return stim;
+}
+
+FaultSimResult run_segmented(FaultSimOptions opt) {
+  return simulate_faults(fixture().low.netlist, long_stim(),
+                         fixture().faults, opt);
+}
+
+FaultSimResult run_segmented(std::size_t threads) {
+  FaultSimOptions opt;
+  opt.num_threads = threads;
+  return run_segmented(opt);
+}
+
+// Faults still undetected after the weed-out, in fault order: the
+// full-budget pass's batches, in batch order.
+std::vector<std::size_t> stage1_survivors(const FaultSimResult& r) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < r.detect_cycle.size(); ++i)
+    if (r.detect_cycle[i] < 0 || r.detect_cycle[i] >= 128) out.push_back(i);
+  return out;
 }
 
 TEST(FaultParallel, FixtureSpansManyBatches) {
@@ -225,6 +259,109 @@ TEST(FaultParallel, CancelledRunReturnsValidPartialResult) {
       if (r.detect_cycle[i] >= 0) ++detected;
     }
     EXPECT_EQ(r.detected, detected);
+  }
+}
+
+TEST(FaultParallel, SegmentedFixtureSplitsOnlyTheFullBudgetPass) {
+  const auto depth =
+      gate::CompiledSchedule(fixture().low.netlist).settle_depth();
+  ASSERT_TRUE(depth.has_value());
+  EXPECT_GE(kSegmentedVectors / (16 * *depth), 2u);
+  EXPECT_LT(128 / (16 * *depth), 2u);
+  const auto r = run_segmented(1);
+  EXPECT_GT(r.stats.segment_overhead_cycles, 0u);
+  EXPECT_GT(stage1_survivors(r).size(), 63u)
+      << "the full-budget pass should need more than one 64-lane batch";
+}
+
+// Verdicts and every work counter of a segmented run are a function of
+// the workload alone: the same at every thread count, and the same
+// cycles as the FullSweep reference, which never splits a batch.
+TEST(FaultParallel, SegmentedRunsIdenticalAcrossThreadCounts) {
+  FaultSimOptions ref;
+  ref.num_threads = 1;
+  ref.engine = FaultSimEngine::FullSweep;
+  const auto golden = run_segmented(ref);
+  EXPECT_EQ(golden.stats.segment_overhead_cycles, 0u);
+  const auto baseline = run_segmented(1);
+  EXPECT_EQ(baseline.detect_cycle, golden.detect_cycle);
+  EXPECT_EQ(baseline.stats.cycles_simulated, golden.stats.cycles_simulated);
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
+    const auto r = run_segmented(threads);
+    EXPECT_EQ(r.detect_cycle, baseline.detect_cycle) << threads << " threads";
+    EXPECT_EQ(r.finalized, baseline.finalized);
+    EXPECT_EQ(r.stats.batches, baseline.stats.batches);
+    EXPECT_EQ(r.stats.cycles_simulated, baseline.stats.cycles_simulated);
+    EXPECT_EQ(r.stats.cycles_budgeted, baseline.stats.cycles_budgeted);
+    EXPECT_EQ(r.stats.segment_overhead_cycles,
+              baseline.stats.segment_overhead_cycles);
+    EXPECT_EQ(r.stats.gates_evaluated, baseline.stats.gates_evaluated);
+    EXPECT_EQ(r.stats.gates_full_sweep, baseline.stats.gates_full_sweep);
+    EXPECT_DOUBLE_EQ(r.stats.cone_fraction_sum,
+                     baseline.stats.cone_fraction_sum);
+  }
+}
+
+TEST(FaultParallel, SegmentedProgressIsMonotoneAndComplete) {
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    std::vector<std::size_t> reports;
+    FaultSimOptions opt;
+    opt.num_threads = threads;
+    opt.progress = [&](std::size_t done, std::size_t total) {
+      EXPECT_EQ(total, fixture().faults.size());
+      reports.push_back(done);
+    };
+    run_segmented(opt);
+    ASSERT_FALSE(reports.empty()) << threads << " threads";
+    for (std::size_t i = 1; i < reports.size(); ++i)
+      EXPECT_GT(reports[i], reports[i - 1]) << threads << " threads";
+    EXPECT_EQ(reports.back(), fixture().faults.size())
+        << threads << " threads";
+  }
+}
+
+// One worker on 64-lane words runs the full-budget pass segment-major:
+// every batch's first segment, then every batch's second, and so on, so
+// the first report of that pass comes when batch 0's last segment ends.
+// Cancelling there leaves every later batch with all segments but its
+// last run — and those batches must stay wholly unfinalized, with no
+// detect cycle taken from the segments that did run.
+TEST(FaultParallel, CancelledSegmentedPassLeavesItsBatchesUnfinalized) {
+  const auto full = run_segmented(1);
+  const auto survivors = stage1_survivors(full);
+  ASSERT_GT(survivors.size(), 63u) << "need two full-budget batches";
+  const std::size_t weeded = full.total_faults - survivors.size();
+
+  common::CancelToken token;
+  FaultSimOptions opt;
+  opt.num_threads = 1;
+  opt.simd = common::SimdBackend::Scalar;
+  opt.cancel = &token;
+  opt.progress = [&](std::size_t done, std::size_t) {
+    if (done > weeded) token.cancel();
+  };
+  const auto r = run_segmented(opt);
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.finalized_count(), weeded + 63);
+  std::vector<std::uint8_t> in_tail(full.total_faults, 0);
+  for (const std::size_t i : survivors) in_tail[i] = 1;
+  for (std::size_t i = 0; i < full.total_faults; ++i) {
+    if (!in_tail[i]) {
+      EXPECT_TRUE(r.finalized[i]) << "fault " << i;
+      EXPECT_EQ(r.detect_cycle[i], full.detect_cycle[i]) << "fault " << i;
+    }
+  }
+  for (std::size_t p = 0; p < survivors.size(); ++p) {
+    const std::size_t i = survivors[p];
+    if (p < 63) {
+      EXPECT_TRUE(r.finalized[i]) << "fault " << i;
+      EXPECT_EQ(r.detect_cycle[i], full.detect_cycle[i]) << "fault " << i;
+    } else {
+      EXPECT_FALSE(r.finalized[i]) << "fault " << i;
+      EXPECT_EQ(r.detect_cycle[i], -1) << "fault " << i;
+    }
   }
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <span>
@@ -148,6 +150,66 @@ TEST(CompiledSchedule, ConesCloseThroughRegisters) {
       << "fixture has no fault site reaching a register";
 }
 
+// Settle depth of a hand-built netlist with one input and one output bit.
+std::optional<std::size_t> settle_depth(Netlist& nl, NetId x, NetId out) {
+  nl.inputs() = {{x}};
+  nl.outputs() = {{out}};
+  return CompiledSchedule(nl).settle_depth();
+}
+
+TEST(SettleDepth, RegisterChainOfLengthK) {
+  for (const std::size_t k : {1u, 2u, 5u}) {
+    Netlist nl;
+    const NetId x = nl.add_gate(GateOp::Input);
+    NetId d = nl.add_gate(GateOp::Not, x);
+    for (std::size_t i = 0; i < k; ++i) {
+      const NetId q = nl.add_gate(GateOp::RegOut);
+      nl.registers().push_back({d, q});
+      d = nl.add_gate(GateOp::Not, q);
+    }
+    EXPECT_EQ(settle_depth(nl, x, d), k) << k << " registers";
+  }
+}
+
+TEST(SettleDepth, SelfFedRegisterHasNone) {
+  Netlist nl;
+  const NetId x = nl.add_gate(GateOp::Input);
+  const NetId q = nl.add_gate(GateOp::RegOut);
+  const NetId d = nl.add_gate(GateOp::Xor, q, x);
+  nl.registers().push_back({d, q});
+  EXPECT_FALSE(settle_depth(nl, x, d).has_value());
+}
+
+TEST(SettleDepth, ConstantDrivenRegisterIsOne) {
+  Netlist nl;
+  const NetId x = nl.add_gate(GateOp::Input);
+  const NetId one = nl.add_gate(GateOp::Const1);
+  const NetId q = nl.add_gate(GateOp::RegOut);
+  nl.registers().push_back({one, q});
+  const NetId y = nl.add_gate(GateOp::And, q, x);
+  EXPECT_EQ(settle_depth(nl, x, y), 1u);
+}
+
+TEST(SettleDepth, NoRegistersIsZero) {
+  Netlist nl;
+  const NetId x = nl.add_gate(GateOp::Input);
+  const NetId y = nl.add_gate(GateOp::Not, x);
+  EXPECT_EQ(settle_depth(nl, x, y), 0u);
+}
+
+TEST(SettleDepth, RegisteredDesigns) {
+  const std::map<std::string, std::optional<std::size_t>> want = {
+      {"LP", 60}, {"BP", 58}, {"HP", 61}, {"DEC2", 16}, {"IIR4", {}}};
+  for (const auto& entry : designs::design_registry()) {
+    const auto d = designs::make_design(entry.name);
+    const auto low = lower(d.graph);
+    ASSERT_EQ(want.count(entry.name), 1u) << entry.name;
+    EXPECT_EQ(CompiledSchedule(low.netlist).settle_depth(),
+              want.at(entry.name))
+        << entry.name;
+  }
+}
+
 // The lane-0 reference: a sequential step_broadcast sweep, packed into
 // GoodTrace's row layout.
 std::vector<std::uint64_t> lane_zero_rows(const CompiledSchedule& sched,
@@ -231,7 +293,8 @@ TEST(GoodTrace, SelfInvertingRegisterNeedsEverySweep) {
 void expect_engines_identical(const Netlist& nl,
                               std::span<const std::int64_t> stim,
                               std::span<const fault::Fault> faults,
-                              std::size_t threads) {
+                              std::size_t threads,
+                              fault::FaultSimStats* compiled = nullptr) {
   fault::FaultSimOptions ref;
   ref.num_threads = threads;
   ref.engine = fault::FaultSimEngine::FullSweep;
@@ -253,6 +316,7 @@ void expect_engines_identical(const Netlist& nl,
   EXPECT_EQ(a.stats.cycles_simulated, b.stats.cycles_simulated);
   EXPECT_LT(b.stats.gates_evaluated, b.stats.gates_full_sweep);
   EXPECT_LE(b.stats.mean_cone_fraction(), 1.0);
+  if (compiled != nullptr) *compiled = b.stats;
 }
 
 TEST(EngineEquivalence, RandomizedLoweredNetlists) {
@@ -326,6 +390,68 @@ TEST(EngineEquivalence, EveryRegisteredFamilyAllThreadCounts) {
          {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
       SCOPED_TRACE(entry.name);
       expect_engines_identical(low.netlist, stim, faults, threads);
+    }
+  }
+}
+
+// Time segments: a full-budget pass at least 32 settle depths long
+// splits every batch into segments that each warm up over the settle
+// depth. The faults are every stage-1 survivor (so the full-budget pass
+// is wide enough to need more than 64 lanes) plus a stride sample of
+// the rest; the stimulus is 32 settle depths, two segments. IIR4's
+// feedback has no settle depth, so it must not split.
+void expect_segmented_engines_identical(const Netlist& nl,
+                                        const std::vector<fault::Fault>& all,
+                                        std::size_t width_in,
+                                        const std::string& what) {
+  SCOPED_TRACE(what);
+  const auto depth = CompiledSchedule(nl).settle_depth();
+  const std::size_t vectors =
+      std::max<std::size_t>(256, 32 * depth.value_or(0));
+  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, width_in);
+  const auto stim = gen->generate_raw(vectors);
+
+  fault::FaultSimOptions probe;
+  const auto weed = fault::simulate_faults(
+      nl, std::span(stim).first(128), all, probe);
+  std::vector<fault::Fault> faults;
+  std::size_t survivors = 0;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    survivors += weed.detect_cycle[i] < 0 ? 1 : 0;
+    if (weed.detect_cycle[i] < 0 || i % 211 == 0) faults.push_back(all[i]);
+  }
+  ASSERT_GT(survivors, 63u)
+      << "too few stage-1 survivors for a wide full-budget pass";
+
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+    fault::FaultSimStats st;
+    expect_engines_identical(nl, stim, faults, threads, &st);
+    if (depth.has_value())
+      EXPECT_GT(st.segment_overhead_cycles, 0u) << threads << " threads";
+    else
+      EXPECT_EQ(st.segment_overhead_cycles, 0u) << threads << " threads";
+  }
+}
+
+TEST(EngineEquivalence, TimeSegmentsEveryRegisteredDesign) {
+  // HP's carry-save lowering does not build yet and IIR4 has no
+  // carry-save form.
+  const std::set<std::string> carry_save = {"LP", "BP", "DEC2"};
+  for (const auto& entry : designs::design_registry()) {
+    const auto d = designs::make_design(entry.name);
+    const std::size_t width_in = std::size_t(d.stats().width_in);
+    const auto low = lower(d.graph);
+    expect_segmented_engines_identical(
+        low.netlist,
+        fault::order_for_simulation(fault::enumerate_adder_faults(low),
+                                    low.netlist, d.graph),
+        width_in, entry.name + "/ripple");
+    if (carry_save.count(entry.name) != 0) {
+      const auto csa = lower_carry_save(d);
+      expect_segmented_engines_identical(
+          csa.netlist, fault::enumerate_adder_faults(csa), width_in,
+          entry.name + "/carry-save");
     }
   }
 }

@@ -179,6 +179,14 @@ TEST(LaneLimit, AddFaultRejectsMasksBeyondActiveLanes) {
   EXPECT_THROW(sim.limit_lanes(65), precondition_error);
 }
 
+// Faults the two-stage engine carries into its full-budget pass: those
+// the 128-vector weed-out left undetected.
+std::size_t full_budget_faults(const fault::FaultSimResult& r) {
+  return std::size_t(std::count_if(
+      r.detect_cycle.begin(), r.detect_cycle.end(),
+      [](std::int32_t c) { return c < 0 || c >= 128; }));
+}
+
 // The tentpole property: verdicts are a pure function of (netlist,
 // stimulus, fault) — the lane width a batch happens to run at never
 // shows through. Every backend this build + CPU can run must agree
@@ -197,6 +205,9 @@ TEST(CrossBackend, VerdictsBitIdentical) {
   const auto ref = fault::simulate_faults(low.netlist, stim, faults, base);
   EXPECT_EQ(ref.stats.lane_width, 64u);
   EXPECT_EQ(ref.stats.simd, SimdBackend::Scalar);
+  // The full-budget pass must need more than one 64-lane batch, or
+  // every backend would run it on the 64-lane kernel.
+  ASSERT_GT(full_budget_faults(ref), 63u);
 
   for (const SimdBackend b :
        {SimdBackend::Avx2, SimdBackend::Avx512, SimdBackend::Auto}) {
@@ -222,6 +233,73 @@ TEST(CrossBackend, VerdictsBitIdentical) {
   fs.engine = fault::FaultSimEngine::FullSweep;
   const auto full = fault::simulate_faults(low.netlist, stim, faults, fs);
   EXPECT_EQ(full.detect_cycle, ref.detect_cycle);
+}
+
+// A full-budget pass of at most 63 faults runs on the 64-lane kernel
+// whatever the backend. Its verdicts must match every backend's run
+// and what each wide kernel computes for that same batch, driven
+// directly on both engines.
+TEST(CrossBackend, SmallFinalPassMatchesTheWideKernels) {
+  const auto low =
+      lowered_fir({0.22, -0.31, 0.085, -0.05, 0.03, 0.017}, "xbackend");
+  const auto all = fault::enumerate_adder_faults(low);
+  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
+  const auto stim = gen->generate_raw(192);
+
+  // 40 faults the weed-out leaves and 40 it detects.
+  fault::FaultSimOptions base;
+  base.num_threads = 1;
+  base.simd = SimdBackend::Scalar;
+  const auto probe = fault::simulate_faults(low.netlist, stim, all, base);
+  std::vector<fault::Fault> faults;
+  std::size_t hard = 0, easy = 0;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const std::int32_t c = probe.detect_cycle[i];
+    std::size_t& taken = c < 0 || c >= 128 ? hard : easy;
+    if (taken < 40) {
+      faults.push_back(all[i]);
+      ++taken;
+    }
+  }
+  ASSERT_EQ(easy, 40u);
+  ASSERT_GT(hard, 0u);
+  const auto ref = fault::simulate_faults(low.netlist, stim, faults, base);
+  ASSERT_EQ(full_budget_faults(ref), hard);
+
+  for (const SimdBackend b :
+       {SimdBackend::Avx2, SimdBackend::Avx512, SimdBackend::Auto}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{0}}) {
+      fault::FaultSimOptions opt;
+      opt.num_threads = threads;
+      opt.simd = b;
+      const auto r = fault::simulate_faults(low.netlist, stim, faults, opt);
+      EXPECT_EQ(r.detect_cycle, ref.detect_cycle)
+          << "backend " << common::simd_backend_name(b) << " threads "
+          << threads;
+    }
+  }
+
+  std::vector<std::size_t> batch;
+  for (std::size_t i = 0; i < faults.size(); ++i)
+    if (ref.detect_cycle[i] < 0 || ref.detect_cycle[i] >= 128)
+      batch.push_back(i);
+  const gate::CompiledSchedule sched(low.netlist);
+  const auto trace = gate::record_good_trace(sched, stim, stim.size());
+  for (const SimdBackend b : {SimdBackend::Avx2, SimdBackend::Avx512}) {
+    if (fault::detail::resolve_simd_backend(b) != b) continue; // not here
+    const auto worker = fault::detail::batch_kernel(b).make_worker(sched);
+    for (const gate::GoodTrace* tr : {&trace, (const gate::GoodTrace*)nullptr}) {
+      std::vector<std::int32_t> detect(batch.size());
+      worker->run_batch(faults, stim, batch, {0, 0, stim.size()}, tr,
+                        detect.data(), {}, nullptr);
+      for (std::size_t m = 0; m < batch.size(); ++m)
+        EXPECT_EQ(detect[m], ref.detect_cycle[batch[m]])
+            << common::simd_backend_name(b)
+            << (tr != nullptr ? " compiled" : " full sweep") << " fault "
+            << batch[m];
+    }
+  }
 }
 
 // The same purity claim for every registered design family, with

@@ -10,6 +10,8 @@
 
 #include "common/env.hpp"
 #include "gate/lower.hpp"
+#include "rtl/builder.hpp"
+#include "tpg/lfsr.hpp"
 #include "verify/corpus.hpp"
 #include "verify/fuzz.hpp"
 #include "verify/minimize.hpp"
@@ -143,6 +145,30 @@ TEST(VerifyOracle, StatsInvariantsRejectTamperedResults) {
   EXPECT_TRUE(check_stats_invariants(r, fault::FaultSimEngine::FullSweep,
                                      faults.size(), stim.size())
                   .failed);
+
+  // FullSweep and signature runs never split a batch into time
+  // segments, so they step nothing beyond cycles_simulated.
+  opt.engine = fault::FaultSimEngine::FullSweep;
+  auto full = simulate_faults(low.netlist, stim, faults, opt);
+  EXPECT_EQ(full.stats.segment_overhead_cycles, 0u);
+  EXPECT_FALSE(
+      check_stats_invariants(full, opt.engine, faults.size(), stim.size())
+          .failed);
+  full.stats.segment_overhead_cycles = 1;
+  EXPECT_TRUE(
+      check_stats_invariants(full, opt.engine, faults.size(), stim.size())
+          .failed);
+  opt.engine = fault::FaultSimEngine::Compiled;
+  opt.signature.width = 8;
+  opt.signature.taps = tpg::default_polynomial(8).low_terms;
+  auto sig = simulate_faults(low.netlist, stim, faults, opt);
+  EXPECT_FALSE(
+      check_stats_invariants(sig, opt.engine, faults.size(), stim.size())
+          .failed);
+  sig.stats.segment_overhead_cycles = 1;
+  EXPECT_TRUE(
+      check_stats_invariants(sig, opt.engine, faults.size(), stim.size())
+          .failed);
 }
 
 TEST(VerifyMinimize, DropOpsRemapsOperandsThroughRemovedOps) {
@@ -331,6 +357,22 @@ TEST_F(VerifyTest, FuzzRunIsGreenAndDeterministic) {
   EXPECT_EQ(a.cases_run, opt.cases);
   const FuzzReport b = run_fuzz(opt);
   EXPECT_EQ(b.findings.size(), a.findings.size());
+}
+
+// The corpus directory doubles as the scratch directory of the
+// checkpointing properties, so a missing one must be created before
+// either writes there. Seed 1 reaches both the mixed-engine resume and
+// the distributed merge property within its first 8 cases.
+TEST_F(VerifyTest, FuzzIntoMissingCorpusDirIsClean) {
+  FuzzOptions opt;
+  opt.seed = 1;
+  opt.cases = 8;
+  opt.family = static_cast<std::int32_t>(rtl::DesignFamily::Fir);
+  opt.corpus_dir = path("missing/corpus");
+  const FuzzReport r = run_fuzz(opt);
+  EXPECT_TRUE(r.findings.empty()) << r.findings.front().detail;
+  EXPECT_TRUE(r.io_errors.empty()) << r.io_errors.front();
+  EXPECT_TRUE(std::filesystem::is_directory(opt.corpus_dir));
 }
 
 TEST_F(VerifyTest, MutationSelfTestIsCaughtMinimizedAndReplayable) {
