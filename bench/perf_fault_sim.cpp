@@ -15,9 +15,9 @@
 //       across PRs (scripts/check_bench_regression.py gates on it). The
 //       reference run is pinned to the scalar backend so it stays a
 //       stable machine-speed denominator. Exits non-zero if any run —
-//       any engine, backend, thread count, or pass configuration —
-//       disagrees on a verdict, which makes the CI perf smoke a
-//       correctness tripwire too.
+//       any engine, backend, thread count, or cache state — disagrees
+//       on a verdict, which makes the CI perf smoke a correctness
+//       tripwire too.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -208,10 +208,7 @@ void append_json_run(std::string& out, const JsonRun& r, std::size_t vectors,
       "\"good_trace_cycles\": %llu,\n"
       "       \"mean_cone_fraction\": %.4f, \"mean_early_exit_cycles\": "
       "%.1f, \"gate_eval_savings\": %.4f,\n"
-      "       \"pipeline_gates_before\": %llu, \"pipeline_gates_after\": "
-      "%llu,\n"
-      "       \"prep_passes_ns\": %llu, \"prep_compile_ns\": %llu, "
-      "\"prep_trace_ns\": %llu,\n"
+      "       \"prep_compile_ns\": %llu, \"prep_trace_ns\": %llu,\n"
       "       \"prep_artifact_load_ns\": %llu, \"prep_artifact_build_ns\": "
       "%llu, \"prep_artifact_save_ns\": %llu,\n"
       "       \"schedule_compilations\": %llu, \"artifact_mem_hits\": %llu, "
@@ -228,9 +225,6 @@ void append_json_run(std::string& out, const JsonRun& r, std::size_t vectors,
       static_cast<unsigned long long>(s.good_trace_cycles),
       s.mean_cone_fraction(), s.mean_early_exit_cycles(),
       s.gate_eval_savings(),
-      static_cast<unsigned long long>(s.pipeline_gates_before),
-      static_cast<unsigned long long>(s.pipeline_gates_after),
-      static_cast<unsigned long long>(s.prep_passes_ns),
       static_cast<unsigned long long>(s.prep_compile_ns),
       static_cast<unsigned long long>(s.prep_trace_ns),
       static_cast<unsigned long long>(s.prep_artifact_load_ns),
@@ -267,8 +261,7 @@ int run_json_report(const std::string& path, const std::string& design_name,
   const auto stim = gen->generate_raw(vectors);
 
   auto timed = [&](std::string label, fault::FaultSimEngine engine,
-                   common::SimdBackend simd, std::size_t threads,
-                   bool passes) {
+                   common::SimdBackend simd, std::size_t threads) {
     JsonRun r;
     r.label = std::move(label);
     r.engine = engine;
@@ -277,7 +270,6 @@ int run_json_report(const std::string& path, const std::string& design_name,
     opt.engine = engine;
     opt.simd = simd;
     opt.num_threads = threads;
-    if (!passes) opt.passes = gate::PassOptions::none();
     const auto t0 = std::chrono::steady_clock::now();
     r.result = fault::simulate_faults(low.netlist, stim, faults, opt);
     r.seconds = std::chrono::duration<double>(
@@ -290,17 +282,14 @@ int run_json_report(const std::string& path, const std::string& design_name,
   // Reference pinned to scalar: a machine-speed denominator that never
   // shifts when a wider backend appears or disappears.
   runs.push_back(timed("reference-1t", fault::FaultSimEngine::FullSweep,
-                       common::SimdBackend::Scalar, 1, true));
+                       common::SimdBackend::Scalar, 1));
   // Headline trio keeps the historical labels (Auto = widest runnable).
   runs.push_back(timed("compiled-1t", fault::FaultSimEngine::Compiled,
-                       common::SimdBackend::Auto, 1, true));
+                       common::SimdBackend::Auto, 1));
   runs.push_back(timed("compiled-2t", fault::FaultSimEngine::Compiled,
-                       common::SimdBackend::Auto, 2, true));
+                       common::SimdBackend::Auto, 2));
   runs.push_back(timed("compiled-hw", fault::FaultSimEngine::Compiled,
-                       common::SimdBackend::Auto, 0, true));
-  // Pass-pipeline ablation at the headline shape.
-  runs.push_back(timed("compiled-1t-nopasses", fault::FaultSimEngine::Compiled,
-                       common::SimdBackend::Auto, 1, false));
+                       common::SimdBackend::Auto, 0));
   // Explicit lane-width sweep over every backend this build + CPU can
   // run, at 1/2/hw threads. Doubles as the cross-backend verdict check.
   for (const common::SimdBackend b :
@@ -309,12 +298,9 @@ int run_json_report(const std::string& path, const std::string& design_name,
     if (!fault::detail::kernel_available(b)) continue;
     const std::string base =
         std::string("compiled-") + common::simd_backend_name(b);
-    runs.push_back(
-        timed(base + "-1t", fault::FaultSimEngine::Compiled, b, 1, true));
-    runs.push_back(
-        timed(base + "-2t", fault::FaultSimEngine::Compiled, b, 2, true));
-    runs.push_back(
-        timed(base + "-hw", fault::FaultSimEngine::Compiled, b, 0, true));
+    runs.push_back(timed(base + "-1t", fault::FaultSimEngine::Compiled, b, 1));
+    runs.push_back(timed(base + "-2t", fault::FaultSimEngine::Compiled, b, 2));
+    runs.push_back(timed(base + "-hw", fault::FaultSimEngine::Compiled, b, 0));
   }
 
   // Schedule-cache ablation (ISSUE 9): cache-cold builds the artifact
@@ -341,8 +327,7 @@ int run_json_report(const std::string& path, const std::string& design_name,
       fault::ScheduleCache cache(std::move(cfg));
       fault::ArtifactCacheStats cstats;
       const auto t0 = std::chrono::steady_clock::now();
-      opt.artifact =
-          cache.acquire(low.netlist, stim, faults, opt.passes, cstats);
+      opt.artifact = cache.acquire(low.netlist, stim, faults, cstats);
       r.result = fault::simulate_faults(low.netlist, stim, faults, opt);
       r.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
@@ -355,8 +340,8 @@ int run_json_report(const std::string& path, const std::string& design_name,
   }
 
   // The perf report doubles as a correctness tripwire: every run — any
-  // engine, backend, thread count, or pass configuration — must
-  // produce bit-identical verdicts.
+  // engine, backend, thread count, or cache state — must produce
+  // bit-identical verdicts.
   for (const JsonRun& r : runs) {
     if (r.result.detect_cycle != runs.front().result.detect_cycle) {
       std::fprintf(stderr,
@@ -413,8 +398,7 @@ int run_json_report(const std::string& path, const std::string& design_name,
                 cold.prep_artifact_save_ns / 1e6,
                 warm.prep_artifact_load_ns / 1e6);
     // Best-effort scratch-store cleanup (one content-addressed file).
-    const auto key =
-        fault::make_artifact_key(low.netlist, stim, faults, {});
+    const auto key = fault::make_artifact_key(low.netlist, stim, faults);
     fault::ScheduleCache::Config cfg;
     cfg.dir = cache_dir;
     std::remove(fault::ScheduleCache(std::move(cfg))

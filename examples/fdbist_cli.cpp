@@ -301,11 +301,11 @@ void print_cache_stats(const fault::FaultSimStats& s) {
                static_cast<unsigned long long>(s.artifact_load_failures),
                static_cast<unsigned long long>(s.schedule_compilations));
   std::fprintf(stderr,
-               "[prep] passes %.2f ms, compile %.2f ms, trace %.2f ms, "
-               "artifact load %.2f ms, build %.2f ms, save %.2f ms\n",
-               s.prep_passes_ns / 1e6, s.prep_compile_ns / 1e6,
-               s.prep_trace_ns / 1e6, s.prep_artifact_load_ns / 1e6,
-               s.prep_artifact_build_ns / 1e6, s.prep_artifact_save_ns / 1e6);
+               "[prep] compile %.2f ms, trace %.2f ms, artifact load %.2f "
+               "ms, build %.2f ms, save %.2f ms\n",
+               s.prep_compile_ns / 1e6, s.prep_trace_ns / 1e6,
+               s.prep_artifact_load_ns / 1e6, s.prep_artifact_build_ns / 1e6,
+               s.prep_artifact_save_ns / 1e6);
 }
 
 std::unique_ptr<tpg::Generator> parse_generator(const std::string& s,
@@ -347,6 +347,10 @@ int cmd_design(int argc, char** argv) {
     spec.f2 = *f2;
   } else {
     return usage();
+  }
+  if (const auto ok = dsp::validate_fir_spec(spec); !ok) {
+    std::fprintf(stderr, "fdbist_cli: %s\n", ok.error().to_string().c_str());
+    return 2;
   }
   auto h = dsp::design_fir(spec);
   const double scale = 0.98 / dsp::l1_norm(h);
@@ -487,7 +491,7 @@ int cmd_faultsim(int argc, char** argv) {
     gen->reset();
     const auto stimulus = gen->generate_raw(*vectors);
     opt.artifact = cache->acquire(kit.lowered().netlist, stimulus,
-                                  kit.faults(), opt.passes, cstats);
+                                  kit.faults(), cstats);
   }
   auto report = kit.evaluate(*gen, *vectors, opt);
   if (cache != nullptr) {

@@ -100,17 +100,11 @@ std::vector<fault::Fault> BistKit::undetected_faults(
 
 bool BistKit::signature_detects(const fault::Fault& f,
                                 std::span<const std::int64_t> stimulus) const {
-  gate::WordSim sim(lowered_.netlist);
-  sim.add_fault(f.gate, f.site, f.stuck, std::uint64_t{1} << 1);
-  const auto& out_bits = lowered_.netlist.outputs().front();
-  Misr good(misr_width_);
-  Misr bad(misr_width_);
-  for (const std::int64_t x : stimulus) {
-    sim.step_broadcast(x);
-    good.absorb(static_cast<std::uint64_t>(sim.lane_value(out_bits, 0)));
-    bad.absorb(static_cast<std::uint64_t>(sim.lane_value(out_bits, 1)));
-  }
-  return good.signature() != bad.signature();
+  fault::FaultSimOptions opt;
+  opt.signature = {misr_width_,
+                   tpg::default_polynomial(misr_width_).low_terms};
+  return fault::simulate_faults(lowered_.netlist, stimulus, {&f, 1}, opt)
+             .signature_detect[0] != 0;
 }
 
 } // namespace fdbist::bist

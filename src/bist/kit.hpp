@@ -83,8 +83,10 @@ public:
   std::vector<fault::Fault> undetected_faults(
       const fault::FaultSimResult& r) const;
 
-  /// True if injecting `f` changes the MISR signature for this stimulus
-  /// (i.e. compaction does not alias the fault away).
+  /// True if injecting `f` changes the width-misr_width MISR signature
+  /// for this stimulus (i.e. compaction does not alias the fault away):
+  /// the fault kernel's difference-MISR verdict
+  /// (FaultSimOptions::signature) for the one-fault universe {f}.
   bool signature_detects(const fault::Fault& f,
                          std::span<const std::int64_t> stimulus) const;
 

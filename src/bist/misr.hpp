@@ -1,8 +1,10 @@
 // Multiple-input signature register (response compactor).
 //
 // The paper assumes no aliasing in the response analyzer; this MISR lets
-// users opt into realistic compaction and verify, per fault, that the
-// signature still differs (bist::BistKit::signature_detects).
+// users opt into realistic compaction. It computes golden signatures;
+// per-fault signature verdicts come from the fault kernel's difference
+// MISR (fault::FaultSimOptions::signature), which implements the same
+// register.
 #pragma once
 
 #include <cstdint>

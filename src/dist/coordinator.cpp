@@ -326,8 +326,8 @@ struct Coordinator {
       // use. Later inline slices reuse the handle.
       if (inline_artifact == nullptr) {
         fault::ArtifactCacheStats cstats;
-        inline_artifact = opt.schedule_cache->acquire(
-            nl, stimulus, faults, c.passes, cstats);
+        inline_artifact =
+            opt.schedule_cache->acquire(nl, stimulus, faults, cstats);
       }
       c.artifact = inline_artifact;
     }

@@ -53,7 +53,7 @@ Expected<void> save_partial(const std::string& path, const SlicePartial& p) {
   std::vector<std::uint8_t> buf;
   buf.reserve(kHeaderBytes + p.detect_cycle.size() * sizeof(std::int32_t) +
               p.signature_detect.size() + kChecksumBytes);
-  buf.insert(buf.end(), kMagic, kMagic + 4);
+  for (const char c : kMagic) buf.push_back(std::uint8_t(c));
   put_bytes(buf, kPartialVersion);
   put_bytes(buf, p.fp.netlist);
   put_bytes(buf, p.fp.stimulus);
@@ -186,7 +186,6 @@ Expected<void> compute_and_save_slice(const gate::Netlist& nl,
   copt.num_threads = opt.num_threads;
   copt.engine = opt.engine;
   copt.simd = opt.simd;
-  copt.passes = opt.passes;
   copt.family = opt.family;
   copt.signature = opt.signature;
   copt.artifact = opt.artifact;

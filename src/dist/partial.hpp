@@ -118,7 +118,6 @@ struct SliceComputeOptions {
   std::size_t num_threads = 1;
   fault::FaultSimEngine engine = fault::FaultSimEngine::Auto;
   common::SimdBackend simd = common::SimdBackend::Auto;
-  gate::PassOptions passes;
   /// Design family tag recorded in slice checkpoints (the partial
   /// itself carries it inside UniverseFp).
   std::uint32_t family = 0;

@@ -66,8 +66,8 @@ Expected<void> run_worker(const gate::Netlist& nl,
   if (compute.artifact == nullptr && opt.schedule_cache != nullptr &&
       compute.engine != fault::FaultSimEngine::FullSweep) {
     fault::ArtifactCacheStats cstats;
-    compute.artifact = opt.schedule_cache->acquire(nl, stimulus, faults,
-                                                   compute.passes, cstats);
+    compute.artifact =
+        opt.schedule_cache->acquire(nl, stimulus, faults, cstats);
     if (compute.artifact != nullptr)
       std::fprintf(stderr,
                    "[worker %zu] artifact %s (mem %llu disk %llu built %llu)\n",

@@ -17,25 +17,30 @@ double sinc(double x) {
   return std::sin(px) / px;
 }
 
-void validate(const FirSpec& spec) {
-  FDBIST_REQUIRE(spec.taps >= 3, "FIR length must be >= 3");
-  FDBIST_REQUIRE(spec.f1 > 0.0 && spec.f1 < 0.5,
-                 "band edge f1 must lie in (0, 0.5)");
-  if (spec.kind == FilterKind::Bandpass || spec.kind == FilterKind::Bandstop)
-    FDBIST_REQUIRE(spec.f2 > spec.f1 && spec.f2 < 0.5,
-                   "band edge f2 must lie in (f1, 0.5)");
-  const bool even = spec.taps % 2 == 0;
-  if (even)
-    FDBIST_REQUIRE(spec.kind == FilterKind::Lowpass ||
-                       spec.kind == FilterKind::Bandpass,
-                   "even-length (type II) FIR cannot realize a response "
-                   "that is nonzero at Nyquist (highpass/bandstop)");
-}
-
 } // namespace
 
+Expected<void> validate_fir_spec(const FirSpec& spec) {
+  auto invalid = [](const char* why) {
+    return Error{ErrorCode::InvalidArgument, why};
+  };
+  if (spec.taps < 3) return invalid("FIR length must be >= 3");
+  if (!(spec.f1 > 0.0 && spec.f1 < 0.5))
+    return invalid("band edge f1 must lie in (0, 0.5)");
+  const bool two_edges =
+      spec.kind == FilterKind::Bandpass || spec.kind == FilterKind::Bandstop;
+  if (two_edges && !(spec.f2 > spec.f1 && spec.f2 < 0.5))
+    return invalid("band edge f2 must lie in (f1, 0.5)");
+  const bool zero_at_nyquist =
+      spec.kind == FilterKind::Lowpass || spec.kind == FilterKind::Bandpass;
+  if (spec.taps % 2 == 0 && !zero_at_nyquist)
+    return invalid("even-length (type II) FIR cannot realize a response "
+                   "that is nonzero at Nyquist (highpass/bandstop)");
+  return {};
+}
+
 std::vector<double> ideal_impulse_response(const FirSpec& spec) {
-  validate(spec);
+  if (const auto ok = validate_fir_spec(spec); !ok)
+    throw precondition_error(ok.error().message);
   const std::size_t n = spec.taps;
   const double center = (static_cast<double>(n) - 1.0) / 2.0;
   std::vector<double> h(n);
@@ -46,7 +51,7 @@ std::vector<double> ideal_impulse_response(const FirSpec& spec) {
       h[i] = 2.0 * spec.f1 * sinc(2.0 * spec.f1 * t);
       break;
     case FilterKind::Highpass:
-      // delta(t) - lowpass(f1); valid because validate() forced odd length.
+      // delta(t) - lowpass(f1); valid because validation forced odd length.
       h[i] = sinc(t) - 2.0 * spec.f1 * sinc(2.0 * spec.f1 * t);
       break;
     case FilterKind::Bandpass:

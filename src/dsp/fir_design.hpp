@@ -9,6 +9,8 @@
 #include <complex>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace fdbist::dsp {
 
 enum class FilterKind { Lowpass, Highpass, Bandpass, Bandstop };
@@ -23,11 +25,17 @@ struct FirSpec {
   double kaiser_beta = 8.0;
 };
 
+/// Check a design request: length >= 3, band edges inside (0, 0.5) and
+/// ordered (f1 < f2 for bandpass/bandstop), and no even-length (type II)
+/// highpass or bandstop, which is structurally zero at Nyquist.
+/// InvalidArgument names the first violated rule.
+Expected<void> validate_fir_spec(const FirSpec& spec);
+
 /// Ideal (unwindowed) impulse response for the spec, length spec.taps.
 std::vector<double> ideal_impulse_response(const FirSpec& spec);
 
-/// Kaiser-windowed FIR design. Throws precondition_error for invalid specs
-/// (e.g. even-length highpass, which is structurally zero at Nyquist).
+/// Kaiser-windowed FIR design. Throws precondition_error for specs
+/// validate_fir_spec refuses. ideal_impulse_response does the same.
 std::vector<double> design_fir(const FirSpec& spec);
 
 /// Complex frequency response H(e^{j 2 pi f}) of impulse response `h`.

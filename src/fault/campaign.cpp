@@ -132,10 +132,10 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
 
   // Acquire the compiled artifact ONCE for the whole campaign (memory
   // LRU -> disk store -> single build) and hand the same shared handle
-  // to every slice — the slices then skip the pass pipeline, schedule
-  // compilation and trace recording entirely. Skipped when every slice
-  // was restored from the checkpoint (nothing left to prepare for) or
-  // the engine is the FullSweep reference.
+  // to every slice — the slices then skip schedule compilation and
+  // trace recording entirely. Skipped when every slice was restored
+  // from the checkpoint (nothing left to prepare for) or the engine is
+  // the FullSweep reference.
   std::shared_ptr<const CompiledArtifact> artifact = opt.artifact;
   const bool work_left =
       std::find(ck.slice_finalized.begin(), ck.slice_finalized.end(),
@@ -143,24 +143,8 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
   if (artifact == nullptr && opt.schedule_cache != nullptr && work_left &&
       opt.engine != FaultSimEngine::FullSweep && total > 0) {
     ArtifactCacheStats cstats;
-    artifact =
-        opt.schedule_cache->acquire(nl, stimulus, faults, opt.passes, cstats);
+    artifact = opt.schedule_cache->acquire(nl, stimulus, faults, cstats);
     fold_cache_stats(cstats, res.sim.stats);
-    if (artifact != nullptr && artifact->ran_passes && cstats.misses > 0) {
-      // Pipeline observability is credited once per design at build
-      // time; slices running off the artifact report zero pipeline
-      // work, which is exactly the amortization being measured.
-      res.sim.stats.pipeline_runs += 1;
-      res.sim.stats.pipeline_gates_before += artifact->gates_before;
-      res.sim.stats.pipeline_gates_after += artifact->gates_after;
-      for (const gate::PassDelta& pd : artifact->deltas) {
-        auto& c = res.sim.stats.passes[std::size_t(pd.kind)];
-        c.runs += pd.runs;
-        c.gates_removed += pd.gates_removed;
-        c.edges_removed += pd.edges_removed;
-        c.regs_removed += pd.regs_removed;
-      }
-    }
   }
 
   for (std::size_t s = 0; s < num_slices; ++s) {
@@ -176,7 +160,6 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
     fopt.num_threads = opt.num_threads;
     fopt.engine = opt.engine;
     fopt.simd = opt.simd;
-    fopt.passes = opt.passes;
     fopt.signature = opt.signature;
     fopt.artifact = artifact;
     fopt.cancel = &token;

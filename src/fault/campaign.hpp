@@ -59,13 +59,8 @@ struct CampaignOptions {
   /// resumes bit-identically at another.
   common::SimdBackend simd = common::SimdBackend::Auto;
 
-  /// Netlist passes per slice (same contract as FaultSimOptions).
-  /// Also outside the checkpoint fingerprint — fault sites are
-  /// protected, so verdicts are pass-configuration-independent.
-  gate::PassOptions passes;
-
   /// Design family the fault universe was built from
-  /// (rtl::DesignFamily as u32). Unlike engine/simd/passes this IS part
+  /// (rtl::DesignFamily as u32). Unlike engine/simd this IS part
   /// of the checkpoint audit: two families can in principle lower to
   /// netlists whose structural fingerprints coincide, and verdict files
   /// must never cross that line silently.
@@ -101,9 +96,9 @@ struct CampaignOptions {
   std::function<void(std::size_t, std::size_t)> progress;
 
   /// Prebuilt preparation state for this campaign's exact (netlist,
-  /// stimulus, FULL fault universe, passes) — forwarded to every slice,
-  /// so the campaign compiles zero times instead of once per slice.
-  /// Like engine/simd/passes it is deliberately outside the checkpoint
+  /// stimulus, FULL fault universe) — forwarded to every slice, so the
+  /// campaign compiles zero times instead of once per slice.
+  /// Like engine/simd it is deliberately outside the checkpoint
   /// fingerprint: verdicts are artifact-independent.
   std::shared_ptr<const CompiledArtifact> artifact;
 

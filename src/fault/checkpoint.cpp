@@ -86,7 +86,7 @@ Expected<void> save_checkpoint(const std::string& path, const Checkpoint& ck) {
               ck.fault_count() * sizeof(std::int32_t) +
               ck.signature_detect.size() + kChecksumBytes);
 
-  buf.insert(buf.end(), kMagic, kMagic + 4);
+  for (const char c : kMagic) buf.push_back(std::uint8_t(c));
   put_bytes(buf, kCheckpointVersion);
   put_bytes(buf, ck.netlist_fp);
   put_bytes(buf, ck.stimulus_fp);

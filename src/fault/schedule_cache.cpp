@@ -64,29 +64,17 @@ std::uint64_t ArtifactKey::hash() const {
   h = common::fnv1a_value(h, netlist_fp);
   h = common::fnv1a_value(h, stimulus_fp);
   h = common::fnv1a_value(h, faults_fp);
-  h = common::fnv1a_value(h, pass_config);
   h = common::fnv1a_value(h, schedule_format);
   return h;
 }
 
-std::uint32_t encode_pass_config(const gate::PassOptions& p) {
-  std::uint32_t m = 0;
-  if (p.constant_fold) m |= 1u << 0;
-  if (p.cse) m |= 1u << 1;
-  if (p.dead_cone) m |= 1u << 2;
-  if (p.relayout) m |= 1u << 3;
-  return m;
-}
-
 ArtifactKey make_artifact_key(const gate::Netlist& nl,
                               std::span<const std::int64_t> stimulus,
-                              std::span<const Fault> faults,
-                              const gate::PassOptions& passes) {
+                              std::span<const Fault> faults) {
   ArtifactKey k;
   k.netlist_fp = fingerprint_netlist(nl);
   k.stimulus_fp = fingerprint_stimulus(stimulus);
   k.faults_fp = fingerprint_faults(faults);
-  k.pass_config = encode_pass_config(passes);
   k.schedule_format = gate::kScheduleFormatVersion;
   return k;
 }
@@ -95,11 +83,9 @@ std::size_t CompiledArtifact::memory_bytes() const {
   std::size_t b = sizeof(CompiledArtifact);
   b += netlist.size() * (sizeof(gate::Gate) + sizeof(gate::GateOrigin));
   b += netlist.registers().size() * sizeof(gate::RegBit);
-  b += vector_bytes(net_map);
-  b += vector_bytes(collapsed_faults);
   b += vector_bytes(trace.bits);
   if (schedule) {
-    // SoA arrays + CSR, all sized by the post-pass netlist.
+    // SoA arrays + CSR, all sized by the netlist.
     const std::size_t n = schedule->size();
     b += n * (sizeof(gate::GateOp) + 2 * sizeof(gate::NetId) +
               sizeof(std::int32_t) + 1) +
@@ -131,48 +117,21 @@ void fold_cache_stats(const ArtifactCacheStats& s, FaultSimStats& into) {
 
 std::shared_ptr<const CompiledArtifact> build_artifact(
     const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
-    std::span<const Fault> faults, const gate::PassOptions& passes) {
+    std::span<const Fault> faults) {
   FDBIST_REQUIRE(!stimulus.empty() && !faults.empty(),
                  "artifact build needs a stimulus and a fault universe");
   auto art = std::make_shared<CompiledArtifact>();
-  art->key = make_artifact_key(nl, stimulus, faults, passes);
+  art->key = make_artifact_key(nl, stimulus, faults);
   art->fault_count = faults.size();
   art->stimulus_len = stimulus.size();
 
-  if (passes.any()) {
-    // Protect the FULL universe's sites: a superset of any slice's
-    // sites, so one artifact serves every slice bit-identically.
-    std::vector<gate::NetId> sites;
-    sites.reserve(faults.size());
-    for (const Fault& f : faults) sites.push_back(f.gate);
-    gate::PassPipelineResult pipe = gate::run_passes(nl, sites, passes);
-    art->netlist = std::move(pipe.netlist);
-    art->net_map = std::move(pipe.net_map);
-    art->ran_passes = true;
-    art->gates_before = pipe.gates_before;
-    art->gates_after = pipe.gates_after;
-    art->deltas = std::move(pipe.deltas);
-  } else {
-    // No pipeline: the artifact still caches compilation and the trace.
-    // A structural copy through add_gate keeps the artifact
-    // self-contained (it must not reference the caller's netlist).
-    for (const gate::Gate& g : nl.gates())
-      art->netlist.add_gate(g.op, g.a, g.b);
-    art->netlist.registers() = nl.registers();
-    art->netlist.inputs() = nl.inputs();
-    art->netlist.outputs() = nl.outputs();
-    art->net_map.resize(nl.size());
-    for (std::size_t i = 0; i < nl.size(); ++i)
-      art->net_map[i] = gate::NetId(i);
-    art->gates_before = art->gates_after = nl.logic_gate_count();
-  }
-
-  art->collapsed_faults.assign(faults.begin(), faults.end());
-  for (Fault& f : art->collapsed_faults) {
-    const gate::NetId m = art->net_map[std::size_t(f.gate)];
-    FDBIST_ASSERT(m != gate::kNoNet, "pass pipeline dropped a fault site");
-    f.gate = m;
-  }
+  // A structural copy through add_gate keeps the artifact
+  // self-contained (it must not reference the caller's netlist).
+  for (const gate::Gate& g : nl.gates())
+    art->netlist.add_gate(g.op, g.a, g.b);
+  art->netlist.registers() = nl.registers();
+  art->netlist.inputs() = nl.inputs();
+  art->netlist.outputs() = nl.outputs();
 
   art->schedule.emplace(art->netlist);
   art->trace =
@@ -186,7 +145,6 @@ std::vector<std::uint8_t> serialize_artifact(const CompiledArtifact& art) {
   gate::ByteWriter w;
   gate::ArtifactHeader h;
   h.schedule_format = art.key.schedule_format;
-  h.pass_config = art.key.pass_config;
   h.netlist_fp = art.key.netlist_fp;
   h.stimulus_fp = art.key.stimulus_fp;
   h.faults_fp = art.key.faults_fp;
@@ -195,17 +153,6 @@ std::vector<std::uint8_t> serialize_artifact(const CompiledArtifact& art) {
   gate::write_artifact_header(w, h);
 
   gate::write_netlist(w, art.netlist);
-
-  w.put_u64(art.net_map.size());
-  for (const gate::NetId m : art.net_map) w.put_i32(m);
-
-  w.put_u64(art.collapsed_faults.size());
-  for (const Fault& f : art.collapsed_faults) {
-    w.put_i32(f.gate);
-    w.put_u8(std::uint8_t(f.site));
-    w.put_u8(f.stuck);
-  }
-
   gate::write_schedule(w, *art.schedule);
   gate::write_trace(w, art.trace);
   gate::write_artifact_checksum(w);
@@ -224,7 +171,6 @@ Expected<std::shared_ptr<const CompiledArtifact>> deserialize_artifact(
   got.netlist_fp = header->netlist_fp;
   got.stimulus_fp = header->stimulus_fp;
   got.faults_fp = header->faults_fp;
-  got.pass_config = header->pass_config;
   got.schedule_format = header->schedule_format;
   if (!(got == expect))
     return Error{ErrorCode::FingerprintMismatch,
@@ -239,43 +185,13 @@ Expected<std::shared_ptr<const CompiledArtifact>> deserialize_artifact(
   auto nl = gate::read_netlist(r);
   if (!nl) return nl.error();
   art->netlist = std::move(*nl);
-  const std::size_t post_n = art->netlist.size();
-
-  const std::uint64_t map_size = r.take_u64();
-  if (r.failed() || map_size > r.remaining() / 4)
-    return corrupt("retarget map exceeds the file");
-  art->net_map.resize(std::size_t(map_size));
-  for (std::uint64_t i = 0; i < map_size; ++i) {
-    const gate::NetId m = r.take_i32();
-    if (m != gate::kNoNet && (m < 0 || std::size_t(m) >= post_n))
-      return corrupt("retarget map entry out of range");
-    art->net_map[std::size_t(i)] = m;
-  }
-
-  const std::uint64_t fault_count = r.take_u64();
-  if (r.failed() || fault_count > r.remaining() / 6)
-    return corrupt("fault universe exceeds the file");
-  if (fault_count != art->fault_count)
-    return corrupt("fault section holds " + std::to_string(fault_count) +
-                   " faults, header claims " +
-                   std::to_string(art->fault_count));
-  art->collapsed_faults.resize(std::size_t(fault_count));
-  for (std::uint64_t i = 0; i < fault_count; ++i) {
-    Fault& f = art->collapsed_faults[std::size_t(i)];
-    f.gate = r.take_i32();
-    const std::uint8_t site = r.take_u8();
-    f.stuck = r.take_u8();
-    if (f.gate < 0 || std::size_t(f.gate) >= post_n ||
-        site > std::uint8_t(gate::PinSite::InputB) || f.stuck > 1)
-      return corrupt("collapsed fault " + std::to_string(i) + " is invalid");
-    f.site = gate::PinSite(site);
-  }
 
   auto parts = gate::read_schedule(r, art->netlist);
   if (!parts) return parts.error();
   art->schedule.emplace(art->netlist, std::move(*parts));
 
-  auto trace = gate::read_trace(r, post_n, std::size_t(art->stimulus_len));
+  auto trace = gate::read_trace(r, art->netlist.size(),
+                                std::size_t(art->stimulus_len));
   if (!trace) return trace.error();
   art->trace = std::move(*trace);
 
@@ -364,14 +280,13 @@ void ScheduleCache::insert(const std::shared_ptr<const CompiledArtifact>& art,
 
 std::shared_ptr<const CompiledArtifact> ScheduleCache::acquire(
     const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
-    std::span<const Fault> faults, const gate::PassOptions& passes,
-    ArtifactCacheStats& stats) {
+    std::span<const Fault> faults, ArtifactCacheStats& stats) {
   if (faults.empty() || stimulus.empty()) return nullptr;
   if (gate::GoodTrace::bytes_needed(nl.size(), stimulus.size()) >
       kArtifactTraceCap)
     return nullptr; // the compiled engine would refuse this trace anyway
 
-  const ArtifactKey key = make_artifact_key(nl, stimulus, faults, passes);
+  const ArtifactKey key = make_artifact_key(nl, stimulus, faults);
   {
     const std::scoped_lock lock(mu_);
     if (auto hit = lookup_locked(key)) {
@@ -401,7 +316,7 @@ std::shared_ptr<const CompiledArtifact> ScheduleCache::acquire(
 
   const std::uint64_t b0 = now_ns();
   std::shared_ptr<const CompiledArtifact> art =
-      build_artifact(nl, stimulus, faults, passes);
+      build_artifact(nl, stimulus, faults);
   stats.build_ns += now_ns() - b0;
   ++stats.misses;
   insert(art, stats);

@@ -1,23 +1,18 @@
 // Compiled-artifact cache: compile once, simulate everywhere.
 //
 // Every simulate_faults call that runs the compiled engine pays a fixed
-// preparation bill before the first batch: the pass pipeline, schedule
-// compilation, and a full fault-free good-trace recording. A campaign
-// with S slices pays it S times; a distributed campaign pays it again
-// in every (re)spawned worker process. This cache collapses all of
-// that to once per (design, stimulus, fault universe, pass config):
+// preparation bill before the first batch: schedule compilation and a
+// full fault-free good-trace recording. A campaign with S slices pays
+// it S times; a distributed campaign pays it again in every
+// (re)spawned worker process. This cache collapses all of that to once
+// per (design, stimulus, fault universe):
 //
-//   * CompiledArtifact — an immutable, shareable bundle of the
-//     post-pass netlist, the original->post-pass retarget map, the
-//     collapsed (remapped) fault universe, the CompiledSchedule, and
-//     the full-budget bit-packed good trace. Handed to simulate_faults
-//     via FaultSimOptions::artifact, it replaces the pipeline + compile
-//     + trace-record steps wholesale. The artifact is built protecting
-//     the FULL universe's fault sites, so any slice of that universe
-//     may reuse it: protecting a superset of sites is always safe, and
-//     verdicts are pass-subset-independent (the gate/passes contract,
-//     fuzz-verified), so slice verdicts are bit-identical to the
-//     slice-local pipelines they replace.
+//   * CompiledArtifact — an immutable, shareable bundle of the netlist,
+//     the CompiledSchedule, and the full-budget bit-packed good trace.
+//     Handed to simulate_faults via FaultSimOptions::artifact, it
+//     replaces the compile + trace-record steps wholesale. Nothing in
+//     it depends on which faults a run simulates, so any slice of the
+//     keyed universe may reuse it bit-identically.
 //
 //   * ScheduleCache — a thread-safe in-memory LRU with a byte budget,
 //     optionally backed by an on-disk content-addressed store of FDBA
@@ -49,23 +44,31 @@
 #include "fault/fault.hpp"
 #include "fault/simulator.hpp"
 #include "gate/artifact.hpp"
-#include "gate/passes/pass.hpp"
 #include "gate/schedule.hpp"
+
+namespace fdbist::gate {
+
+/// Empty stand-in for the removed netlist-pass options, kept only so
+/// the perfbench harness's acquire(nl, stimulus, faults,
+/// gate::PassOptions{}, stats) call still compiles. The next benchmark
+/// change drops it together with the forwarding acquire overload.
+struct PassOptions {};
+
+} // namespace fdbist::gate
 
 namespace fdbist::fault {
 
 /// Cache identity: everything the prepared state depends on. The
-/// fingerprints cover the ORIGINAL netlist, stimulus and full fault
-/// universe (fault/checkpoint.hpp hashes); pass_config is the enabled
-/// PassOptions mask; schedule_format pins the compilation semantics so
-/// a kernel-side format bump invalidates every stale artifact. The key
-/// is deliberately lane-width- and thread-count-free: one artifact
-/// serves the scalar, AVX2 and AVX-512 backends at any parallelism.
+/// fingerprints cover the netlist, stimulus and full fault universe
+/// (fault/checkpoint.hpp hashes); schedule_format pins the compilation
+/// semantics so a kernel-side format bump invalidates every stale
+/// artifact. The key is deliberately lane-width- and thread-count-free:
+/// one artifact serves the scalar, AVX2 and AVX-512 backends at any
+/// parallelism.
 struct ArtifactKey {
   std::uint64_t netlist_fp = 0;
   std::uint64_t stimulus_fp = 0;
   std::uint64_t faults_fp = 0;
-  std::uint32_t pass_config = 0;
   std::uint32_t schedule_format = gate::kScheduleFormatVersion;
 
   bool operator==(const ArtifactKey&) const = default;
@@ -74,13 +77,9 @@ struct ArtifactKey {
   std::uint64_t hash() const;
 };
 
-/// PassOptions -> the stable 4-bit mask stored in keys and headers.
-std::uint32_t encode_pass_config(const gate::PassOptions& p);
-
 ArtifactKey make_artifact_key(const gate::Netlist& nl,
                               std::span<const std::int64_t> stimulus,
-                              std::span<const Fault> faults,
-                              const gate::PassOptions& passes);
+                              std::span<const Fault> faults);
 
 /// The reusable preparation state. Immutable after build; shared
 /// read-only across slices, threads and campaign layers via
@@ -91,28 +90,13 @@ struct CompiledArtifact {
   std::uint64_t fault_count = 0;  ///< full universe size
   std::uint64_t stimulus_len = 0; ///< trace cycle count
 
-  /// Post-pass netlist (origin-free when loaded from disk — the kernel
-  /// never reads origins, and reporting uses the caller's original).
+  /// Structural copy of the keyed netlist (origin-free — the kernel
+  /// never reads origins, and reporting uses the caller's netlist).
   gate::Netlist netlist;
-  /// Original net id -> post-pass net id; identity when no passes ran.
-  /// Protected (fault-site) nets always survive, so remapping any
-  /// subset of the keyed universe through this map never hits kNoNet.
-  std::vector<gate::NetId> net_map;
-  /// The full universe remapped onto `netlist` — the collapsed form a
-  /// serve layer hands out without re-deriving it.
-  std::vector<Fault> collapsed_faults;
   /// Good-machine trace over the full stimulus. Batch kernels only read
   /// row prefixes, so the same trace serves the stage-1 weed-out budget
   /// and the full-budget stage.
   gate::GoodTrace trace;
-
-  /// Build-time pipeline observability, credited once per design by
-  /// whoever acquires the artifact (campaign/CLI/bench), never per
-  /// slice.
-  bool ran_passes = false;
-  std::uint64_t gates_before = 0;
-  std::uint64_t gates_after = 0;
-  std::vector<gate::PassDelta> deltas;
 
   /// Compiled over `netlist`; emplaced last, after the netlist member
   /// has its final address.
@@ -137,18 +121,18 @@ struct ArtifactCacheStats {
   std::uint64_t evictions = 0; ///< LRU entries dropped for the budget
   std::uint64_t load_failures = 0; ///< unusable cache files refused
   std::uint64_t load_ns = 0;  ///< deserializing + validating FDBA files
-  std::uint64_t build_ns = 0; ///< passes + compile + trace on misses
+  std::uint64_t build_ns = 0; ///< compile + trace on misses
   std::uint64_t save_ns = 0;  ///< serializing + atomic write
 };
 
 void fold_cache_stats(const ArtifactCacheStats& s, FaultSimStats& into);
 
-/// Build an artifact from scratch (no cache involved): run the enabled
-/// passes protecting every fault site in `faults`, compile, record the
-/// full-budget trace. Precondition: non-empty stimulus and faults.
+/// Build an artifact from scratch (no cache involved): copy the
+/// netlist, compile, record the full-budget trace. Precondition:
+/// non-empty stimulus and faults.
 std::shared_ptr<const CompiledArtifact> build_artifact(
     const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
-    std::span<const Fault> faults, const gate::PassOptions& passes);
+    std::span<const Fault> faults);
 
 /// FDBA (de)serialization. deserialize validates the checksum, the
 /// header identity against `expect` (FingerprintMismatch when it was
@@ -176,17 +160,26 @@ public:
 
   explicit ScheduleCache(Config cfg);
 
-  /// Look up or build the artifact for (nl, stimulus, faults, passes):
-  /// memory LRU first, then the disk store, then a scratch build (which
-  /// also populates both). Returns nullptr — caller falls back to the
+  /// Look up or build the artifact for (nl, stimulus, faults): memory
+  /// LRU first, then the disk store, then a scratch build (which also
+  /// populates both). Returns nullptr — caller falls back to the
   /// uncached path — when the universe is empty or the good trace alone
   /// would exceed the compiled engine's memory cap (the engine would
   /// auto-select FullSweep there anyway). Thread-safe; `stats`
   /// accumulates what happened.
   std::shared_ptr<const CompiledArtifact> acquire(
       const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
-      std::span<const Fault> faults, const gate::PassOptions& passes,
-      ArtifactCacheStats& stats);
+      std::span<const Fault> faults, ArtifactCacheStats& stats);
+
+  /// Shim for the perfbench harness's call shape (see gate::PassOptions
+  /// above); forwards to acquire(nl, stimulus, faults, stats). The next
+  /// benchmark change drops it.
+  std::shared_ptr<const CompiledArtifact> acquire(
+      const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
+      std::span<const Fault> faults, const gate::PassOptions&,
+      ArtifactCacheStats& stats) {
+    return acquire(nl, stimulus, faults, stats);
+  }
 
   /// Content-addressed file for a key: "<dir>/fdba-<hex key hash>.fdba".
   std::string entry_path(const ArtifactKey& key) const;

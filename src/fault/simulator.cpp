@@ -13,7 +13,6 @@
 #include "fault/checkpoint.hpp"
 #include "fault/kernel.hpp"
 #include "fault/schedule_cache.hpp"
-#include "gate/passes/pass.hpp"
 #include "gate/schedule.hpp"
 #include "gate/sim.hpp"
 
@@ -193,6 +192,9 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
   FDBIST_REQUIRE(stimulus.size() <=
                      std::size_t(std::numeric_limits<std::int32_t>::max()),
                  "stimulus too long for the int32 detect_cycle encoding");
+  for (const Fault& f : faults)
+    FDBIST_REQUIRE(f.gate >= 0 && std::size_t(f.gate) < nl.size(),
+                   "fault site outside the netlist");
 
   const bool sig_on = opt.signature.enabled();
   if (sig_on) {
@@ -226,26 +228,13 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
                  ? FaultSimEngine::Compiled
                  : FaultSimEngine::FullSweep;
 
-  // Preparation. Two mutually exclusive paths feed the batch loop the
-  // same three things — a netlist, a compiled schedule, and (Compiled
-  // engine) a good trace:
-  //
-  //   * Artifact path: a prebuilt CompiledArtifact handle
-  //     (FaultSimOptions::artifact) carries all of them; this run skips
-  //     the pass pipeline, compilation and trace recording entirely and
-  //     only remaps its faults (a subset of the artifact's keyed
-  //     universe) through the artifact's retarget map. Pipeline stats
-  //     are credited by whoever built the artifact, never here.
-  //   * Scratch path: the per-call pipeline + compile + one full-budget
-  //     trace recording, with a prep-time breakdown.
-  //
-  // FullSweep ignores the artifact and stays the unoptimized reference.
+  // Preparation: a compiled schedule and (Compiled engine) a good
+  // trace. A prebuilt CompiledArtifact (FaultSimOptions::artifact)
+  // carries both, so this run skips compilation and trace recording
+  // entirely; otherwise the run compiles `nl` and records one
+  // full-budget trace. FullSweep ignores the artifact.
   const CompiledArtifact* art =
       engine == FaultSimEngine::Compiled ? opt.artifact.get() : nullptr;
-  const gate::Netlist* sim_nl = &nl;
-  std::vector<Fault> remapped;
-  std::span<const Fault> sim_faults = faults;
-  std::optional<gate::PassPipelineResult> pipeline;
   std::optional<gate::CompiledSchedule> owned_sched;
   const gate::CompiledSchedule* sched_ptr = nullptr;
   if (art != nullptr) {
@@ -256,64 +245,18 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
                    "artifact was built for a different netlist");
     FDBIST_REQUIRE(art->key.stimulus_fp == fingerprint_stimulus(stimulus),
                    "artifact was built for a different stimulus");
-    FDBIST_REQUIRE(art->key.pass_config == encode_pass_config(opt.passes),
-                   "artifact was built under a different pass configuration");
     FDBIST_REQUIRE(art->schedule.has_value(),
                    "artifact carries no compiled schedule");
-    if (!faults.empty()) {
-      remapped.assign(faults.begin(), faults.end());
-      for (Fault& f : remapped) {
-        FDBIST_REQUIRE(f.gate >= 0 &&
-                           std::size_t(f.gate) < art->net_map.size(),
-                       "fault outside the artifact's net map");
-        const gate::NetId m = art->net_map[std::size_t(f.gate)];
-        FDBIST_REQUIRE(m != gate::kNoNet,
-                       "fault site not protected by the artifact's pipeline "
-                       "(fault outside the keyed universe?)");
-        f.gate = m;
-      }
-      sim_faults = remapped;
-    }
-    sim_nl = &art->netlist;
     sched_ptr = &*art->schedule;
   } else {
-    if (engine == FaultSimEngine::Compiled && opt.passes.any() &&
-        !faults.empty()) {
-      const std::uint64_t t0 = now_ns();
-      std::vector<gate::NetId> sites;
-      sites.reserve(faults.size());
-      for (const Fault& f : faults) sites.push_back(f.gate);
-      pipeline.emplace(gate::run_passes(nl, sites, opt.passes));
-      result.stats.prep_passes_ns += now_ns() - t0;
-      remapped.assign(faults.begin(), faults.end());
-      for (Fault& f : remapped) {
-        const gate::NetId m = pipeline->net_map[std::size_t(f.gate)];
-        FDBIST_ASSERT(m != gate::kNoNet, "pass pipeline dropped a fault site");
-        f.gate = m;
-      }
-      sim_faults = remapped;
-      sim_nl = &pipeline->netlist;
-      result.stats.pipeline_runs = 1;
-      result.stats.pipeline_gates_before = pipeline->gates_before;
-      result.stats.pipeline_gates_after = pipeline->gates_after;
-      for (const gate::PassDelta& pd : pipeline->deltas) {
-        auto& c = result.stats.passes[std::size_t(pd.kind)];
-        c.runs += pd.runs;
-        c.gates_removed += pd.gates_removed;
-        c.edges_removed += pd.edges_removed;
-        c.regs_removed += pd.regs_removed;
-      }
-    }
     // Compile once; shared read-only by every worker of every pass.
     const std::uint64_t c0 = now_ns();
-    owned_sched.emplace(*sim_nl);
+    owned_sched.emplace(nl);
     result.stats.prep_compile_ns += now_ns() - c0;
     result.stats.schedule_compilations = 1;
     sched_ptr = &*owned_sched;
   }
   const gate::CompiledSchedule& sched = *sched_ptr;
-  // The full-sweep gate baseline stays the *original* netlist's, so the
-  // savings counters are comparable across pass configurations.
   const std::uint64_t full_sweep_gates = nl.logic_gate_count();
 
   // The compiled engine's good trace: the artifact's, or one full-budget
@@ -331,8 +274,7 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
       result.stats.good_trace_cycles += stimulus.size();
       trace = &*recorded;
     }
-    result.good_outputs =
-        read_output_words(*trace, sim_nl->outputs().front());
+    result.good_outputs = read_output_words(*trace, nl.outputs().front());
   }
 
   // Progress counts *finalized* faults — detected, or survived the full
@@ -456,7 +398,7 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
               begin - std::min(begin, settle.value_or(0)), begin,
               budget * (s + 1) / segments};
           unit_run[u] = pool[worker]->run_batch(
-              sim_faults, stimulus, {indices.data() + base, count}, window,
+              faults, stimulus, {indices.data() + base, count}, window,
               trace, unit_detect.data() + u * fpb, opt.signature,
               sig_on ? result.signature_detect.data() : nullptr);
           if (segments_left[b].fetch_sub(1, std::memory_order_acq_rel) == 1)

@@ -33,7 +33,6 @@
 //     when the good trace would not fit in memory.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -44,7 +43,6 @@
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "fault/fault.hpp"
-#include "gate/passes/pass.hpp"
 
 namespace fdbist::fault {
 
@@ -91,41 +89,27 @@ struct FaultSimStats {
   /// one full-budget recording per simulate_faults call that compiled
   /// its own schedule, none when it ran off an artifact.
   std::uint64_t good_trace_cycles = 0;
-  /// Sum over batches of |cone gates| / |original logic gates| (the
-  /// unoptimized denominator, so savings stay comparable across pass
-  /// configurations).
+  /// Sum over batches of |cone gates| / |logic gates|.
   double cone_fraction_sum = 0;
   /// Simulation word width in lanes (64 scalar, 256 AVX2, 512 AVX-512)
   /// of the backend the call resolved. Never Auto in a result. A pass
   /// of at most 63 faults runs on 64 lanes whatever the backend.
   std::size_t lane_width = 0;
   common::SimdBackend simd = common::SimdBackend::Auto;
-  /// Netlist-pass observability: pipeline executions (one per
-  /// simulate_faults call that ran passes), original/optimized
-  /// logic-gate counts summed over those executions, and per-pass
-  /// removal counters indexed by gate::PassKind.
-  std::uint64_t pipeline_runs = 0;
-  std::uint64_t pipeline_gates_before = 0;
-  std::uint64_t pipeline_gates_after = 0;
-  struct PassCounters {
-    std::uint64_t runs = 0;
-    std::uint64_t gates_removed = 0;
-    std::uint64_t edges_removed = 0;
-    std::uint64_t regs_removed = 0;
-  };
-  std::array<PassCounters, gate::kPassKinds> passes{};
   /// Preparation-time breakdown: what simulate_faults (or the artifact
   /// build/load on its behalf) spent before the first batch ran. A run
-  /// handed a prebuilt artifact reports zero passes/compile/trace time —
-  /// that is the whole point — while the acquisition site folds the
+  /// handed a prebuilt artifact reports zero compile/trace time — that
+  /// is the whole point — while the acquisition site folds the
   /// artifact's own build/load/save time in via fold_cache_stats
   /// (fault/schedule_cache.hpp).
-  std::uint64_t prep_passes_ns = 0;  ///< pass pipeline
   std::uint64_t prep_compile_ns = 0; ///< CompiledSchedule construction
   std::uint64_t prep_trace_ns = 0;   ///< good-trace recording
   std::uint64_t prep_artifact_load_ns = 0;  ///< FDBA load + validate
   std::uint64_t prep_artifact_build_ns = 0; ///< artifact build on miss
   std::uint64_t prep_artifact_save_ns = 0;  ///< FDBA serialize + write
+  /// Always 0: kept only because the perfbench harness still reads it;
+  /// the next benchmark change drops it.
+  std::uint64_t prep_passes_ns = 0;
   /// Schedule compilations actually performed (0 when an artifact was
   /// reused). A campaign split into S slices compiles once per design,
   /// not once per slice — this counter is how tests verify that.
@@ -171,16 +155,6 @@ struct FaultSimStats {
     gates_full_sweep += o.gates_full_sweep;
     good_trace_cycles += o.good_trace_cycles;
     cone_fraction_sum += o.cone_fraction_sum;
-    pipeline_runs += o.pipeline_runs;
-    pipeline_gates_before += o.pipeline_gates_before;
-    pipeline_gates_after += o.pipeline_gates_after;
-    for (std::size_t k = 0; k < passes.size(); ++k) {
-      passes[k].runs += o.passes[k].runs;
-      passes[k].gates_removed += o.passes[k].gates_removed;
-      passes[k].edges_removed += o.passes[k].edges_removed;
-      passes[k].regs_removed += o.passes[k].regs_removed;
-    }
-    prep_passes_ns += o.prep_passes_ns;
     prep_compile_ns += o.prep_compile_ns;
     prep_trace_ns += o.prep_trace_ns;
     prep_artifact_load_ns += o.prep_artifact_load_ns;
@@ -255,12 +229,6 @@ struct FaultSimOptions {
   /// every width — only batch geometry and throughput change.
   common::SimdBackend simd = common::SimdBackend::Auto;
 
-  /// Netlist optimization passes run in front of schedule compilation
-  /// (Compiled engine only — FullSweep stays the unoptimized
-  /// reference). Fault sites are protected, so verdicts are
-  /// bit-identical with any subset enabled; see gate/passes/pass.hpp.
-  gate::PassOptions passes;
-
   /// Response compaction. When enabled the run takes a single
   /// full-budget pass (the signature is defined over the whole stimulus,
   /// so neither the two-stage weed-out nor per-batch early exit may
@@ -271,17 +239,16 @@ struct FaultSimOptions {
   SignatureOptions signature;
 
   /// Prebuilt preparation state (fault/schedule_cache.hpp): the
-  /// post-pass netlist, compiled schedule and full-budget good trace,
-  /// built once and shared across slices/threads/processes. When set
-  /// and the engine resolves to Compiled, simulate_faults skips its own
-  /// pass pipeline, compilation and trace recording entirely and remaps
-  /// `faults` (any subset of the artifact's keyed universe) through the
-  /// artifact's retarget map. The artifact MUST have been built for
-  /// this exact (netlist, stimulus, pass config) — enforced by
-  /// fingerprint REQUIREs, since a mismatched handle is an API-misuse
-  /// bug, not an environmental failure. Ignored by FullSweep, which
-  /// stays the unoptimized reference. Verdicts are bit-identical with
-  /// or without the artifact.
+  /// netlist, compiled schedule and full-budget good trace, built once
+  /// and shared across slices/threads/processes. When set and the
+  /// engine resolves to Compiled, simulate_faults skips its own
+  /// compilation and trace recording entirely and simulates `faults`
+  /// (any subset of the artifact's keyed universe) on the artifact's
+  /// netlist. The artifact MUST have been built for this exact
+  /// (netlist, stimulus) — enforced by fingerprint REQUIREs, since a
+  /// mismatched handle is an API-misuse bug, not an environmental
+  /// failure. Ignored by FullSweep. Verdicts are bit-identical with or
+  /// without the artifact.
   std::shared_ptr<const CompiledArtifact> artifact;
 };
 

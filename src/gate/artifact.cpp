@@ -50,7 +50,6 @@ void write_artifact_header(ByteWriter& w, const ArtifactHeader& h) {
   for (const char c : kArtifactMagic) w.put_u8(std::uint8_t(c));
   w.put_u32(kArtifactVersion);
   w.put_u32(h.schedule_format);
-  w.put_u32(h.pass_config);
   w.put_u64(h.netlist_fp);
   w.put_u64(h.stimulus_fp);
   w.put_u64(h.faults_fp);
@@ -70,7 +69,6 @@ Expected<ArtifactHeader> read_artifact_header(ByteReader& r) {
                    " (expected " + std::to_string(kArtifactVersion) + ")");
   ArtifactHeader h;
   h.schedule_format = r.take_u32();
-  h.pass_config = r.take_u32();
   h.netlist_fp = r.take_u64();
   h.stimulus_fp = r.take_u64();
   h.faults_fp = r.take_u64();

@@ -1,13 +1,13 @@
 // FDBA compiled-artifact container: the on-disk form of a schedule.
 //
 // Campaign slices, respawned workers and repeat submissions of the same
-// design all pay the identical preparation bill — pass pipeline,
-// schedule compilation, good-trace recording — before the first fault
-// batch runs. The FDBA format captures the result of that preparation
-// so it is paid once: the post-pass netlist, the CompiledSchedule's SoA
-// gate arrays and fan-out CSR, and the bit-packed good-machine trace.
-// The fault layer (fault/schedule_cache.hpp) wraps these sections with
-// its own fault-universe sections and the cache itself; this header
+// design all pay the identical preparation bill — schedule
+// compilation, good-trace recording — before the first fault batch
+// runs. The FDBA format captures the result of that preparation so it
+// is paid once: the netlist, the CompiledSchedule's SoA gate arrays and
+// fan-out CSR, and the bit-packed good-machine trace. The fault layer
+// (fault/schedule_cache.hpp) writes these sections behind a header
+// keyed on its own fingerprints and owns the cache itself; this header
 // owns only the gate-level container primitives, so the gate module
 // never depends on fault types.
 //
@@ -19,23 +19,24 @@
 // platform. The trailing checksum is FNV-1a over every preceding byte
 // of the serialized stream — stable because the stream itself is.
 //
-// Layout, version 1 (all integers little-endian):
+// Layout, version 2 (all integers little-endian):
 //
 //   offset size  field
 //   0      4     magic "FDBA"
 //   4      4     u32  container version (= kArtifactVersion)
 //   8      4     u32  schedule format version (compilation semantics)
-//   12     4     u32  pass configuration (PassOptions bit mask)
-//   16     8     u64  netlist fingerprint   } of the ORIGINAL netlist,
-//   24     8     u64  stimulus fingerprint  } stimulus and full fault
-//   32     8     u64  fault-list fingerprint} universe (the cache key)
-//   40     8     u64  fault count (full universe)
-//   48     8     u64  stimulus length (vectors; trace covers all)
-//   56     8     u64  reserved (0)
-//   64     ...   sections written by the fault layer, each built on the
-//                codecs below: post-pass netlist, retarget map +
-//                collapsed fault universe, schedule arrays, good trace
+//   12     8     u64  netlist fingerprint   } of the netlist, stimulus
+//   20     8     u64  stimulus fingerprint  } and full fault universe
+//   28     8     u64  fault-list fingerprint} (the cache key)
+//   36     8     u64  fault count (full universe)
+//   44     8     u64  stimulus length (vectors; trace covers all)
+//   52     8     u64  reserved (0)
+//   60     ...   sections written by the fault layer, each built on the
+//                codecs below: netlist, schedule arrays, good trace
 //   end-8  8     u64  FNV-1a checksum of every preceding byte
+//
+// A file of any other container version, v1 included, is refused as
+// CorruptArtifact and the cache rebuilds it.
 //
 // Loads are paranoid by contract: every read is bounds-checked, every
 // count is validated against the netlist before an array is trusted,
@@ -57,7 +58,7 @@
 namespace fdbist::gate {
 
 inline constexpr char kArtifactMagic[4] = {'F', 'D', 'B', 'A'};
-inline constexpr std::uint32_t kArtifactVersion = 1;
+inline constexpr std::uint32_t kArtifactVersion = 2;
 
 /// Version of the *compilation semantics* a serialized schedule
 /// encodes. Bump whenever CompiledSchedule's arrays would come out
@@ -67,11 +68,9 @@ inline constexpr std::uint32_t kArtifactVersion = 1;
 inline constexpr std::uint32_t kScheduleFormatVersion = 1;
 
 /// Identity and geometry of an artifact — everything the verdicts
-/// depend on, fingerprinted over the ORIGINAL (pre-pass) inputs so the
-/// cache key never depends on what the passes produced.
+/// depend on.
 struct ArtifactHeader {
   std::uint32_t schedule_format = kScheduleFormatVersion;
-  std::uint32_t pass_config = 0;
   std::uint64_t netlist_fp = 0;
   std::uint64_t stimulus_fp = 0;
   std::uint64_t faults_fp = 0;

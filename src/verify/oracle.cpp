@@ -317,40 +317,6 @@ Finding check_filter_case(const FilterCase& c) {
     return Finding::fail("mutation escaped: Compiled engine agreed with "
                          "FullSweep despite a mutated netlist");
 
-  // Row 4b: pass-config matrix. The default Compiled run above already
-  // exercised the full pass pipeline; a passes-off run pins the
-  // unoptimized compiled engine, and one rotating singleton pass
-  // isolates each transformation in turn across the corpus. Every
-  // configuration must reproduce the FullSweep verdicts exactly.
-  {
-    fault::FaultSimOptions off;
-    off.num_threads = 1;
-    off.engine = fault::FaultSimEngine::Compiled;
-    off.passes = gate::PassOptions::none();
-    const auto plain = simulate_faults(low.netlist, stim, faults, off);
-    if (auto f = check_stats_invariants(plain, off.engine, faults.size(),
-                                        stim.size()))
-      return f;
-    if (auto f =
-            diff_verdicts(ref, "FullSweep", plain, "Compiled/passes-off"))
-      return f;
-
-    const auto kind = static_cast<gate::PassKind>(
-        (std::size_t(c.generator) + c.vectors) % gate::kPassKinds);
-    fault::FaultSimOptions single;
-    single.num_threads = 1;
-    single.engine = fault::FaultSimEngine::Compiled;
-    single.passes = gate::PassOptions::only(kind);
-    const auto one = simulate_faults(low.netlist, stim, faults, single);
-    if (auto f = check_stats_invariants(one, single.engine, faults.size(),
-                                        stim.size()))
-      return f;
-    const std::string one_name =
-        std::string("Compiled/only-") + gate::pass_name(kind);
-    if (auto f = diff_verdicts(ref, "FullSweep", one, one_name.c_str()))
-      return f;
-  }
-
   // Row 5: a sliced campaign (the checkpoint/resume execution shape,
   // in-memory) must reproduce the one-shot verdicts exactly.
   fault::CampaignOptions copt;

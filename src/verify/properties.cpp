@@ -380,8 +380,8 @@ Finding check_cached_artifact(const FilterCase& c) {
         "involved");
 
   // Fresh artifact handle.
-  const auto art = fault::build_artifact(lc.low.netlist, lc.stim, lc.faults,
-                                         cone_opt.passes);
+  const auto art =
+      fault::build_artifact(lc.low.netlist, lc.stim, lc.faults);
   if (art == nullptr)
     return Finding::fail("cached-artifact: build_artifact returned null");
   cone_opt.artifact = art;

@@ -17,6 +17,7 @@
 #include "common/failpoint.hpp"
 #include "common/fingerprint.hpp"
 #include "fault/campaign.hpp"
+#include "fault/checkpoint.hpp"
 #include "fault/schedule_cache.hpp"
 #include "gate/artifact.hpp"
 #include "gate/lower.hpp"
@@ -117,8 +118,7 @@ using ArtifactCache = ArtifactTest;
 
 TEST_F(ArtifactFormat, RoundTripBitIdentical) {
   const auto& f = fixture();
-  const auto art =
-      build_artifact(f.low.netlist, f.stim, f.faults, gate::PassOptions{});
+  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
   ASSERT_NE(art, nullptr);
   const auto bytes = serialize_artifact(*art);
   auto back = deserialize_artifact(bytes, art->key);
@@ -126,8 +126,8 @@ TEST_F(ArtifactFormat, RoundTripBitIdentical) {
 
   EXPECT_EQ((*back)->key, art->key);
   EXPECT_EQ((*back)->fault_count, art->fault_count);
-  EXPECT_EQ((*back)->net_map, art->net_map);
-  ASSERT_EQ((*back)->collapsed_faults.size(), art->collapsed_faults.size());
+  EXPECT_EQ(fingerprint_netlist((*back)->netlist),
+            fingerprint_netlist(art->netlist));
 
   const auto scratch = scratch_result(f);
   const auto cached = artifact_result(f, *back);
@@ -136,16 +136,14 @@ TEST_F(ArtifactFormat, RoundTripBitIdentical) {
   // The warm path must do zero preparation work of its own.
   EXPECT_EQ(cached.stats.schedule_compilations, 0u);
   EXPECT_EQ(cached.stats.good_trace_cycles, 0u);
-  EXPECT_EQ(cached.stats.pipeline_runs, 0u);
 }
 
 TEST_F(ArtifactFormat, SliceSubsetBitIdentical) {
   // Any contiguous slice of the keyed universe may reuse the
-  // full-universe artifact (the pass contract: protecting a superset of
-  // sites is always safe).
+  // full-universe artifact: nothing in it depends on the faults a run
+  // simulates.
   const auto& f = fixture();
-  const auto art =
-      build_artifact(f.low.netlist, f.stim, f.faults, gate::PassOptions{});
+  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
   const std::size_t half = f.faults.size() / 2;
   FaultSimOptions opt;
   opt.num_threads = 1;
@@ -169,8 +167,7 @@ TEST_F(ArtifactFormat, SliceSubsetBitIdentical) {
 
 TEST_F(ArtifactFormat, TruncationRefused) {
   const auto& f = fixture();
-  const auto art =
-      build_artifact(f.low.netlist, f.stim, f.faults, gate::PassOptions{});
+  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
   const auto bytes = serialize_artifact(*art);
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{3}, std::size_t{11}, bytes.size() / 4,
@@ -185,8 +182,7 @@ TEST_F(ArtifactFormat, TruncationRefused) {
 
 TEST_F(ArtifactFormat, BitFlipRefused) {
   const auto& f = fixture();
-  const auto art =
-      build_artifact(f.low.netlist, f.stim, f.faults, gate::PassOptions{});
+  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
   const auto bytes = serialize_artifact(*art);
   // Sample positions across every section, including the checksum.
   for (std::size_t pos = 0; pos < bytes.size();
@@ -201,22 +197,24 @@ TEST_F(ArtifactFormat, BitFlipRefused) {
 
 TEST_F(ArtifactFormat, WrongContainerVersionRefused) {
   const auto& f = fixture();
-  const auto art =
-      build_artifact(f.low.netlist, f.stim, f.faults, gate::PassOptions{});
-  auto bytes = serialize_artifact(*art);
-  bytes[4] = 99; // u32 container version, little-endian low byte
-  restamp_checksum(bytes);
-  auto r = deserialize_artifact(bytes, art->key);
-  ASSERT_FALSE(r);
-  EXPECT_EQ(r.error().code, ErrorCode::CorruptArtifact);
+  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
+  // Version 1 is the retired layout (pass configuration, retarget map
+  // and fault sections); the cache deletes and rebuilds a refused file.
+  for (const std::uint8_t version : {1, 99}) {
+    auto bytes = serialize_artifact(*art);
+    bytes[4] = version; // u32 container version, little-endian low byte
+    restamp_checksum(bytes);
+    auto r = deserialize_artifact(bytes, art->key);
+    ASSERT_FALSE(r) << "accepted version " << int(version);
+    EXPECT_EQ(r.error().code, ErrorCode::CorruptArtifact);
+  }
 }
 
 TEST_F(ArtifactFormat, WrongScheduleFormatRefused) {
   // A schedule-format bump must invalidate stale artifacts: the header
   // is intact (checksum restamped), but the key no longer matches.
   const auto& f = fixture();
-  const auto art =
-      build_artifact(f.low.netlist, f.stim, f.faults, gate::PassOptions{});
+  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
   auto bytes = serialize_artifact(*art);
   bytes[8] = std::uint8_t(gate::kScheduleFormatVersion + 1);
   restamp_checksum(bytes);
@@ -230,12 +228,10 @@ TEST_F(ArtifactFormat, WrongFingerprintRefused) {
   // e.g. a cache file renamed or hash-colliding — must be refused.
   const auto& f = fixture();
   const auto& g = other_fixture();
-  const auto art =
-      build_artifact(f.low.netlist, f.stim, f.faults, gate::PassOptions{});
+  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
   const std::string path = (dir_ / "foreign.fdba").string();
   ASSERT_TRUE(save_artifact(path, *art));
-  const auto foreign_key =
-      make_artifact_key(g.low.netlist, g.stim, g.faults, gate::PassOptions{});
+  const auto foreign_key = make_artifact_key(g.low.netlist, g.stim, g.faults);
   auto r = load_artifact(path, foreign_key);
   ASSERT_FALSE(r);
   EXPECT_EQ(r.error().code, ErrorCode::FingerprintMismatch);
@@ -243,8 +239,7 @@ TEST_F(ArtifactFormat, WrongFingerprintRefused) {
 
 TEST_F(ArtifactFormat, SaveLoadThroughDisk) {
   const auto& f = fixture();
-  const auto art =
-      build_artifact(f.low.netlist, f.stim, f.faults, gate::PassOptions{});
+  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
   const std::string path = (dir_ / "a.fdba").string();
   ASSERT_TRUE(save_artifact(path, *art));
   auto back = load_artifact(path, art->key);
@@ -263,12 +258,10 @@ TEST_F(ArtifactCache, MemoryThenDiskHits) {
   cfg.dir = dir_.string();
   ScheduleCache cache(cfg);
   ArtifactCacheStats s1, s2;
-  const auto a1 =
-      cache.acquire(f.low.netlist, f.stim, f.faults, gate::PassOptions{}, s1);
+  const auto a1 = cache.acquire(f.low.netlist, f.stim, f.faults, s1);
   ASSERT_NE(a1, nullptr);
   EXPECT_EQ(s1.misses, 1u);
-  const auto a2 =
-      cache.acquire(f.low.netlist, f.stim, f.faults, gate::PassOptions{}, s2);
+  const auto a2 = cache.acquire(f.low.netlist, f.stim, f.faults, s2);
   EXPECT_EQ(a2.get(), a1.get()); // the same shared immutable object
   EXPECT_EQ(s2.mem_hits, 1u);
   EXPECT_EQ(s2.misses, 0u);
@@ -277,8 +270,7 @@ TEST_F(ArtifactCache, MemoryThenDiskHits) {
   // — must come back through the FDBA file, not a rebuild.
   ScheduleCache fresh(cfg);
   ArtifactCacheStats s3;
-  const auto a3 =
-      fresh.acquire(f.low.netlist, f.stim, f.faults, gate::PassOptions{}, s3);
+  const auto a3 = fresh.acquire(f.low.netlist, f.stim, f.faults, s3);
   ASSERT_NE(a3, nullptr);
   EXPECT_EQ(s3.disk_hits, 1u);
   EXPECT_EQ(s3.misses, 0u);
@@ -293,14 +285,11 @@ TEST_F(ArtifactCache, CorruptFileFallsBackToRebuild) {
   {
     ScheduleCache warmup(cfg);
     ArtifactCacheStats s;
-    ASSERT_NE(warmup.acquire(f.low.netlist, f.stim, f.faults,
-                             gate::PassOptions{}, s),
-              nullptr);
+    ASSERT_NE(warmup.acquire(f.low.netlist, f.stim, f.faults, s), nullptr);
   }
   // Physically corrupt the stored file (not just the failpoint): the
   // load must refuse it, delete it, rebuild, and re-save.
-  const auto key =
-      make_artifact_key(f.low.netlist, f.stim, f.faults, gate::PassOptions{});
+  const auto key = make_artifact_key(f.low.netlist, f.stim, f.faults);
   ScheduleCache cache(cfg);
   const std::string path = cache.entry_path(key);
   {
@@ -310,8 +299,7 @@ TEST_F(ArtifactCache, CorruptFileFallsBackToRebuild) {
     file.put('\x7f');
   }
   ArtifactCacheStats s;
-  const auto art =
-      cache.acquire(f.low.netlist, f.stim, f.faults, gate::PassOptions{}, s);
+  const auto art = cache.acquire(f.low.netlist, f.stim, f.faults, s);
   ASSERT_NE(art, nullptr);
   EXPECT_EQ(s.load_failures, 1u);
   EXPECT_EQ(s.misses, 1u);
@@ -320,9 +308,7 @@ TEST_F(ArtifactCache, CorruptFileFallsBackToRebuild) {
   // The rebuild re-saved a good file; a fresh instance loads it.
   ScheduleCache fresh(cfg);
   ArtifactCacheStats s2;
-  ASSERT_NE(
-      fresh.acquire(f.low.netlist, f.stim, f.faults, gate::PassOptions{}, s2),
-      nullptr);
+  ASSERT_NE(fresh.acquire(f.low.netlist, f.stim, f.faults, s2), nullptr);
   EXPECT_EQ(s2.disk_hits, 1u);
 }
 
@@ -333,15 +319,12 @@ TEST_F(ArtifactCache, LoadCorruptFailpointFallsBack) {
   {
     ScheduleCache warmup(cfg);
     ArtifactCacheStats s;
-    ASSERT_NE(warmup.acquire(f.low.netlist, f.stim, f.faults,
-                             gate::PassOptions{}, s),
-              nullptr);
+    ASSERT_NE(warmup.acquire(f.low.netlist, f.stim, f.faults, s), nullptr);
   }
   ASSERT_TRUE(common::failpoint_configure("artifact-load-corrupt=corrupt"));
   ScheduleCache cache(cfg);
   ArtifactCacheStats s;
-  const auto art =
-      cache.acquire(f.low.netlist, f.stim, f.faults, gate::PassOptions{}, s);
+  const auto art = cache.acquire(f.low.netlist, f.stim, f.faults, s);
   ASSERT_NE(art, nullptr);
   EXPECT_EQ(s.load_failures, 1u);
   EXPECT_EQ(s.misses, 1u);
@@ -356,12 +339,10 @@ TEST_F(ArtifactCache, SaveErrorFailpointAbsorbed) {
   cfg.dir = dir_.string();
   ScheduleCache cache(cfg);
   ArtifactCacheStats s;
-  const auto art =
-      cache.acquire(f.low.netlist, f.stim, f.faults, gate::PassOptions{}, s);
+  const auto art = cache.acquire(f.low.netlist, f.stim, f.faults, s);
   ASSERT_NE(art, nullptr); // the cache is an accelerator, never a dependency
   EXPECT_EQ(s.misses, 1u);
-  const auto key =
-      make_artifact_key(f.low.netlist, f.stim, f.faults, gate::PassOptions{});
+  const auto key = make_artifact_key(f.low.netlist, f.stim, f.faults);
   EXPECT_FALSE(std::filesystem::exists(cache.entry_path(key)));
   EXPECT_EQ(artifact_result(f, art).detect_cycle,
             scratch_result(f).detect_cycle);
@@ -383,7 +364,6 @@ TEST_F(ArtifactCache, CampaignCompilesOncePerDesign) {
   auto uncached = run_campaign(f.low.netlist, f.stim, f.faults, base);
   ASSERT_TRUE(uncached);
   EXPECT_EQ(uncached->sim.stats.schedule_compilations, slices);
-  EXPECT_EQ(uncached->sim.stats.pipeline_runs, slices);
 
   ScheduleCache::Config cfg;
   cfg.dir = dir_.string();
@@ -394,7 +374,6 @@ TEST_F(ArtifactCache, CampaignCompilesOncePerDesign) {
   ASSERT_TRUE(cached);
   EXPECT_EQ(cached->completed_slices, slices);
   EXPECT_EQ(cached->sim.stats.schedule_compilations, 1u);
-  EXPECT_EQ(cached->sim.stats.pipeline_runs, 1u);
   EXPECT_EQ(cached->sim.stats.artifact_misses, 1u);
   EXPECT_EQ(cached->sim.detect_cycle, uncached->sim.detect_cycle);
   EXPECT_EQ(cached->sim.detected, uncached->sim.detected);
@@ -417,10 +396,8 @@ TEST(ArtifactCacheConcurrency, ConcurrentAcquireWithEvictions) {
   // Budget fits either artifact alone but not both, so alternating
   // acquires keep evicting — the LRU bookkeeping is constantly churned
   // while other threads read it.
-  const auto a = build_artifact(f.low.netlist, f.stim, f.faults,
-                                gate::PassOptions{});
-  const auto b = build_artifact(g.low.netlist, g.stim, g.faults,
-                                gate::PassOptions{});
+  const auto a = build_artifact(f.low.netlist, f.stim, f.faults);
+  const auto b = build_artifact(g.low.netlist, g.stim, g.faults);
   ScheduleCache::Config cfg; // memory-only: dir stays empty
   cfg.mem_budget_bytes = std::max(a->memory_bytes(), b->memory_bytes()) +
                          std::min(a->memory_bytes(), b->memory_bytes()) / 2;
@@ -435,8 +412,8 @@ TEST(ArtifactCacheConcurrency, ConcurrentAcquireWithEvictions) {
     pool.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         const Fixture& fx = (i + t) % 2 == 0 ? f : g;
-        const auto art = cache.acquire(fx.low.netlist, fx.stim, fx.faults,
-                                       gate::PassOptions{}, stats[t]);
+        const auto art =
+            cache.acquire(fx.low.netlist, fx.stim, fx.faults, stats[t]);
         if (art == nullptr || art->fault_count != fx.faults.size())
           ++failures[t];
       }

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
@@ -74,6 +76,25 @@ TEST(FirDesign, InvalidEdgesRejected) {
                precondition_error);
   EXPECT_THROW(design_fir({FilterKind::Lowpass, 2, 0.2, 0.0, 6.0}),
                precondition_error);
+}
+
+TEST(FirDesign, ValidateReportsBadSpecsAsInvalidArgument) {
+  // The two CLI specs `design bandpass 60 0.3 0.1` and
+  // `design highpass 60 0.3`: typed errors naming the rule, no throw.
+  const auto inverted =
+      validate_fir_spec({FilterKind::Bandpass, 60, 0.3, 0.1, 6.0});
+  ASSERT_FALSE(inverted);
+  EXPECT_EQ(inverted.error().code, ErrorCode::InvalidArgument);
+  EXPECT_NE(inverted.error().message.find("f2"), std::string::npos);
+
+  const auto even_hp =
+      validate_fir_spec({FilterKind::Highpass, 60, 0.3, 0.0, 6.0});
+  ASSERT_FALSE(even_hp);
+  EXPECT_EQ(even_hp.error().code, ErrorCode::InvalidArgument);
+  EXPECT_NE(even_hp.error().message.find("even-length"), std::string::npos);
+
+  EXPECT_TRUE(validate_fir_spec({FilterKind::Bandpass, 60, 0.1, 0.3, 6.0}));
+  EXPECT_TRUE(validate_fir_spec({FilterKind::Highpass, 61, 0.3, 0.0, 6.0}));
 }
 
 TEST(FirDesign, IdealResponsesSumCorrectly) {
