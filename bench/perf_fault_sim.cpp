@@ -305,8 +305,8 @@ int run_json_report(const std::string& path, const std::string& design_name,
 
   // Schedule-cache ablation (ISSUE 9): cache-cold builds the artifact
   // and saves it into a fresh on-disk store; cache-warm constructs a
-  // NEW ScheduleCache over the same store — the respawned-worker shape
-  // — so the artifact must come back through an FDBA disk load, not the
+  // NEW ScheduleCache over the same store — the fresh-process shape —
+  // so the artifact must come back through an FDBA disk load, not the
   // in-memory LRU. The acquire is timed inside the run: a warm cache is
   // only a win if load + simulate beats compile + simulate, and the
   // JSON rows carry prep_artifact_load_ns vs prep_artifact_build_ns so

@@ -11,18 +11,6 @@
 //                            [--checkpoint FILE] [--checkpoint-every N]
 //                            [--resume] [--deadline-s S]
 //                            [--schedule-cache DIR] [--no-schedule-cache]
-//   fdbist_cli [--threads N] coordinate <design> <generator> <vectors>
-//                            --dir DIR [--design NAME] [--signature W]
-//                            [--workers N] [--slice-faults N]
-//                            [--lease-ms N] [--max-attempts N]
-//                            [--backoff-ms N] [--backoff-cap-ms N]
-//                            [--max-respawns N] [--checkpoint-every N]
-//                            [--deadline-s S] [--worker-cmd PATH]
-//                            [--schedule-cache DIR] [--no-schedule-cache]
-//   fdbist_cli [--threads N] worker <design> <generator> <vectors>
-//                            --dir DIR --worker-id N [--signature W]
-//                            [--checkpoint-every N]
-//                            [--schedule-cache DIR] [--no-schedule-cache]
 //   fdbist_cli [--threads N] spectra  <generator> [samples]
 //   fdbist_cli [--threads N] export   <design> <verilog|dot>
 //   fdbist_cli fuzz [--seed N] [--cases N] [--corpus DIR]
@@ -42,27 +30,19 @@
 // Results are bit-identical for every N.
 //
 // --schedule-cache DIR keeps compiled-artifact (FDBA) files in DIR so
-// repeat runs, campaign slices, and (re)spawned workers load the
-// prepared schedule + good trace instead of recompiling; with no flag,
-// FDBIST_SCHEDULE_CACHE supplies the directory, and --no-schedule-cache
-// turns caching off even when the variable is set. Results are
-// bit-identical with the cache on, off, cold, or warm; cache and
-// preparation statistics print to stderr so the stdout coverage line
-// stays diffable against an uncached run.
+// repeat runs and campaign slices load the prepared schedule + good
+// trace instead of recompiling; with no flag, FDBIST_SCHEDULE_CACHE
+// supplies the directory, and --no-schedule-cache turns caching off
+// even when the variable is set. Results are bit-identical with the
+// cache on, off, cold, or warm; cache and preparation statistics print
+// to stderr so the stdout coverage line stays diffable against an
+// uncached run.
 //
 // `campaign` is `faultsim` with resilience: it periodically persists
 // per-fault verdicts to --checkpoint, a killed run restarted with
 // --resume continues where it stopped (final results bit-identical to
 // an uninterrupted run), and --deadline-s stops workers gracefully at
 // batch boundaries, reporting coverage-so-far.
-//
-// `coordinate` runs the same campaign distributed over --workers child
-// processes (each `fdbist_cli worker`, spawned automatically), leasing
-// --slice-faults-sized slices, retrying through crashes and hangs, and
-// merging partial results into a final line byte-identical to
-// `faultsim`. --dir holds slice checkpoints and partials; a re-run
-// with the same --dir resumes from whatever survived. `worker` is the
-// child half — it is spawned by `coordinate`, not typed by hand.
 //
 // `fuzz` runs the differential verification subsystem (src/verify/):
 // replay the corpus, then `--cases` fresh random cases through every
@@ -75,8 +55,7 @@
 // Exit codes: 0 success, 1 runtime error, 2 bad usage, 4 fuzz
 // discrepancy (the differential oracle found a mismatch). A campaign
 // stopped before finishing reports *why* in its status: 3 cancellation,
-// 5 deadline expiry, 6 worker loss (a slice exhausted its retry budget
-// under `coordinate`). All three still print coverage-so-far.
+// 5 deadline expiry. Both still print coverage-so-far.
 #include <algorithm>
 #include <cctype>
 #include <cmath>
@@ -95,10 +74,7 @@
 #include "analysis/variance.hpp"
 #include "bist/kit.hpp"
 #include "common/parse.hpp"
-#include "common/subprocess.hpp"
 #include "designs/registry.hpp"
-#include "dist/coordinator.hpp"
-#include "dist/worker.hpp"
 #include "dsp/spectrum.hpp"
 #include "fault/campaign.hpp"
 #include "fault/schedule_cache.hpp"
@@ -115,9 +91,6 @@ using namespace fdbist;
 /// Fault-simulation worker threads (0 = hardware concurrency), set by
 /// the global --threads flag before command dispatch.
 std::size_t g_threads = 0;
-
-/// argv[0] as invoked, for `coordinate` to respawn itself as workers.
-const char* g_argv0 = "fdbist_cli";
 
 constexpr std::size_t kMaxVectors = std::numeric_limits<std::int32_t>::max();
 
@@ -141,24 +114,6 @@ int usage() {
                "[--deadline-s S]\n"
                "                           [--schedule-cache DIR] "
                "[--no-schedule-cache]\n"
-               "  fdbist_cli [--threads N] coordinate <design> <generator> "
-               "<vectors> --dir DIR\n"
-               "                           [--design NAME] [--signature W] "
-               "[--workers N] [--slice-faults N]\n"
-               "                           [--lease-ms N] [--max-attempts N] "
-               "[--backoff-ms N]\n"
-               "                           [--backoff-cap-ms N] "
-               "[--max-respawns N]\n"
-               "                           [--checkpoint-every N] "
-               "[--deadline-s S] [--worker-cmd PATH]\n"
-               "                           [--schedule-cache DIR] "
-               "[--no-schedule-cache]\n"
-               "  fdbist_cli [--threads N] worker <design> <generator> "
-               "<vectors> --dir DIR\n"
-               "                           --worker-id N [--signature W] "
-               "[--checkpoint-every N]\n"
-               "                           [--schedule-cache DIR] "
-               "[--no-schedule-cache]\n"
                "  fdbist_cli [--threads N] spectra  <generator> [samples]\n"
                "  fdbist_cli [--threads N] export   <design> "
                "<verilog|dot>\n"
@@ -179,7 +134,7 @@ int usage() {
                "--no-schedule-cache overrides; results identical)\n"
                "exit codes: 0 ok, 1 error, 2 usage, 4 fuzz discrepancy;\n"
                "            partial campaigns: 3 cancelled, 5 deadline "
-               "exceeded, 6 worker loss\n");
+               "exceeded\n");
   return 2;
 }
 
@@ -232,12 +187,12 @@ std::optional<fault::SignatureOptions> arg_signature(const char* text) {
   return sig;
 }
 
-/// --schedule-cache / --no-schedule-cache resolution shared by
-/// faultsim, campaign, worker and coordinate. An explicit
-/// --schedule-cache DIR wins; otherwise FDBIST_SCHEDULE_CACHE supplies
-/// the directory; --no-schedule-cache turns caching off even when the
-/// environment variable is set. The two flags together are a usage
-/// error, as is --schedule-cache without a directory.
+/// --schedule-cache / --no-schedule-cache resolution shared by faultsim
+/// and campaign. An explicit --schedule-cache DIR wins; otherwise
+/// FDBIST_SCHEDULE_CACHE supplies the directory; --no-schedule-cache
+/// turns caching off even when the environment variable is set. The
+/// two flags together are a usage error, as is --schedule-cache without
+/// a directory.
 struct CacheFlags {
   std::string dir; ///< from --schedule-cache
   bool off = false;
@@ -411,12 +366,11 @@ int partial_exit_status(fdbist::ErrorCode reason) {
   switch (reason) {
   case ErrorCode::Cancelled: return 3;
   case ErrorCode::DeadlineExceeded: return 5;
-  case ErrorCode::WorkerLost: return 6;
   default: return 1;
   }
 }
 
-/// Shared "stopped early" report for campaign and coordinate.
+/// "Stopped early" report for a campaign.
 int print_partial(const fault::FaultSimResult& r, ErrorCode reason) {
   std::printf("partial (%s): finalized %zu/%zu faults, coverage-so-far "
               "%.3f%% (%zu detected)\n",
@@ -436,8 +390,8 @@ void print_coverage_line(const std::string& design, const std::string& gen,
               r.detected, r.total_faults, r.missed(), signature);
 }
 
-/// Extra line printed by faultsim/campaign/coordinate when --signature
-/// is on: the *measured* aliasing of the compactor next to the paper's
+/// Extra line printed by faultsim/campaign when --signature is on: the
+/// *measured* aliasing of the compactor next to the paper's
 /// 2 + 64*N*2^-w expectation (DESIGN.md §13). No-op otherwise, so the
 /// kill-and-resume output diff is unchanged for uncompacted runs.
 void print_signature_line(const fault::SignatureOptions& sig,
@@ -591,215 +545,6 @@ int cmd_campaign(int argc, char** argv) {
   return 0;
 }
 
-int cmd_worker(int argc, char** argv) {
-  if (argc < 4) return usage();
-  auto name = resolve_design_name(argv[1]);
-  const auto vectors = arg_size(argv[3], "<vectors>", 1, kMaxVectors);
-  if (!name || !vectors) return usage();
-
-  dist::WorkerOptions wopt;
-  wopt.compute.num_threads = g_threads;
-  bool have_id = false;
-  CacheFlags cache_flags;
-  bool cache_err = false;
-  for (int i = 4; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
-      wopt.dir = argv[++i];
-    } else if (cache_flags.consume(argc, argv, i, &cache_err)) {
-      if (cache_err) return usage();
-    } else if (std::strcmp(argv[i], "--design") == 0 && i + 1 < argc) {
-      name = resolve_design_name(argv[++i]);
-      if (!name) return usage();
-    } else if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
-      const auto sig = arg_signature(argv[++i]);
-      if (!sig) return usage();
-      wopt.compute.signature = *sig;
-    } else if (std::strcmp(argv[i], "--worker-id") == 0 && i + 1 < argc) {
-      const auto id = arg_size(argv[++i], "--worker-id", 0, 1u << 20);
-      if (!id) return usage();
-      wopt.worker_id = *id;
-      have_id = true;
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 &&
-               i + 1 < argc) {
-      const auto every =
-          arg_size(argv[++i], "--checkpoint-every", 0, kMaxVectors);
-      if (!every) return usage();
-      wopt.compute.checkpoint_every = *every;
-    } else {
-      std::fprintf(stderr, "fdbist_cli: unknown worker flag \"%s\"\n",
-                   argv[i]);
-      return usage();
-    }
-  }
-  if (wopt.dir.empty() || !have_id) {
-    std::fprintf(stderr, "fdbist_cli: worker requires --dir and "
-                         "--worker-id\n");
-    return usage();
-  }
-  const auto cache = cache_flags.make(&cache_err);
-  if (cache_err) return usage();
-  wopt.schedule_cache = cache.get();
-
-  const auto d = designs::make_design(*name);
-  wopt.compute.family = static_cast<std::uint32_t>(d.family);
-  auto gen = parse_generator(argv[2], *vectors, d.stats().width_in);
-  if (!gen) return usage();
-  bist::BistKit kit(d);
-  gen->reset();
-  const auto stimulus = gen->generate_raw(*vectors);
-  auto r = dist::run_worker(kit.lowered().netlist, stimulus, kit.faults(),
-                            wopt);
-  if (!r) {
-    std::fprintf(stderr, "fdbist_cli: worker %zu: %s\n", wopt.worker_id,
-                 r.error().to_string().c_str());
-    return 1;
-  }
-  return 0;
-}
-
-int cmd_coordinate(int argc, char** argv) {
-  if (argc < 4) return usage();
-  auto name = resolve_design_name(argv[1]);
-  const auto vectors = arg_size(argv[3], "<vectors>", 1, kMaxVectors);
-  if (!name || !vectors) return usage();
-
-  dist::DistOptions dopt;
-  dopt.compute.num_threads = g_threads;
-  std::string worker_cmd;
-  std::size_t checkpoint_every = 0;
-  CacheFlags cache_flags;
-  bool cache_err = false;
-  for (int i = 4; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
-      dopt.dir = argv[++i];
-    } else if (cache_flags.consume(argc, argv, i, &cache_err)) {
-      if (cache_err) return usage();
-    } else if (std::strcmp(argv[i], "--design") == 0 && i + 1 < argc) {
-      name = resolve_design_name(argv[++i]);
-      if (!name) return usage();
-    } else if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
-      const auto sig = arg_signature(argv[++i]);
-      if (!sig) return usage();
-      dopt.compute.signature = *sig;
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--workers", 0, 256);
-      if (!n) return usage();
-      dopt.num_workers = *n;
-    } else if (std::strcmp(argv[i], "--slice-faults") == 0 && i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--slice-faults", 1, kMaxVectors);
-      if (!n) return usage();
-      dopt.slice_faults = *n;
-    } else if (std::strcmp(argv[i], "--lease-ms") == 0 && i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--lease-ms", 1, 1u << 30);
-      if (!n) return usage();
-      dopt.lease_ms = *n;
-    } else if (std::strcmp(argv[i], "--max-attempts") == 0 && i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--max-attempts", 1, 1u << 20);
-      if (!n) return usage();
-      dopt.max_slice_attempts = *n;
-    } else if (std::strcmp(argv[i], "--backoff-ms") == 0 && i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--backoff-ms", 0, 1u << 30);
-      if (!n) return usage();
-      dopt.backoff_base_ms = *n;
-    } else if (std::strcmp(argv[i], "--backoff-cap-ms") == 0 &&
-               i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--backoff-cap-ms", 0, 1u << 30);
-      if (!n) return usage();
-      dopt.backoff_cap_ms = *n;
-    } else if (std::strcmp(argv[i], "--max-respawns") == 0 && i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--max-respawns", 0, 1u << 20);
-      if (!n) return usage();
-      dopt.max_respawns = *n;
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 &&
-               i + 1 < argc) {
-      const auto n = arg_size(argv[++i], "--checkpoint-every", 0,
-                              kMaxVectors);
-      if (!n) return usage();
-      checkpoint_every = *n;
-    } else if (std::strcmp(argv[i], "--deadline-s") == 0 && i + 1 < argc) {
-      const auto deadline = arg_double(argv[++i], "--deadline-s", 0.0, 1e9);
-      if (!deadline) return usage();
-      dopt.deadline_s = *deadline;
-    } else if (std::strcmp(argv[i], "--worker-cmd") == 0 && i + 1 < argc) {
-      worker_cmd = argv[++i];
-    } else {
-      std::fprintf(stderr, "fdbist_cli: unknown coordinate flag \"%s\"\n",
-                   argv[i]);
-      return usage();
-    }
-  }
-  if (dopt.dir.empty()) {
-    std::fprintf(stderr, "fdbist_cli: coordinate requires --dir\n");
-    return usage();
-  }
-  const auto cache = cache_flags.make(&cache_err);
-  if (cache_err) return usage();
-  dopt.schedule_cache = cache.get();
-  dopt.compute.checkpoint_every = checkpoint_every;
-
-  // Workers are this very binary re-invoked in `worker` mode with the
-  // same universe arguments (the *resolved* design name, so a --design
-  // override reaches the children too); the coordinator appends the
-  // slot index after the trailing --worker-id. --workers 0 skips
-  // processes entirely (every slice runs inline).
-  if (dopt.num_workers > 0) {
-    dopt.worker_argv = {
-        worker_cmd.empty() ? common::self_exe_path(g_argv0) : worker_cmd,
-        "--threads", "1", "worker", *name, argv[2], argv[3],
-        "--dir", dopt.dir,
-        "--checkpoint-every", std::to_string(checkpoint_every)};
-    if (dopt.compute.signature.enabled()) {
-      dopt.worker_argv.push_back("--signature");
-      dopt.worker_argv.push_back(
-          std::to_string(dopt.compute.signature.width));
-    }
-    // Mirror the resolved cache decision into the workers explicitly:
-    // a shared directory lets every worker (and every respawn) load the
-    // coordinator-era FDBA file instead of recompiling, while an
-    // explicit --no-schedule-cache keeps a FDBIST_SCHEDULE_CACHE in the
-    // children's environment from resurrecting caching the coordinator
-    // turned off. Must precede the trailing --worker-id (the
-    // coordinator appends the slot index after it).
-    if (cache != nullptr) {
-      dopt.worker_argv.push_back("--schedule-cache");
-      dopt.worker_argv.push_back(cache->config().dir);
-    } else {
-      dopt.worker_argv.push_back("--no-schedule-cache");
-    }
-    dopt.worker_argv.push_back("--worker-id");
-  }
-
-  const auto d = designs::make_design(*name);
-  dopt.compute.family = static_cast<std::uint32_t>(d.family);
-  auto gen = parse_generator(argv[2], *vectors, d.stats().width_in);
-  if (!gen) return usage();
-  bist::BistKit kit(d);
-  gen->reset();
-  const auto stimulus = gen->generate_raw(*vectors);
-
-  auto res = dist::run_distributed(kit.lowered().netlist, stimulus,
-                                   kit.faults(), dopt);
-  if (!res) {
-    std::fprintf(stderr, "fdbist_cli: %s\n", res.error().to_string().c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "[coord] %zu slices (%zu resumed, %zu inline), %zu workers "
-               "spawned, %zu lost, %zu leases expired, %zu reassignments, "
-               "%zu partials rejected\n",
-               res->slices, res->resumed_slices, res->inline_slices,
-               res->workers_spawned, res->workers_lost, res->leases_expired,
-               res->slices_reassigned, res->partials_rejected);
-
-  if (cache != nullptr) print_cache_stats(res->sim.stats);
-  const fault::FaultSimResult& r = res->sim;
-  if (!r.complete) return print_partial(r, *res->stop_reason);
-  print_coverage_line(d.name, gen->name(), *vectors, r,
-                      kit.golden_signature(stimulus, r));
-  print_signature_line(dopt.compute.signature, r);
-  return 0;
-}
-
 int cmd_fuzz(int argc, char** argv) {
   verify::FuzzOptions fopt;
   for (int i = 1; i < argc; ++i) {
@@ -915,7 +660,6 @@ int cmd_export(int argc, char** argv) {
 } // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 1 && argv[0] != nullptr) g_argv0 = argv[0];
   // Strip the global --threads flag before command dispatch.
   if (argc >= 2 && std::strcmp(argv[1], "--threads") == 0) {
     if (argc < 3) return usage();
@@ -936,10 +680,6 @@ int main(int argc, char** argv) {
       return cmd_faultsim(argc - 1, argv + 1);
     if (std::strcmp(argv[1], "campaign") == 0)
       return cmd_campaign(argc - 1, argv + 1);
-    if (std::strcmp(argv[1], "coordinate") == 0)
-      return cmd_coordinate(argc - 1, argv + 1);
-    if (std::strcmp(argv[1], "worker") == 0)
-      return cmd_worker(argc - 1, argv + 1);
     if (std::strcmp(argv[1], "spectra") == 0)
       return cmd_spectra(argc - 1, argv + 1);
     if (std::strcmp(argv[1], "export") == 0)

@@ -1,16 +1,20 @@
 #!/usr/bin/env bash
 # Warm-cache smoke test for the compiled-artifact (FDBA) schedule cache.
 #
-# Runs the same campaign twice against one --schedule-cache directory
-# (fresh checkpoints each time, so every slice recomputes) and requires:
+# Runs the same campaign three times against one --schedule-cache
+# directory (fresh checkpoints each time, so every slice recomputes) and
+# requires:
 #   1. the cold cached run's stdout is byte-identical to a cache-off
 #      reference — enabling the cache never changes results,
 #   2. the warm run's stdout is byte-identical to the cold run's,
-#   3. the warm run actually hit the cache (hits > 0, compilations 0 in
-#      the [cache] stderr line) — the amortization is real, not vacuous,
-#   4. a second `coordinate` pool against the same store logs
-#      "artifact reused" from its workers — the cross-process path loads
-#      the FDBA file instead of recompiling.
+#   3. the warm run, a fresh process, loaded the FDBA file the cold run
+#      stored (disk hits >= 1, compilations 0 in the [cache] stderr
+#      line) — the cross-process amortization is real, not vacuous,
+#   4. a sabotaged run against the warm store, with every artifact load
+#      corrupted and every artifact save failing through failpoints,
+#      falls back to compiling from source and still prints the
+#      reference stdout byte for byte: the cache may cost time, never
+#      correctness.
 #
 # Usage: scripts/warm_cache_smoke.sh [path-to-fdbist_cli]
 set -u
@@ -62,30 +66,35 @@ echo "== warm run: same cache directory, fresh checkpoint =="
 diff -u "$workdir/cold.txt" "$workdir/warm.txt" ||
   fail "warm cached output differs from the cold run"
 
-# The warm [cache] stderr line must show a hit and zero compilations:
+# The warm [cache] stderr line must show a disk hit and zero
+# compilations — the warm run is a new process, so only the FDBA file
+# can have supplied the artifact:
 #   [cache] artifact hits mem M disk D, misses 0, ..., schedule compilations 0
 cache_line=$(grep '^\[cache\]' "$workdir/warm.log") ||
   fail "warm run printed no [cache] stats line"
 echo "$cache_line"
-mem_hits=$(echo "$cache_line" | sed -E 's/.*hits mem ([0-9]+).*/\1/')
 disk_hits=$(echo "$cache_line" | sed -E 's/.*disk ([0-9]+).*/\1/')
-hits=$((mem_hits + disk_hits))
-[[ "$hits" -gt 0 ]] || fail "warm run reported zero cache hits"
+[[ "$disk_hits" -ge 1 ]] || fail "warm run reported no disk hit"
 echo "$cache_line" | grep -q 'schedule compilations 0' ||
   fail "warm run still compiled a schedule"
 
-echo "== distributed warm run: workers load the shared store =="
-"$CLI" coordinate $DESIGN $GEN $VECTORS --dir "$workdir/dist" --workers 2 \
-  --slice-faults 1500 --schedule-cache "$cache" \
-  >"$workdir/dist.txt" 2>"$workdir/dist.log" ||
-  fail "distributed cached run exited $?"
-grep -q "artifact reused" "$workdir/dist.log" ||
-  fail "no worker reported reusing the cached artifact"
+echo "== sabotaged run: corrupt artifact loads, failing artifact saves =="
+# Only corrupt/error actions: the run must survive the sabotage, not
+# die at an artifact seam.
+FDBIST_FAILPOINTS="artifact-load-corrupt=corrupt,artifact-save-error=error" \
+  "$CLI" campaign $DESIGN $GEN $VECTORS --schedule-cache "$cache" \
+  --checkpoint "$workdir/ck-sabotage" >"$workdir/sabotage.txt" \
+  2>"$workdir/sabotage.log" ||
+  fail "sabotaged cached campaign exited $?"
+diff -u "$workdir/ref.txt" "$workdir/sabotage.txt" ||
+  fail "sabotaged-cache output differs from the reference"
+sabotage_line=$(grep '^\[cache\]' "$workdir/sabotage.log") ||
+  fail "sabotaged run printed no [cache] stats line"
+echo "$sabotage_line"
+echo "$sabotage_line" | grep -q 'load failures 1,' ||
+  fail "sabotaged run did not count the corrupt artifact load"
+echo "$sabotage_line" | grep -q 'schedule compilations 1$' ||
+  fail "sabotaged run did not fall back to one schedule compilation"
 
-# coordinate prints the same coverage line as campaign, so the
-# distributed run must also match byte-for-byte.
-diff -u "$workdir/ref.txt" "$workdir/dist.txt" ||
-  fail "distributed cached output differs from the reference"
-
-echo "warm_cache_smoke: PASS — byte-identical output cache-off/cold/warm," \
-     "warm hits $hits, distributed workers reused the stored artifact"
+echo "warm_cache_smoke: PASS — byte-identical output cache-off/cold/warm" \
+     "and under cache sabotage, warm disk hits $disk_hits"

@@ -56,7 +56,7 @@ public:
       std::span<const std::int64_t> stimulus) const;
 
   /// Golden MISR signature for a finished fault simulation of
-  /// `stimulus` (simulate_faults, run_campaign, run_distributed): read
+  /// `stimulus` (simulate_faults, run_campaign): read
   /// from the run's good_outputs when it recorded them, else a
   /// fault-free sweep (golden_signature(stimulus)).
   std::uint32_t golden_signature(std::span<const std::int64_t> stimulus,

@@ -1,7 +1,7 @@
 // Crash-safe whole-file replacement.
 //
 // atomic_write_file() is the one durability primitive every on-disk
-// artifact (campaign checkpoints, distributed partial results) goes
+// artifact (campaign checkpoints, compiled-schedule files) goes
 // through: write "<path>.tmp", flush and fsync the file, rename over
 // `path`, then fsync the parent directory so the rename itself survives
 // a power cut. A process killed at ANY point leaves either the previous
@@ -14,8 +14,9 @@
 //                            before it replaces `path`
 //   <prefix>-after-rename    crash after the rename, before the parent
 //                            directory fsync
-// The prefix is supplied per call site so the checkpoint layer and the
-// dist layer can be injured independently.
+// The prefix is supplied per call site ("checkpoint", "artifact") so
+// the checkpoint writer and the schedule cache can be injured
+// independently.
 #pragma once
 
 #include <cstdint>

@@ -20,9 +20,9 @@
 
 namespace fdbist {
 
-/// Taxonomy of recoverable failures. Codes are stable identifiers:
-/// callers and tests branch on them, so renumbering is a breaking
-/// change (append only).
+/// Taxonomy of recoverable failures. Callers and tests branch on the
+/// enumerators and print their names; no file format stores a code's
+/// value, so an unused code can be removed without touching any format.
 enum class ErrorCode {
   Io,                  ///< filesystem open/read/write/rename failed
   CorruptCheckpoint,   ///< bad magic, version, size, or checksum
@@ -31,9 +31,6 @@ enum class ErrorCode {
   DeadlineExceeded,    ///< deadline elapsed before completion
   InvalidArgument,     ///< malformed user input (CLI args, env vars)
   MergeOverlap,        ///< partial results claim the same fault twice
-  MergeGap,            ///< merged result left faults with no verdict
-  WorkerLost,          ///< worker process died/hung past the retry budget
-  Protocol,            ///< malformed coordinator/worker message
   CorruptArtifact,     ///< unusable compiled-schedule artifact (FDBA)
 };
 
@@ -46,9 +43,6 @@ inline const char* error_code_name(ErrorCode c) {
   case ErrorCode::DeadlineExceeded: return "deadline-exceeded";
   case ErrorCode::InvalidArgument: return "invalid-argument";
   case ErrorCode::MergeOverlap: return "merge-overlap";
-  case ErrorCode::MergeGap: return "merge-gap";
-  case ErrorCode::WorkerLost: return "worker-lost";
-  case ErrorCode::Protocol: return "protocol";
   case ErrorCode::CorruptArtifact: return "corrupt-artifact";
   }
   return "unknown";

@@ -1,12 +1,10 @@
 #include "common/failpoint.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include <signal.h>
 #include <unistd.h>
@@ -103,15 +101,9 @@ Expected<std::vector<FailpointSpec>> parse_failpoints(
       fp.action = FailAction::Error;
     } else if (action == "off") {
       fp.action = FailAction::Off;
-    } else if (action.rfind("sleep:", 0) == 0) {
-      const auto ms = parse_size(action.c_str() + 6, "sleep millis", 1,
-                                 std::numeric_limits<std::uint32_t>::max());
-      if (!ms) return bad_spec(entry, ms.error().message);
-      fp.action = FailAction::Sleep;
-      fp.sleep_ms = static_cast<std::uint32_t>(*ms);
     } else {
       return bad_spec(entry, "unknown action \"" + action +
-                                 "\" (crash, sleep:N, corrupt, error, off)");
+                                 "\" (crash, corrupt, error, off)");
     }
     out.push_back(std::move(fp));
   }
@@ -139,7 +131,6 @@ bool failpoint_eval(const char* name) {
   if (!failpoints_active()) return false;
 
   FailAction action = FailAction::Off;
-  std::uint32_t sleep_ms = 0;
   {
     const std::scoped_lock lock(g_mu);
     for (const auto& site : registry()) {
@@ -148,7 +139,6 @@ bool failpoint_eval(const char* name) {
           site->hits.fetch_add(1, std::memory_order_relaxed) + 1;
       if (hit < site->spec.from_hit) return false;
       action = site->spec.action;
-      sleep_ms = site->spec.sleep_ms;
       break;
     }
   }
@@ -164,12 +154,6 @@ bool failpoint_eval(const char* name) {
     std::fflush(stderr);
     ::kill(::getpid(), SIGKILL);
     ::pause(); // unreachable; quiets noreturn analysis
-    return false;
-  case FailAction::Sleep:
-    std::fprintf(stderr, "fdbist: failpoint %s: sleeping %ums\n", name,
-                 sleep_ms);
-    std::fflush(stderr);
-    std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     return false;
   case FailAction::Corrupt:
   case FailAction::Error:

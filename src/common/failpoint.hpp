@@ -1,45 +1,44 @@
 // Named failpoints: deliberate fault injection for crash-tolerance tests.
 //
 // A failpoint is a named site compiled into production code (the
-// checkpoint writer, the distributed worker loop) that normally costs
-// one relaxed atomic load and does nothing. Activated — via the
+// checkpoint writer, the schedule cache's artifact I/O) that normally
+// costs one relaxed atomic load and does nothing. Activated — via the
 // FDBIST_FAILPOINTS environment variable or failpoint_configure() — it
 // fires a configured action when execution reaches the site, letting
-// the chaos harness and death tests exercise exactly the schedules
-// ("SIGKILL between checkpoint write and rename", "worker hangs past
-// its lease") that no amount of polite unit testing reaches.
+// the smoke scripts and death tests exercise exactly the schedules
+// ("SIGKILL between checkpoint write and rename", "artifact file
+// unreadable") that no amount of polite unit testing reaches.
 //
 // Spec grammar (strict; a malformed spec is a hard usage error, because
 // silently ignoring it would un-inject the fault a test depends on):
 //
 //   spec     := entry (',' entry)*
 //   entry    := name '=' action ('@' count)?
-//   action   := 'crash' | 'sleep:' millis | 'corrupt' | 'error' | 'off'
+//   action   := 'crash' | 'corrupt' | 'error' | 'off'
 //   count    := positive integer (fire on the count-th hit; default 1,
 //               i.e. every hit from the first on)
 //
-//   FDBIST_FAILPOINTS=crash-before-checkpoint-rename=crash
-//   FDBIST_FAILPOINTS=worker-crash-mid-slice=crash@2,slow-worker=sleep:3000
+//   FDBIST_FAILPOINTS=checkpoint-before-rename=crash
+//   FDBIST_FAILPOINTS=artifact-load-corrupt=corrupt,artifact-save-error=error
 //
 // Actions:
 //   crash    raise SIGKILL on the calling process (a real un-catchable
 //            kill — exactly what a power cut or OOM kill looks like)
-//   sleep:N  block the calling thread N milliseconds (hung worker)
 //   corrupt  failpoint_eval() returns true; the site applies its own
-//            corruption (e.g. flip a byte in a result file)
+//            corruption (e.g. flip a byte of a loaded artifact)
 //   error    failpoint_eval() returns true; the site maps it to its
 //            native error path (e.g. a synthetic Io error)
 //   off      registered but inert (lets a harness list sites)
 //
 // '@count' arms the action from the count-th evaluation of that site
 // on: '@2' skips the first hit and fires on every later one, which is
-// how a worker is made to finish one slice and die on the next.
+// how a campaign is made to write one checkpoint and die on the next.
 //
-// Sites are evaluated with FDBIST_FAILPOINT(name) for crash/sleep
-// behavior or failpoint_eval(name) where the site must react itself.
-// The registry is process-wide, parsed once from the environment on
-// first use; failpoint_configure() replaces it (tests, death-test
-// children). Hit counters are per-process and thread-safe.
+// Sites are evaluated with FDBIST_FAILPOINT(name) for crash behavior or
+// failpoint_eval(name) where the site must react itself. The registry
+// is process-wide, parsed once from the environment on first use;
+// failpoint_configure() replaces it (tests, death-test children). Hit
+// counters are per-process and thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -50,12 +49,11 @@
 
 namespace fdbist::common {
 
-enum class FailAction : std::uint8_t { Off, Crash, Sleep, Corrupt, Error };
+enum class FailAction : std::uint8_t { Off, Crash, Corrupt, Error };
 
 struct FailpointSpec {
   std::string name;
   FailAction action = FailAction::Off;
-  std::uint32_t sleep_ms = 0; ///< Sleep only
   std::uint32_t from_hit = 1; ///< fire on this evaluation and later ones
 };
 
@@ -68,14 +66,14 @@ Expected<std::vector<FailpointSpec>> parse_failpoints(const std::string& spec);
 /// InvalidArgument and leaves the registry unchanged.
 Expected<void> failpoint_configure(const std::string& spec);
 
-/// Evaluate a site: counts the hit and performs Crash/Sleep actions
-/// in-line. Returns true when an armed Corrupt/Error action fired, so
-/// call sites needing site-specific behavior can branch; plain
-/// crash/sleep sites use the FDBIST_FAILPOINT macro and ignore the
-/// result. Never fires unless the registry holds this name.
+/// Evaluate a site: counts the hit and performs a Crash action in-line.
+/// Returns true when an armed Corrupt/Error action fired, so call sites
+/// needing site-specific behavior can branch; plain crash sites use the
+/// FDBIST_FAILPOINT macro and ignore the result. Never fires unless the
+/// registry holds this name.
 bool failpoint_eval(const char* name);
 
-/// Sugar for sites that only host crash/sleep actions.
+/// Sugar for sites that only host crash actions.
 #define FDBIST_FAILPOINT(name) ::fdbist::common::failpoint_eval(name)
 
 /// True when any failpoint is installed (cheap; lets hot paths skip

@@ -1,10 +1,10 @@
 // Shared FNV-1a hashing and native-endian record packing.
 //
-// The checkpoint (fault/checkpoint.cpp) and partial-result
-// (dist/partial.cpp) writers grew identical copies of these helpers;
-// they live here once so the two formats can never drift apart on the
-// hash constants. Everything is native-endian by design — these files
-// are local resume artifacts, not interchange formats.
+// The checkpoint writer (fault/checkpoint.cpp), the artifact container
+// (gate/artifact.cpp) and the schedule-cache key share these hash
+// constants, so no two formats can drift apart on them. The record
+// packing helpers are native-endian by design — checkpoints are local
+// resume artifacts, not interchange formats.
 #pragma once
 
 #include <cstdint>

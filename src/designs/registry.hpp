@@ -3,10 +3,10 @@
 // Every workload the pipeline can target — the paper's three Table 1
 // FIRs plus the added IIR biquad cascade and polyphase decimator
 // reference designs — is registered here under a stable name, so the
-// CLI (--design), the distributed layer, and the test suites all build
+// CLI (--design), the bench drivers, and the test suites all build
 // designs through one front door. Entries carry the design family; the
-// family tag then rides through checkpoints, distributed partials, the
-// corpus format, and the verify oracle's per-family budgets.
+// family tag then rides through checkpoints, the corpus format, and the
+// verify oracle's per-family budgets.
 #pragma once
 
 #include <string>

@@ -97,7 +97,7 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
     ck.slice_finalized = old.slice_finalized;
     // Reconstitute the checkpoint's finalized slices as one partial
     // result and run it through the audited merge — the same path
-    // distributed workers use, so resume cannot drift from it.
+    // freshly computed slices take, so resume cannot drift from it.
     FaultSimResult restored;
     restored.total_faults = total;
     restored.vectors = stimulus.size();

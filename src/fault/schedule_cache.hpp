@@ -3,9 +3,9 @@
 // Every simulate_faults call that runs the compiled engine pays a fixed
 // preparation bill before the first batch: schedule compilation and a
 // full fault-free good-trace recording. A campaign with S slices pays
-// it S times; a distributed campaign pays it again in every
-// (re)spawned worker process. This cache collapses all of that to once
-// per (design, stimulus, fault universe):
+// it S times, and every repeat run of the same cell pays it again. This
+// cache collapses all of that to once per (design, stimulus, fault
+// universe):
 //
 //   * CompiledArtifact — an immutable, shareable bundle of the netlist,
 //     the CompiledSchedule, and the full-budget bit-packed good trace.
@@ -16,7 +16,7 @@
 //
 //   * ScheduleCache — a thread-safe in-memory LRU with a byte budget,
 //     optionally backed by an on-disk content-addressed store of FDBA
-//     files (gate/artifact.hpp) so respawned workers and repeat runs
+//     files (gate/artifact.hpp) so repeat runs in fresh processes
 //     load instead of recompiling. Configure the directory with
 //     --schedule-cache DIR or FDBIST_SCHEDULE_CACHE.
 //
@@ -27,7 +27,7 @@
 // time, never correctness. Saves go through common/atomic_file with the
 // "artifact" failpoint prefix; the "artifact-load-corrupt" and
 // "artifact-save-error" failpoints inject read/write failures for the
-// chaos harness.
+// warm-cache smoke and the artifact tests.
 #pragma once
 
 #include <cstdint>

@@ -109,18 +109,6 @@ Expected<void> FaultSimResult::merge(const FaultSimResult& part,
   return {};
 }
 
-Expected<void> FaultSimResult::require_complete() {
-  for (std::size_t i = 0; i < finalized.size(); ++i)
-    if (!finalized[i]) {
-      complete = false;
-      return Error{ErrorCode::MergeGap,
-                   "fault " + std::to_string(i) +
-                       " has no verdict (gap in the merged slices)"};
-    }
-  complete = true;
-  return {};
-}
-
 namespace {
 
 /// Trace plus widened worker state above this size force the FullSweep

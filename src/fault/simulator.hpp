@@ -139,8 +139,8 @@ struct FaultSimStats {
                : 1.0 - double(gates_evaluated) / double(gates_full_sweep);
   }
 
-  /// Accumulate another run's counters (campaign slices, worker-local
-  /// partials). Engines must agree unless one side is empty.
+  /// Accumulate another run's counters (campaign slices). Engines must
+  /// agree unless one side is empty.
   void merge(const FaultSimStats& o) {
     if (batches == 0) {
       engine = o.engine;
@@ -291,9 +291,9 @@ struct FaultSimResult {
 
   /// Merge a partial result covering faults [offset, offset +
   /// part.total_faults) of this result's universe — the one audited way
-  /// verdicts from campaign slices, checkpoint restores, and
-  /// distributed workers are combined. Only `part`'s finalized entries
-  /// are absorbed; `detected` and `stats` are updated incrementally.
+  /// verdicts from campaign slices and checkpoint restores are
+  /// combined. Only `part`'s finalized entries are absorbed; `detected`
+  /// and `stats` are updated incrementally.
   ///
   /// The merge is associative and commutative over disjoint finalized
   /// sets: any arrival order of the same partials yields bit-identical
@@ -306,11 +306,6 @@ struct FaultSimResult {
   ///                    other without (the verdict sets are not
   ///                    comparable)
   Expected<void> merge(const FaultSimResult& part, std::size_t offset);
-
-  /// Gap audit after the last merge: every fault must carry a verdict.
-  /// Returns MergeGap naming the first hole, and leaves `complete`
-  /// true/false accordingly.
-  Expected<void> require_complete();
 
   std::size_t missed() const { return total_faults - detected; }
   /// Signature-mode accessors (zero when the run did not compact).

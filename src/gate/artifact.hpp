@@ -1,23 +1,22 @@
 // FDBA compiled-artifact container: the on-disk form of a schedule.
 //
-// Campaign slices, respawned workers and repeat submissions of the same
-// design all pay the identical preparation bill — schedule
-// compilation, good-trace recording — before the first fault batch
-// runs. The FDBA format captures the result of that preparation so it
-// is paid once: the netlist, the CompiledSchedule's SoA gate arrays and
-// fan-out CSR, and the bit-packed good-machine trace. The fault layer
+// Campaign slices and repeat submissions of the same design all pay
+// the identical preparation bill — schedule compilation, good-trace
+// recording — before the first fault batch runs. The FDBA format
+// captures the result of that preparation so it is paid once: the
+// netlist, the CompiledSchedule's SoA gate arrays and fan-out CSR, and
+// the bit-packed good-machine trace. The fault layer
 // (fault/schedule_cache.hpp) writes these sections behind a header
 // keyed on its own fingerprints and owns the cache itself; this header
 // owns only the gate-level container primitives, so the gate module
 // never depends on fault types.
 //
-// Unlike the checkpoint ("FDBC") and partial-result ("FDBP") files,
-// which are native-endian local resume artifacts, an FDBA file is an
-// *interchange* format: a schedule compiled on one host feeds workers
-// on another (ROADMAP item 4), so every integer is serialized
-// little-endian explicitly and the layout is identical on every
-// platform. The trailing checksum is FNV-1a over every preceding byte
-// of the serialized stream — stable because the stream itself is.
+// Unlike the checkpoint ("FDBC") file, which is a native-endian local
+// resume artifact, an FDBA file is an *interchange* format: a cache
+// directory may be shared between hosts, so every integer is
+// serialized little-endian explicitly and the layout is identical on
+// every platform. The trailing checksum is FNV-1a over every preceding
+// byte of the serialized stream — stable because the stream itself is.
 //
 // Layout, version 2 (all integers little-endian):
 //

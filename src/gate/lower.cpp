@@ -325,10 +325,13 @@ struct Lowerer {
       return;
     }
 
-    const auto& src = merged_bits(nd.a);
-    FDBIST_ASSERT(src.size() == std::size_t(nd.fmt.width),
-                  "register operand width mismatch");
-    bits[std::size_t(id)] = make_reg_vector(src);
+    // Aligned, not copied: a carry-save stage feeding a plain register
+    // (a zero tap between two pipeline registers) is lowered at the
+    // accumulator width, not at the register's own format.
+    std::vector<NetId> d(std::size_t(nd.fmt.width));
+    for (int j = 0; j < nd.fmt.width; ++j)
+      d[std::size_t(j)] = aligned_bit(nd.a, nd.fmt, j);
+    bits[std::size_t(id)] = make_reg_vector(d);
   }
 
   void run() {

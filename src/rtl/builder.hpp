@@ -22,9 +22,9 @@
 namespace fdbist::rtl {
 
 /// Which datapath architecture a design realizes. The tag rides along
-/// the whole pipeline: campaign checkpoints and distributed partials
-/// fingerprint it, the verify oracle picks its superposition budget by
-/// it, and the corpus format records it per case.
+/// the whole pipeline: campaign checkpoints fingerprint it, the verify
+/// oracle picks its superposition budget by it, and the corpus format
+/// records it per case.
 enum class DesignFamily : std::uint8_t {
   Fir = 0,                ///< transposed-direct-form FIR (the paper's)
   IirBiquad = 1,          ///< cascade of direct-form-I biquad sections

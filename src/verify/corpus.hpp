@@ -12,10 +12,10 @@
 //
 // Version 2 records a filter case's design family and decimation
 // factor ("family <int>" / "factor <int>" after "mutate"). Version 1
-// files — unlike v1 checkpoints and distributed partials, which are
-// refused — still replay: a v1 corpus case predates the family
-// dimension and can only describe a FIR, so loading defaults family 0
-// and factor 2 with no ambiguity. Writers always emit v2.
+// files — unlike v1 checkpoints, which are refused — still replay: a
+// v1 corpus case predates the family dimension and can only describe a
+// FIR, so loading defaults family 0 and factor 2 with no ambiguity.
+// Writers always emit v2.
 //
 // Doubles (filter coefficients) are written as hexfloats so replay
 // rebuilds bit-identical designs. Loading is strict: unknown keys, bad

@@ -35,16 +35,8 @@ Finding check_one(const CorpusCase& c, const std::string& scratch_dir,
     std::filesystem::remove(ckpt, ec); // keep the scratch dir clean
     if (f) return f;
   }
-  if ((property_mask & 4u) != 0 && !scratch_dir.empty()) {
-    const std::string dist_dir =
-        (std::filesystem::path(scratch_dir) / "fuzz-dist").string();
-    auto f = check_distributed_merge(c.filter, dist_dir);
-    if (!f.failed) { // leave the partials behind on failure
-      std::error_code ec;
-      std::filesystem::remove_all(dist_dir, ec);
-    }
-    if (f) return f;
-  }
+  if ((property_mask & 4u) != 0)
+    if (auto f = check_sliced_merge(c.filter)) return f;
   if ((property_mask & 8u) != 0)
     if (auto f = check_signature_compaction(c.filter)) return f;
   if ((property_mask & 16u) != 0)
@@ -73,8 +65,8 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
           : opt.corpus_dir;
 
   // 1. Regression pass over the persisted corpus. The directory is
-  // created first: it is also the scratch dir of the checkpointing
-  // properties, and the home of new reproducers.
+  // created first: it is also the scratch dir of the mixed-engine
+  // resume property, and the home of new reproducers.
   if (!opt.corpus_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(opt.corpus_dir, ec);

@@ -10,8 +10,8 @@
 //      biquad, polyphase decimator) unless FuzzOptions::family pins
 //      one, and also run the property checkers on a fixed schedule
 //      (superposition and prefix dominance always; the optional
-//      properties — MISR aliasing, mixed-engine resume, distributed
-//      merge, signature compaction — on rotating strides).
+//      properties — MISR aliasing, mixed-engine resume, sliced merge,
+//      signature compaction, cached artifact — on rotating strides).
 //   3. On a failure: delta-debug the case down while the same category
 //      of finding persists, then serialize the minimized reproducer to
 //      the corpus directory.
@@ -82,11 +82,12 @@ struct FuzzReport {
 std::string finding_category(const std::string& detail);
 
 /// Run the full battery appropriate to a case's kind. `scratch_dir`
-/// hosts checkpoint files for the mixed-engine resume and distributed
-/// merge properties (empty disables both). `property_mask` selects
-/// optional properties: bit 0 = MISR aliasing, bit 1 = mixed-engine
-/// resume, bit 2 = distributed-vs-offline merge equality, bit 3 =
-/// in-kernel signature compaction vs word-compare ground truth.
+/// hosts the checkpoint file of the mixed-engine resume property (empty
+/// disables it). `property_mask` selects optional properties: bit 0 =
+/// MISR aliasing, bit 1 = mixed-engine resume, bit 2 = sliced-vs-
+/// one-shot merge equality, bit 3 = in-kernel signature compaction vs
+/// word-compare ground truth, bit 4 = cached artifact vs scratch
+/// compilation.
 Finding check_corpus_case(const CorpusCase& c,
                           const std::string& scratch_dir,
                           unsigned property_mask);

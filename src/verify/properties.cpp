@@ -1,10 +1,14 @@
 #include "verify/properties.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <span>
 #include <string>
 
 #include "bist/misr.hpp"
-#include "dist/coordinator.hpp"
+#include "common/env.hpp"
+#include "common/xoshiro.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault.hpp"
 #include "fault/schedule_cache.hpp"
@@ -33,6 +37,16 @@ LoweredCase prepare(const FilterCase& c) {
       lc.design.graph);
   lc.faults = select_faults(c.fault_indices, universe);
   return lc;
+}
+
+/// A seed derived from the case spec alone, so a replayed or minimized
+/// case draws the same random choices.
+std::uint64_t spec_seed(const FilterCase& c) {
+  std::uint64_t h = common::mix_seed(c.vectors);
+  for (const double v : c.coefs)
+    h = common::mix_seed(h ^ std::bit_cast<std::uint64_t>(v));
+  for (const std::uint32_t i : c.fault_indices) h = common::mix_seed(h ^ i);
+  return h;
 }
 
 } // namespace
@@ -323,37 +337,49 @@ Finding check_signature_compaction(const FilterCase& c, int sig_width) {
   return Finding::ok();
 }
 
-Finding check_distributed_merge(const FilterCase& c,
-                                const std::string& scratch_dir) {
+Finding check_sliced_merge(const FilterCase& c) {
   const LoweredCase lc = prepare(c);
-  if (lc.faults.size() < 4) return Finding::ok();
+  const std::size_t n = lc.faults.size();
+  if (n < 4) return Finding::ok();
 
-  fault::FaultSimOptions ref_opt;
-  ref_opt.num_threads = 1;
-  const auto ref =
-      simulate_faults(lc.low.netlist, lc.stim, lc.faults, ref_opt);
+  fault::FaultSimOptions opt;
+  opt.num_threads = 1;
+  const auto ref = simulate_faults(lc.low.netlist, lc.stim, lc.faults, opt);
 
-  dist::DistOptions dopt;
-  dopt.num_workers = 0; // inline mode: slices, partials, merge — no forks
-  dopt.dir = scratch_dir;
-  // A case-derived slice size that never divides the universe evenly,
-  // so the final ragged slice is always exercised.
-  dopt.slice_faults = 1 + lc.faults.size() / 3;
-  dopt.compute.num_threads = 1;
-  dopt.verbose = false;
-  auto dr = dist::run_distributed(lc.low.netlist, lc.stim, lc.faults, dopt);
-  if (!dr)
-    return Finding::fail("distributed-merge: coordinator error " +
-                         dr.error().to_string());
-  if (!dr->sim.complete)
-    return Finding::fail("distributed-merge: coordinator stopped early (" +
-                         std::string(error_code_name(*dr->stop_reason)) +
-                         ")");
-  if (dr->sim.detect_cycle != ref.detect_cycle ||
-      dr->sim.detected != ref.detected)
+  // A case-derived slice size that leaves a ragged last slice on every
+  // sample larger than six faults.
+  const std::size_t slice = 1 + n / 3;
+  std::vector<std::size_t> offsets;
+  for (std::size_t lo = 0; lo < n; lo += slice) offsets.push_back(lo);
+  // Merge is order-independent over disjoint slices: arrive shuffled.
+  Xoshiro256 rng(spec_seed(c));
+  for (std::size_t i = offsets.size(); i > 1; --i)
+    std::swap(offsets[i - 1], offsets[rng.below(i)]);
+
+  fault::FaultSimResult merged;
+  merged.total_faults = n;
+  merged.vectors = lc.stim.size();
+  merged.detect_cycle.assign(n, -1);
+  merged.finalized.assign(n, 0);
+  const std::span<const fault::Fault> faults(lc.faults);
+  for (const std::size_t lo : offsets) {
+    const auto part = simulate_faults(
+        lc.low.netlist, lc.stim, faults.subspan(lo, std::min(slice, n - lo)),
+        opt);
+    if (auto ok = merged.merge(part, lo); !ok)
+      return Finding::fail("sliced-merge: slice at fault " +
+                           std::to_string(lo) + " refused (" +
+                           ok.error().to_string() + ")");
+  }
+  if (merged.finalized_count() != n)
+    return Finding::fail("sliced-merge: " +
+                         std::to_string(n - merged.finalized_count()) +
+                         " faults have no verdict after the last merge");
+  if (merged.detect_cycle != ref.detect_cycle ||
+      merged.detected != ref.detected)
     return Finding::fail(
-        "distributed-merge: merged slice verdicts differ from the "
-        "one-shot reference");
+        "sliced-merge: merged slice verdicts differ from the one-shot "
+        "reference");
   return Finding::ok();
 }
 

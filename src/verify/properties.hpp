@@ -21,9 +21,9 @@
 //   mixed-engine    a campaign checkpointed under one FaultSimEngine
 //   resume          and resumed under another merges to verdicts
 //                   bit-identical to an uninterrupted run
-//   distributed     a sliced coordinator run (dist/coordinator.hpp)
-//   merge           over the same universe merges partial results to
-//                   verdicts bit-identical to a one-shot offline run
+//   sliced merge    the fault sample cut into slices, each simulated on
+//                   its own and merged in a shuffled order, yields
+//                   verdicts bit-identical to a one-shot run
 //   cached          simulating off a prebuilt CompiledArtifact — fresh
 //   artifact        from build_artifact and again after an FDBA
 //                   serialize/deserialize round trip — yields verdicts
@@ -76,14 +76,12 @@ Finding check_mixed_engine_resume(const FilterCase& c,
 /// the 2 + 64 * detected * 2^-width envelope.
 Finding check_signature_compaction(const FilterCase& c, int sig_width = 16);
 
-/// Distributed-vs-offline equality: run the case's fault sample through
-/// the distributed coordinator (inline mode — the full slice/partial/
-/// merge machinery without child processes) with a case-derived slice
-/// size, and require verdicts bit-identical to a one-shot
-/// simulate_faults. `scratch_dir` hosts the slice partials; the caller
-/// owns it (left behind on failure for post-mortem).
-Finding check_distributed_merge(const FilterCase& c,
-                                const std::string& scratch_dir);
+/// Sliced-vs-one-shot equality: cut the case's fault sample into slices
+/// of 1 + n/3 faults, simulate each slice at one thread, merge them into
+/// an empty result (FaultSimResult::merge) in a case-seeded shuffled
+/// order, and require every fault finalized with verdicts bit-identical
+/// to a one-shot simulate_faults.
+Finding check_sliced_merge(const FilterCase& c);
 
 /// Cached-artifact vs compile-from-scratch differential: build the
 /// case's compiled artifact (fault/schedule_cache.hpp), run the

@@ -266,8 +266,8 @@ TEST_F(ArtifactCache, MemoryThenDiskHits) {
   EXPECT_EQ(s2.mem_hits, 1u);
   EXPECT_EQ(s2.misses, 0u);
 
-  // A NEW instance over the same directory — the respawned-worker shape
-  // — must come back through the FDBA file, not a rebuild.
+  // A NEW instance over the same directory — the fresh-process shape —
+  // must come back through the FDBA file, not a rebuild.
   ScheduleCache fresh(cfg);
   ArtifactCacheStats s3;
   const auto a3 = fresh.acquire(f.low.netlist, f.stim, f.faults, s3);

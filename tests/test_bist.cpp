@@ -180,7 +180,7 @@ TEST_P(KitGolden, ReportSignatureMatchesFaultFreeSweep) {
       EXPECT_EQ(r.golden_signature, want) << cell << " " << route;
       EXPECT_EQ(r.fault_result.good_outputs.empty(), !from_trace)
           << cell << " " << route;
-      // The public helper fdbist_cli's campaign and coordinate call.
+      // The public helper fdbist_cli's campaign calls.
       EXPECT_EQ(kit.golden_signature(stim, r.fault_result), want)
           << cell << " " << route;
     };

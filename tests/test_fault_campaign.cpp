@@ -2,14 +2,18 @@
 // bit-identical to an uninterrupted run (for any thread count and any
 // interruption point), unusable checkpoints must be refused with typed
 // errors, and cancellation/deadlines must yield valid partial results
-// without hanging the pool.
+// without hanging the pool. The merge audits that combine slices are
+// checked here too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <numeric>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -648,6 +652,186 @@ TEST_F(CampaignDeathTest, CrashAfterRenameIsDurable) {
                       << loaded.error().to_string();
   EXPECT_EQ(loaded->detect_cycle, ck.detect_cycle);
   EXPECT_EQ(loaded->slice_finalized, ck.slice_finalized);
+}
+
+// ---------------------------------------------------------------------------
+// FaultSimResult::merge audits: the one path campaign slices and
+// checkpoint restores take into a result.
+
+/// One-shot single-threaded verdicts over the fixture, cut into windows
+/// by the merge tests.
+const FaultSimResult& reference() {
+  static const FaultSimResult r = uninterrupted();
+  return r;
+}
+
+/// An unmerged result shell over the fixture universe.
+FaultSimResult empty_like(const FaultSimResult& ref) {
+  FaultSimResult r;
+  r.total_faults = ref.total_faults;
+  r.vectors = ref.vectors;
+  r.detect_cycle.assign(ref.total_faults, -1);
+  r.finalized.assign(ref.total_faults, 0);
+  r.complete = false;
+  return r;
+}
+
+/// A fully finalized partial covering [lo, lo+count) of `ref`.
+FaultSimResult window(const FaultSimResult& ref, std::size_t lo,
+                      std::size_t count) {
+  FaultSimResult p;
+  p.total_faults = count;
+  p.vectors = ref.vectors;
+  p.detect_cycle.assign(ref.detect_cycle.begin() + long(lo),
+                        ref.detect_cycle.begin() + long(lo + count));
+  p.finalized.assign(count, 1);
+  for (const std::int32_t c : p.detect_cycle)
+    if (c >= 0) ++p.detected;
+  return p;
+}
+
+struct Slice {
+  std::size_t lo;
+  std::size_t count;
+};
+
+std::vector<Slice> random_partition(std::mt19937_64& rng, std::size_t n) {
+  std::vector<Slice> out;
+  std::size_t lo = 0;
+  while (lo < n) {
+    std::uniform_int_distribution<std::size_t> d(
+        1, std::max<std::size_t>(1, (n - lo + 3) / 4));
+    const std::size_t c = std::min(n - lo, d(rng));
+    out.push_back({lo, c});
+    lo += c;
+  }
+  return out;
+}
+
+TEST(ResultMerge, MergeIsAssociativeAndCommutativeOverDisjointWindows) {
+  const FaultSimResult& ref = reference();
+  const std::size_t n = ref.total_faults;
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto parts = random_partition(rng, n);
+    ASSERT_GT(parts.size(), 2u);
+
+    std::vector<std::size_t> order(parts.size());
+    std::iota(order.begin(), order.end(), 0u);
+
+    FaultSimResult first;
+    for (int round = 0; round < 2; ++round) {
+      std::shuffle(order.begin(), order.end(), rng);
+      FaultSimResult base = empty_like(ref);
+      for (const std::size_t k : order) {
+        auto m = base.merge(window(ref, parts[k].lo, parts[k].count),
+                            parts[k].lo);
+        ASSERT_TRUE(m) << m.error().to_string();
+      }
+      ASSERT_EQ(base.finalized_count(), n);
+      EXPECT_EQ(base.detected, ref.detected);
+      EXPECT_EQ(base.detect_cycle, ref.detect_cycle);
+      EXPECT_EQ(base.finalized, ref.finalized);
+      if (round == 0)
+        first = base;
+      else
+        EXPECT_EQ(first.detect_cycle, base.detect_cycle)
+            << "arrival order changed the merged state (seed " << seed
+            << ")";
+    }
+  }
+}
+
+TEST(ResultMerge, MergeRejectsOverlapEvenWhenVerdictsAgree) {
+  const FaultSimResult& ref = reference();
+  FaultSimResult base = empty_like(ref);
+  ASSERT_TRUE(base.merge(window(ref, 0, 10), 0));
+  const auto detected_before = base.detected;
+  const auto cycles_before = base.detect_cycle;
+
+  auto same = base.merge(window(ref, 0, 10), 0);
+  ASSERT_FALSE(same) << "identical double-merge must still be an overlap";
+  EXPECT_EQ(same.error().code, ErrorCode::MergeOverlap);
+
+  auto shifted = base.merge(window(ref, 5, 10), 5);
+  ASSERT_FALSE(shifted);
+  EXPECT_EQ(shifted.error().code, ErrorCode::MergeOverlap);
+
+  EXPECT_EQ(base.detected, detected_before) << "failed merge mutated state";
+  EXPECT_EQ(base.detect_cycle, cycles_before);
+}
+
+TEST(ResultMerge, MergeRejectsBadWindowsAndVectorMismatch) {
+  const FaultSimResult& ref = reference();
+  const std::size_t n = ref.total_faults;
+  FaultSimResult base = empty_like(ref);
+
+  auto past_end = base.merge(window(ref, n - 5, 5), n - 4);
+  ASSERT_FALSE(past_end);
+  EXPECT_EQ(past_end.error().code, ErrorCode::InvalidArgument);
+
+  auto off_oob = base.merge(window(ref, 0, 1), n + 1);
+  ASSERT_FALSE(off_oob);
+  EXPECT_EQ(off_oob.error().code, ErrorCode::InvalidArgument);
+
+  FaultSimResult short_stim = window(ref, 0, 5);
+  short_stim.vectors = ref.vectors - 1;
+  auto vecs = base.merge(short_stim, 0);
+  ASSERT_FALSE(vecs);
+  EXPECT_EQ(vecs.error().code, ErrorCode::InvalidArgument);
+}
+
+TEST(ResultMerge, MergeRejectsSignaturePresenceMismatch) {
+  // One side compacted responses, the other did not: the verdict sets
+  // are not comparable and the merge must refuse, both ways round.
+  const FaultSimResult& ref = reference();
+  {
+    FaultSimResult base = empty_like(ref);
+    FaultSimResult part = window(ref, 0, 10);
+    part.signature_detect.assign(10, 1);
+    auto r = base.merge(part, 0);
+    ASSERT_FALSE(r);
+    EXPECT_EQ(r.error().code, ErrorCode::InvalidArgument);
+  }
+  {
+    FaultSimResult base = empty_like(ref);
+    base.signature_detect.assign(base.total_faults, 0);
+    auto r = base.merge(window(ref, 0, 10), 0);
+    ASSERT_FALSE(r);
+    EXPECT_EQ(r.error().code, ErrorCode::InvalidArgument);
+  }
+  // Matching compacted sides merge and carry the verdicts across.
+  {
+    FaultSimResult base = empty_like(ref);
+    base.signature_detect.assign(base.total_faults, 0);
+    FaultSimResult part = window(ref, 5, 10);
+    part.signature_detect.assign(10, 0);
+    part.signature_detect[3] = 1;
+    ASSERT_TRUE(base.merge(part, 5));
+    EXPECT_EQ(base.signature_detect[8], 1);
+  }
+}
+
+TEST(ResultMerge, MergeAbsorbsOnlyFinalizedEntries) {
+  const FaultSimResult& ref = reference();
+  FaultSimResult base = empty_like(ref);
+
+  FaultSimResult evens = window(ref, 0, 10);
+  FaultSimResult odds = window(ref, 0, 10);
+  for (std::size_t i = 0; i < 10; ++i) {
+    (i % 2 == 0 ? odds : evens).finalized[i] = 0;
+    (i % 2 == 0 ? odds : evens).detect_cycle[i] = -1;
+  }
+  ASSERT_TRUE(base.merge(evens, 0));
+  EXPECT_EQ(base.finalized[1], 0) << "unfinalized entries must not land";
+  EXPECT_EQ(base.detect_cycle[1], -1);
+
+  // The complementary half-finalized partial is NOT an overlap.
+  ASSERT_TRUE(base.merge(odds, 0));
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(base.finalized[i], 1) << i;
+    EXPECT_EQ(base.detect_cycle[i], ref.detect_cycle[i]) << i;
+  }
 }
 
 } // namespace

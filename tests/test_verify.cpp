@@ -360,9 +360,9 @@ TEST_F(VerifyTest, FuzzRunIsGreenAndDeterministic) {
 }
 
 // The corpus directory doubles as the scratch directory of the
-// checkpointing properties, so a missing one must be created before
-// either writes there. Seed 1 reaches both the mixed-engine resume and
-// the distributed merge property within its first 8 cases.
+// mixed-engine resume property, so a missing one must be created before
+// it writes there. Seed 1 reaches that property within its first 8
+// cases.
 TEST_F(VerifyTest, FuzzIntoMissingCorpusDirIsClean) {
   FuzzOptions opt;
   opt.seed = 1;
