@@ -102,35 +102,30 @@ inline void progress(const char* label, std::size_t done, std::size_t total) {
 inline bist::BistReport evaluate(const bist::BistKit& kit,
                                  tpg::Generator& gen, std::size_t vectors,
                                  const std::string& label) {
-  if (const char* dir = checkpoint_dir()) {
-    ::mkdir(dir, 0777); // EEXIST is fine; real failures surface on save
-    std::string file;
-    for (const char c : label)
-      file.push_back(std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-                             c == '.' || c == '_' || c == '-'
-                         ? c
-                         : '_');
-    fault::CampaignOptions opt;
-    opt.num_threads = threads();
-    opt.checkpoint_path = std::string(dir) + "/" + file + ".ckpt";
-    opt.resume = true;
-    opt.progress = [label](std::size_t done, std::size_t total) {
-      progress(label.c_str(), done, total);
-    };
-    auto report = kit.evaluate_campaign(gen, vectors, opt);
-    if (!report) {
-      std::fprintf(stderr, "bench: %s: %s\n", label.c_str(),
-                   report.error().to_string().c_str());
-      std::exit(1);
-    }
-    return std::move(*report);
-  }
-  fault::FaultSimOptions opt;
+  fault::CampaignOptions opt;
   opt.num_threads = threads();
   opt.progress = [label](std::size_t done, std::size_t total) {
     progress(label.c_str(), done, total);
   };
-  return kit.evaluate(gen, vectors, opt);
+  const char* dir = checkpoint_dir();
+  if (dir == nullptr) return kit.evaluate(gen, vectors, opt);
+
+  ::mkdir(dir, 0777); // EEXIST is fine; real failures surface on save
+  std::string file;
+  for (const char c : label)
+    file.push_back(std::isalnum(static_cast<unsigned char>(c)) != 0 ||
+                           c == '.' || c == '_' || c == '-'
+                       ? c
+                       : '_');
+  opt.checkpoint_path = std::string(dir) + "/" + file + ".ckpt";
+  opt.resume = true;
+  auto report = kit.evaluate_campaign(gen, vectors, opt);
+  if (!report) {
+    std::fprintf(stderr, "bench: %s: %s\n", label.c_str(),
+                 report.error().to_string().c_str());
+    std::exit(1);
+  }
+  return std::move(*report);
 }
 
 } // namespace fdbist::bench

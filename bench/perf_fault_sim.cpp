@@ -327,7 +327,7 @@ int run_json_report(const std::string& path, const std::string& design_name,
       fault::ScheduleCache cache(std::move(cfg));
       fault::ArtifactCacheStats cstats;
       const auto t0 = std::chrono::steady_clock::now();
-      opt.artifact = cache.acquire(low.netlist, stim, faults, cstats);
+      opt.artifact = cache.acquire(low.netlist, stim, cstats);
       r.result = fault::simulate_faults(low.netlist, stim, faults, opt);
       r.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
@@ -398,7 +398,7 @@ int run_json_report(const std::string& path, const std::string& design_name,
                 cold.prep_artifact_save_ns / 1e6,
                 warm.prep_artifact_load_ns / 1e6);
     // Best-effort scratch-store cleanup (one content-addressed file).
-    const auto key = fault::make_artifact_key(low.netlist, stim, faults);
+    const auto key = fault::make_artifact_key(low.netlist, stim);
     fault::ScheduleCache::Config cfg;
     cfg.dir = cache_dir;
     std::remove(fault::ScheduleCache(std::move(cfg))

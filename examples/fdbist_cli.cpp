@@ -444,8 +444,7 @@ int cmd_faultsim(int argc, char** argv) {
     // stimulus, so acquiring against a pre-generated copy is safe.
     gen->reset();
     const auto stimulus = gen->generate_raw(*vectors);
-    opt.artifact = cache->acquire(kit.lowered().netlist, stimulus,
-                                  kit.faults(), cstats);
+    opt.artifact = cache->acquire(kit.lowered().netlist, stimulus, cstats);
   }
   auto report = kit.evaluate(*gen, *vectors, opt);
   if (cache != nullptr) {

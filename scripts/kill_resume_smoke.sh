@@ -5,7 +5,10 @@
 # the checkpoint, and verifies the resumed coverage line is byte-identical
 # to an uninterrupted `faultsim` run of the same (design, generator,
 # vectors) cell. Exercises the crash-consistency path no unit test can:
-# a real process killed between (or during) checkpoint writes.
+# a real process killed between (or during) checkpoint writes. Finally
+# truncates the checkpoint to half its size and requires the resume to
+# fail as the CLI reports a corrupt checkpoint: exit status 1,
+# "corrupt-checkpoint" on stderr, nothing on stdout.
 #
 # Usage: scripts/kill_resume_smoke.sh [path-to-fdbist_cli]
 set -u
@@ -82,4 +85,24 @@ if ! diff -u "$workdir/reference.txt" "$workdir/resumed.txt"; then
   exit 1
 fi
 
-echo "kill_resume_smoke: PASS — resumed output byte-identical to reference"
+echo "== run 3: resume from a checkpoint truncated to half its size =="
+if [[ ! -f "$ckpt" ]]; then
+  echo "kill_resume_smoke: FAIL — no checkpoint left to truncate" >&2
+  exit 1
+fi
+size=$(wc -c < "$ckpt")
+truncate -s $((size / 2)) "$ckpt"
+run_campaign --resume > "$workdir/corrupt.out" 2> "$workdir/corrupt.err"
+corrupt_status=$?
+cat "$workdir/corrupt.err"
+if [[ $corrupt_status -ne 1 ]] ||
+   ! grep -q "corrupt-checkpoint" "$workdir/corrupt.err" ||
+   [[ -s "$workdir/corrupt.out" ]]; then
+  echo "kill_resume_smoke: FAIL — a truncated checkpoint must exit 1 with" \
+       "corrupt-checkpoint on stderr and nothing on stdout (got exit" \
+       "$corrupt_status)" >&2
+  exit 1
+fi
+
+echo "kill_resume_smoke: PASS — resumed output byte-identical to reference;" \
+     "truncated checkpoint refused"

@@ -1,10 +1,7 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/check.hpp"
@@ -17,17 +14,6 @@ namespace {
 
 bool file_exists(const std::string& path) {
   return ::access(path.c_str(), F_OK) == 0;
-}
-
-std::string sanitize_label(const std::string& label) {
-  std::string out;
-  out.reserve(label.size());
-  for (const char c : label)
-    out.push_back(std::isalnum(static_cast<unsigned char>(c)) || c == '.' ||
-                          c == '_' || c == '-'
-                      ? c
-                      : '_');
-  return out.empty() ? std::string("job") : out;
 }
 
 } // namespace
@@ -143,9 +129,20 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
   if (artifact == nullptr && opt.schedule_cache != nullptr && work_left &&
       opt.engine != FaultSimEngine::FullSweep && total > 0) {
     ArtifactCacheStats cstats;
-    artifact = opt.schedule_cache->acquire(nl, stimulus, faults, cstats);
+    artifact = opt.schedule_cache->acquire(nl, stimulus, cstats);
     fold_cache_stats(cstats, res.sim.stats);
   }
+
+  // Every slice runs the caller's FaultSimOptions, sharing the one
+  // artifact and the local token, with progress rebased to the
+  // campaign's global count.
+  FaultSimOptions fopt = opt;
+  fopt.artifact = artifact;
+  fopt.cancel = &token;
+  if (opt.progress)
+    fopt.progress = [&](std::size_t done, std::size_t) {
+      opt.progress(finalized_before + done, total);
+    };
 
   for (std::size_t s = 0; s < num_slices; ++s) {
     if (ck.slice_finalized[s]) continue;
@@ -155,19 +152,6 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
     }
     const std::size_t lo = s * slice;
     const std::size_t hi = std::min(total, lo + slice);
-
-    FaultSimOptions fopt;
-    fopt.num_threads = opt.num_threads;
-    fopt.engine = opt.engine;
-    fopt.simd = opt.simd;
-    fopt.signature = opt.signature;
-    fopt.artifact = artifact;
-    fopt.cancel = &token;
-    if (opt.progress)
-      fopt.progress = [&](std::size_t done, std::size_t) {
-        opt.progress(finalized_before + done, total);
-      };
-
     const FaultSimResult part =
         simulate_faults(nl, stimulus, faults.subspan(lo, hi - lo), fopt);
     // The audited merge absorbs whatever verdicts the slice finalized
@@ -203,40 +187,6 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
   // flag is left to settle.
   res.sim.complete = res.sim.finalized_count() == total;
   return res;
-}
-
-Expected<std::vector<CampaignResult>> run_campaigns(
-    std::span<const CampaignJob> jobs, const CampaignOptions& opt) {
-  const bool persist = !opt.checkpoint_path.empty();
-  if (persist) {
-    if (::mkdir(opt.checkpoint_path.c_str(), 0777) != 0 && errno != EEXIST)
-      return Error{ErrorCode::Io,
-                   "cannot create checkpoint directory " + opt.checkpoint_path};
-  }
-
-  // One token bounds the whole matrix; per-job campaigns chain off it
-  // instead of restarting the deadline clock.
-  common::CancelToken token(opt.cancel);
-  if (opt.deadline_s > 0) token.set_deadline_after(opt.deadline_s);
-
-  std::vector<CampaignResult> results;
-  results.reserve(jobs.size());
-  for (const CampaignJob& job : jobs) {
-    FDBIST_REQUIRE(job.netlist != nullptr, "campaign job without a netlist");
-    if (token.cancelled()) break;
-    CampaignOptions jopt = opt;
-    jopt.deadline_s = 0;
-    jopt.cancel = &token;
-    jopt.checkpoint_path =
-        persist ? opt.checkpoint_path + "/" + sanitize_label(job.label) +
-                      ".ckpt"
-                : std::string();
-    auto r = run_campaign(*job.netlist, job.stimulus, job.faults, jopt);
-    if (!r) return r.error();
-    results.push_back(std::move(*r));
-    if (results.back().stop_reason) break;
-  }
-  return results;
 }
 
 } // namespace fdbist::fault

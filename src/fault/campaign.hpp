@@ -28,49 +28,35 @@
 //     or slice geometry is refused, not silently mixed in.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "fault/simulator.hpp"
 
 namespace fdbist::fault {
 
 class ScheduleCache; // fault/schedule_cache.hpp
 
-struct CampaignOptions {
-  /// Worker threads per slice (same contract as FaultSimOptions).
-  std::size_t num_threads = 0;
-
-  /// Simulation engine per slice (same contract as FaultSimOptions).
-  /// Deliberately NOT part of the checkpoint fingerprint: verdicts are a
-  /// pure function of (netlist, stimulus, fault), so a campaign may be
-  /// resumed under a different engine than the one that wrote the
-  /// checkpoint and the merged result stays bit-identical.
-  FaultSimEngine engine = FaultSimEngine::Auto;
-
-  /// SIMD backend per slice (same contract as FaultSimOptions). Like
-  /// `engine`, NOT part of the checkpoint fingerprint: verdicts are
-  /// width-independent, so a campaign checkpointed at one lane width
-  /// resumes bit-identically at another.
-  common::SimdBackend simd = common::SimdBackend::Auto;
-
+/// A campaign's options: every FaultSimOptions field, applied to each
+/// slice, plus the campaign's own. Of the base fields only `signature`
+/// is part of the checkpoint audit — signature verdicts depend on the
+/// MISR polynomial, and the per-fault signature verdicts ride in the
+/// checkpoint next to detect_cycle. Verdicts are a pure function of
+/// (netlist, stimulus, fault), so a campaign may resume under another
+/// engine, SIMD width, thread count or artifact and stay bit-identical.
+/// `progress` is rebased to campaign-global counts (faults finalized
+/// across all slices including resumed ones, total faults); `cancel`
+/// and `artifact` are shared by every slice.
+struct CampaignOptions : FaultSimOptions {
   /// Design family the fault universe was built from
-  /// (rtl::DesignFamily as u32). Unlike engine/simd this IS part
-  /// of the checkpoint audit: two families can in principle lower to
-  /// netlists whose structural fingerprints coincide, and verdict files
-  /// must never cross that line silently.
+  /// (rtl::DesignFamily as u32). Part of the checkpoint audit: two
+  /// families can in principle lower to netlists whose structural
+  /// fingerprints coincide, and verdict files must never cross that
+  /// line silently.
   std::uint32_t family = 0;
-
-  /// Response compaction per slice (same contract as FaultSimOptions).
-  /// The MISR width and taps ARE part of the checkpoint audit —
-  /// signature verdicts depend on the polynomial — and the per-fault
-  /// signature verdicts ride in the checkpoint next to detect_cycle.
-  SignatureOptions signature;
 
   /// Faults per checkpoint slice; a checkpoint is written after each
   /// slice is finalized. Smaller = finer-grained resume, more writes.
@@ -87,20 +73,6 @@ struct CampaignOptions {
 
   /// Wall-clock budget in seconds for the whole call; 0 = unlimited.
   double deadline_s = 0;
-
-  /// Caller-owned kill switch (must outlive the call); may be null.
-  const common::CancelToken* cancel = nullptr;
-
-  /// Forwarded engine progress, rebased to campaign-global counts:
-  /// (faults finalized across all slices incl. resumed, total faults).
-  std::function<void(std::size_t, std::size_t)> progress;
-
-  /// Prebuilt preparation state for this campaign's exact (netlist,
-  /// stimulus, FULL fault universe) — forwarded to every slice, so the
-  /// campaign compiles zero times instead of once per slice.
-  /// Like engine/simd it is deliberately outside the checkpoint
-  /// fingerprint: verdicts are artifact-independent.
-  std::shared_ptr<const CompiledArtifact> artifact;
 
   /// Optional schedule cache (caller-owned, must outlive the call).
   /// When set and `artifact` is empty, run_campaign acquires the
@@ -135,23 +107,5 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
                                       std::span<const std::int64_t> stimulus,
                                       std::span<const Fault> faults,
                                       const CampaignOptions& opt);
-
-/// One cell of a (design × generator × vectors) matrix. Spans are
-/// caller-owned views and must outlive the run_campaigns call.
-struct CampaignJob {
-  /// Names the per-job checkpoint file; sanitized to [A-Za-z0-9._-].
-  std::string label;
-  const gate::Netlist* netlist = nullptr;
-  std::span<const Fault> faults;
-  std::span<const std::int64_t> stimulus;
-};
-
-/// Run a whole matrix sequentially. opt.checkpoint_path names a
-/// *directory* here (created if missing); each job checkpoints to
-/// "<dir>/<label>.ckpt". The deadline and cancel token bound the whole
-/// matrix, not each job. Jobs after an early stop are not attempted:
-/// the returned vector holds one entry per job actually started.
-Expected<std::vector<CampaignResult>> run_campaigns(
-    std::span<const CampaignJob> jobs, const CampaignOptions& opt);
 
 } // namespace fdbist::fault

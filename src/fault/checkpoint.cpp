@@ -1,9 +1,7 @@
 #include "fault/checkpoint.hpp"
 
-#include <cstdio>
-#include <cstring>
-
 #include "common/atomic_file.hpp"
+#include "common/binfile.hpp"
 #include "common/fingerprint.hpp"
 
 namespace fdbist::fault {
@@ -13,15 +11,12 @@ namespace {
 using common::fnv1a;
 using common::fnv1a_value;
 using common::kFnvSeed;
-using common::put_bytes;
-using common::take_bytes;
 
 constexpr char kMagic[4] = {'F', 'D', 'B', 'C'};
-constexpr std::size_t kHeaderBytes = 80;
-constexpr std::size_t kChecksumBytes = 8;
 
-Error io_error(const std::string& what, const std::string& path) {
-  return Error{ErrorCode::Io, what + " " + path};
+/// ceil(a / b) without the overflow of (a + b - 1) / b.
+std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
+  return a / b + (a % b != 0 ? 1 : 0);
 }
 
 Error corrupt(const std::string& why) {
@@ -80,120 +75,73 @@ Expected<void> save_checkpoint(const std::string& path, const Checkpoint& ck) {
                      (ck.sig_width == 0 ? 0 : ck.fault_count()),
                  "signature array must be empty or cover every fault");
 
-  std::vector<std::uint8_t> buf;
-  const std::size_t bitmap_bytes = (ck.slice_count() + 7) / 8;
-  buf.reserve(kHeaderBytes + bitmap_bytes +
-              ck.fault_count() * sizeof(std::int32_t) +
-              ck.signature_detect.size() + kChecksumBytes);
-
-  for (const char c : kMagic) buf.push_back(std::uint8_t(c));
-  put_bytes(buf, kCheckpointVersion);
-  put_bytes(buf, ck.netlist_fp);
-  put_bytes(buf, ck.stimulus_fp);
-  put_bytes(buf, ck.faults_fp);
-  put_bytes(buf, std::uint64_t{ck.fault_count()});
-  put_bytes(buf, ck.stimulus_len);
-  put_bytes(buf, ck.slice_size);
-  put_bytes(buf, std::uint64_t{ck.slice_count()});
-  put_bytes(buf, ck.family);
-  put_bytes(buf, ck.sig_width);
-  put_bytes(buf, ck.sig_taps);
-  put_bytes(buf, std::uint32_t{0}); // reserved
-
-  std::vector<std::uint8_t> bitmap(bitmap_bytes, 0);
+  std::vector<std::uint8_t> bitmap((ck.slice_count() + 7) / 8, 0);
   for (std::size_t s = 0; s < ck.slice_count(); ++s)
     if (ck.slice_finalized[s]) bitmap[s / 8] |= std::uint8_t(1u << (s % 8));
-  buf.insert(buf.end(), bitmap.begin(), bitmap.end());
 
-  const auto* cycles =
-      reinterpret_cast<const std::uint8_t*>(ck.detect_cycle.data());
-  buf.insert(buf.end(), cycles,
-             cycles + ck.fault_count() * sizeof(std::int32_t));
-  buf.insert(buf.end(), ck.signature_detect.begin(),
-             ck.signature_detect.end());
-
-  put_bytes(buf, fnv1a(kFnvSeed, buf.data(), buf.size()));
+  common::ByteWriter w = common::start_file(kMagic, kCheckpointVersion);
+  w.put_u64(ck.netlist_fp);
+  w.put_u64(ck.stimulus_fp);
+  w.put_u64(ck.faults_fp);
+  w.put_u64(ck.fault_count());
+  w.put_u64(ck.stimulus_len);
+  w.put_u64(ck.slice_size);
+  w.put_u64(ck.slice_count());
+  w.put_u32(ck.family);
+  w.put_u32(ck.sig_width);
+  w.put_u32(ck.sig_taps);
+  w.put_u32(0); // reserved
+  w.put_array(bitmap);
+  w.put_array(ck.detect_cycle);
+  w.put_array(ck.signature_detect);
+  common::seal_file(w);
 
   // tmp + fsync + rename + parent-dir fsync (common/atomic_file.hpp): a
   // SIGKILL at any point leaves either the old checkpoint or the new
   // one, never a torn file at `path`, and a completed save survives a
   // power cut. The "checkpoint-*" failpoints let the crash tests stand
   // exactly on the write/rename seams.
-  return common::atomic_write_file(path, buf, "checkpoint");
+  return common::atomic_write_file(path, w.bytes(), "checkpoint");
 }
 
 Expected<Checkpoint> load_checkpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return io_error("cannot open:", path);
-  std::vector<std::uint8_t> buf;
-  std::uint8_t chunk[1 << 16];
-  for (;;) {
-    const std::size_t n = std::fread(chunk, 1, sizeof chunk, f);
-    buf.insert(buf.end(), chunk, chunk + n);
-    if (n < sizeof chunk) break;
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return io_error("read failed:", path);
-
-  if (buf.size() < kHeaderBytes + kChecksumBytes)
-    return corrupt("truncated file (" + std::to_string(buf.size()) +
-                   " bytes, header needs " +
-                   std::to_string(kHeaderBytes + kChecksumBytes) + ")");
-  if (std::memcmp(buf.data(), kMagic, 4) != 0)
-    return corrupt("bad magic (not a fdbist checkpoint)");
-
-  std::size_t off = 4;
-  const auto version = take_bytes<std::uint32_t>(buf, off);
-  if (version != kCheckpointVersion)
-    return corrupt("unsupported format version " + std::to_string(version) +
-                   " (this build reads version " +
-                   std::to_string(kCheckpointVersion) +
-                   "; delete the file to restart the campaign)");
+  const auto bytes = common::read_file(path);
+  if (!bytes) return bytes.error();
+  auto opened = common::open_file(*bytes, kMagic, kCheckpointVersion,
+                                  ErrorCode::CorruptCheckpoint);
+  if (!opened) return opened.error();
+  common::ByteReader& r = *opened;
 
   Checkpoint ck;
-  ck.netlist_fp = take_bytes<std::uint64_t>(buf, off);
-  ck.stimulus_fp = take_bytes<std::uint64_t>(buf, off);
-  ck.faults_fp = take_bytes<std::uint64_t>(buf, off);
-  const auto fault_count = take_bytes<std::uint64_t>(buf, off);
-  ck.stimulus_len = take_bytes<std::uint64_t>(buf, off);
-  ck.slice_size = take_bytes<std::uint64_t>(buf, off);
-  const auto slice_count = take_bytes<std::uint64_t>(buf, off);
-  ck.family = take_bytes<std::uint32_t>(buf, off);
-  ck.sig_width = take_bytes<std::uint32_t>(buf, off);
-  ck.sig_taps = take_bytes<std::uint32_t>(buf, off);
-  (void)take_bytes<std::uint32_t>(buf, off); // reserved
-
-  if (ck.slice_size == 0 ||
-      slice_count != (fault_count + ck.slice_size - 1) / ck.slice_size)
+  ck.netlist_fp = r.take_u64();
+  ck.stimulus_fp = r.take_u64();
+  ck.faults_fp = r.take_u64();
+  const std::uint64_t fault_count = r.take_u64();
+  ck.stimulus_len = r.take_u64();
+  ck.slice_size = r.take_u64();
+  const std::uint64_t slice_count = r.take_u64();
+  ck.family = r.take_u32();
+  ck.sig_width = r.take_u32();
+  ck.sig_taps = r.take_u32();
+  (void)r.take_u32(); // reserved
+  if (r.failed()) return corrupt("truncated header");
+  if (ck.slice_size == 0 || slice_count != ceil_div(fault_count, ck.slice_size))
     return corrupt("inconsistent slice geometry");
-  const std::size_t bitmap_bytes = (std::size_t(slice_count) + 7) / 8;
-  const std::size_t sig_bytes =
-      ck.sig_width == 0 ? 0 : std::size_t(fault_count);
-  const std::size_t expected = kHeaderBytes + bitmap_bytes +
-                               std::size_t(fault_count) * sizeof(std::int32_t) +
-                               sig_bytes + kChecksumBytes;
-  if (buf.size() != expected)
-    return corrupt("truncated or oversized file (" +
-                   std::to_string(buf.size()) + " bytes, expected " +
-                   std::to_string(expected) + ")");
 
-  std::size_t checksum_off = buf.size() - kChecksumBytes;
-  const std::uint64_t stored = take_bytes<std::uint64_t>(buf, checksum_off);
-  if (fnv1a(kFnvSeed, buf.data(), buf.size() - kChecksumBytes) != stored)
-    return corrupt("checksum mismatch");
+  std::vector<std::uint8_t> bitmap;
+  if (!r.take_array(ceil_div(slice_count, 8), bitmap) ||
+      !r.take_array(fault_count, ck.detect_cycle) ||
+      (ck.sig_width != 0 && !r.take_array(fault_count, ck.signature_detect)))
+    return corrupt("truncated file (the header counts " +
+                   std::to_string(fault_count) + " faults in " +
+                   std::to_string(slice_count) + " slices)");
+  if (r.remaining() != 0)
+    return corrupt("oversized file (" + std::to_string(r.remaining()) +
+                   " trailing bytes)");
 
   ck.slice_finalized.resize(std::size_t(slice_count));
   for (std::size_t s = 0; s < ck.slice_finalized.size(); ++s)
-    ck.slice_finalized[s] = (buf[off + s / 8] >> (s % 8)) & 1u;
-  off += bitmap_bytes;
-
-  ck.detect_cycle.resize(std::size_t(fault_count));
-  std::memcpy(ck.detect_cycle.data(), buf.data() + off,
-              ck.detect_cycle.size() * sizeof(std::int32_t));
-  off += ck.detect_cycle.size() * sizeof(std::int32_t);
-  if (sig_bytes != 0)
-    ck.signature_detect.assign(buf.data() + off, buf.data() + off + sig_bytes);
+    ck.slice_finalized[s] = (bitmap[s / 8] >> (s % 8)) & 1u;
   return ck;
 }
 

@@ -8,11 +8,11 @@
 // list), so a resumed run either continues bit-identically or is
 // refused with FingerprintMismatch.
 //
-// File layout, version 2 (native-endian; a checkpoint is a local resume
-// artifact, not an interchange format). Version 2 extends the header
-// with the design family and the signature-compaction configuration —
-// signature verdicts depend on both, so a resume under a different
-// family or MISR polynomial must be refused — and appends the per-fault
+// File layout, version 2, in the common frame of common/binfile.hpp
+// (all integers little-endian). Version 2 extends the header with the
+// design family and the signature-compaction configuration — signature
+// verdicts depend on both, so a resume under a different family or
+// MISR polynomial must be refused — and appends the per-fault
 // signature verdicts when compaction was on. Version-1 files predate
 // the family tag and are refused (CorruptCheckpoint): without the tag
 // there is no way to audit what family wrote them.
@@ -42,8 +42,9 @@
 // completed save survives power loss. The "checkpoint-torn-write",
 // "checkpoint-before-rename" and "checkpoint-after-rename" failpoints
 // (common/failpoint.hpp) inject crashes at exactly those seams. Loads
-// validate structure and checksum and return typed errors: Io for
-// filesystem failures, CorruptCheckpoint for anything malformed.
+// validate the frame, then every count against the file's size, and
+// return typed errors: Io for filesystem failures, CorruptCheckpoint
+// for anything malformed.
 #pragma once
 
 #include <cstdint>
@@ -101,8 +102,9 @@ std::uint64_t fingerprint_faults(std::span<const Fault> faults);
 Expected<void> save_checkpoint(const std::string& path, const Checkpoint& ck);
 
 /// Load and validate a checkpoint. Io if the file cannot be read;
-/// CorruptCheckpoint on bad magic, unsupported version, inconsistent
-/// sizes, truncation, or checksum mismatch. Fingerprints are returned
+/// CorruptCheckpoint on bad magic, unsupported version, checksum
+/// mismatch, inconsistent slice geometry, or a count the file cannot
+/// hold. Fingerprints are returned
 /// as-is — matching them against the live campaign is the caller's job
 /// (fault/campaign.cpp reports FingerprintMismatch).
 Expected<Checkpoint> load_checkpoint(const std::string& path);

@@ -8,6 +8,7 @@
 #include <sys/stat.h>
 
 #include "common/atomic_file.hpp"
+#include "common/binfile.hpp"
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
 #include "common/fingerprint.hpp"
@@ -24,27 +25,10 @@ std::uint64_t now_ns() {
                            .count());
 }
 
+constexpr char kArtifactMagic[4] = {'F', 'D', 'B', 'A'};
+
 Error corrupt(const std::string& what) {
   return Error{ErrorCode::CorruptArtifact, what};
-}
-
-/// Whole-file read; Io on anything the filesystem refuses.
-Expected<std::vector<std::uint8_t>> read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    return Error{ErrorCode::Io, "cannot open " + path + " for reading"};
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[1 << 16];
-  for (;;) {
-    const std::size_t n = std::fread(chunk, 1, sizeof chunk, f);
-    bytes.insert(bytes.end(), chunk, chunk + n);
-    if (n < sizeof chunk) {
-      const bool bad = std::ferror(f) != 0;
-      std::fclose(f);
-      if (bad) return Error{ErrorCode::Io, "read error on " + path};
-      return bytes;
-    }
-  }
 }
 
 /// Same cap the simulator's Auto engine applies to the good trace: an
@@ -63,18 +47,15 @@ std::uint64_t ArtifactKey::hash() const {
   std::uint64_t h = common::kFnvSeed;
   h = common::fnv1a_value(h, netlist_fp);
   h = common::fnv1a_value(h, stimulus_fp);
-  h = common::fnv1a_value(h, faults_fp);
   h = common::fnv1a_value(h, schedule_format);
   return h;
 }
 
 ArtifactKey make_artifact_key(const gate::Netlist& nl,
-                              std::span<const std::int64_t> stimulus,
-                              std::span<const Fault> faults) {
+                              std::span<const std::int64_t> stimulus) {
   ArtifactKey k;
   k.netlist_fp = fingerprint_netlist(nl);
   k.stimulus_fp = fingerprint_stimulus(stimulus);
-  k.faults_fp = fingerprint_faults(faults);
   k.schedule_format = gate::kScheduleFormatVersion;
   return k;
 }
@@ -116,13 +97,10 @@ void fold_cache_stats(const ArtifactCacheStats& s, FaultSimStats& into) {
 }
 
 std::shared_ptr<const CompiledArtifact> build_artifact(
-    const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
-    std::span<const Fault> faults) {
-  FDBIST_REQUIRE(!stimulus.empty() && !faults.empty(),
-                 "artifact build needs a stimulus and a fault universe");
+    const gate::Netlist& nl, std::span<const std::int64_t> stimulus) {
+  FDBIST_REQUIRE(!stimulus.empty(), "artifact build needs a stimulus");
   auto art = std::make_shared<CompiledArtifact>();
-  art->key = make_artifact_key(nl, stimulus, faults);
-  art->fault_count = faults.size();
+  art->key = make_artifact_key(nl, stimulus);
   art->stimulus_len = stimulus.size();
 
   // A structural copy through add_gate keeps the artifact
@@ -142,45 +120,35 @@ std::shared_ptr<const CompiledArtifact> build_artifact(
 std::vector<std::uint8_t> serialize_artifact(const CompiledArtifact& art) {
   FDBIST_REQUIRE(art.schedule.has_value(),
                  "serializing an artifact without a schedule");
-  gate::ByteWriter w;
-  gate::ArtifactHeader h;
-  h.schedule_format = art.key.schedule_format;
-  h.netlist_fp = art.key.netlist_fp;
-  h.stimulus_fp = art.key.stimulus_fp;
-  h.faults_fp = art.key.faults_fp;
-  h.fault_count = art.fault_count;
-  h.stimulus_len = art.stimulus_len;
-  gate::write_artifact_header(w, h);
-
+  common::ByteWriter w = common::start_file(kArtifactMagic, kArtifactVersion);
+  w.put_u32(art.key.schedule_format);
+  w.put_u64(art.key.netlist_fp);
+  w.put_u64(art.key.stimulus_fp);
+  w.put_u64(art.stimulus_len);
   gate::write_netlist(w, art.netlist);
   gate::write_schedule(w, *art.schedule);
   gate::write_trace(w, art.trace);
-  gate::write_artifact_checksum(w);
+  common::seal_file(w);
   return w.take();
 }
 
 Expected<std::shared_ptr<const CompiledArtifact>> deserialize_artifact(
     std::span<const std::uint8_t> bytes, const ArtifactKey& expect) {
-  auto payload = gate::verify_artifact_checksum(bytes);
-  if (!payload) return payload.error();
-  gate::ByteReader r(*payload);
-
-  auto header = gate::read_artifact_header(r);
-  if (!header) return header.error();
-  ArtifactKey got;
-  got.netlist_fp = header->netlist_fp;
-  got.stimulus_fp = header->stimulus_fp;
-  got.faults_fp = header->faults_fp;
-  got.schedule_format = header->schedule_format;
-  if (!(got == expect))
-    return Error{ErrorCode::FingerprintMismatch,
-                 "artifact was written for a different "
-                 "design/stimulus/universe/configuration"};
+  auto opened = common::open_file(bytes, kArtifactMagic, kArtifactVersion,
+                                  ErrorCode::CorruptArtifact);
+  if (!opened) return opened.error();
+  common::ByteReader& r = *opened;
 
   auto art = std::make_shared<CompiledArtifact>();
-  art->key = got;
-  art->fault_count = header->fault_count;
-  art->stimulus_len = header->stimulus_len;
+  art->key.schedule_format = r.take_u32();
+  art->key.netlist_fp = r.take_u64();
+  art->key.stimulus_fp = r.take_u64();
+  art->stimulus_len = r.take_u64();
+  if (r.failed()) return corrupt("truncated header");
+  if (!(art->key == expect))
+    return Error{ErrorCode::FingerprintMismatch,
+                 "artifact was written for a different "
+                 "design/stimulus/schedule format"};
 
   auto nl = gate::read_netlist(r);
   if (!nl) return nl.error();
@@ -212,7 +180,7 @@ Expected<void> save_artifact(const std::string& path,
 
 Expected<std::shared_ptr<const CompiledArtifact>> load_artifact(
     const std::string& path, const ArtifactKey& expect) {
-  auto bytes = read_file(path);
+  auto bytes = common::read_file(path);
   if (!bytes) return bytes.error();
   // Chaos seam: simulate a disk that returned garbage. The flipped byte
   // must be caught by the checksum like any real corruption.
@@ -280,13 +248,13 @@ void ScheduleCache::insert(const std::shared_ptr<const CompiledArtifact>& art,
 
 std::shared_ptr<const CompiledArtifact> ScheduleCache::acquire(
     const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
-    std::span<const Fault> faults, ArtifactCacheStats& stats) {
-  if (faults.empty() || stimulus.empty()) return nullptr;
+    ArtifactCacheStats& stats) {
+  if (stimulus.empty()) return nullptr;
   if (gate::GoodTrace::bytes_needed(nl.size(), stimulus.size()) >
       kArtifactTraceCap)
     return nullptr; // the compiled engine would refuse this trace anyway
 
-  const ArtifactKey key = make_artifact_key(nl, stimulus, faults);
+  const ArtifactKey key = make_artifact_key(nl, stimulus);
   {
     const std::scoped_lock lock(mu_);
     if (auto hit = lookup_locked(key)) {
@@ -316,7 +284,7 @@ std::shared_ptr<const CompiledArtifact> ScheduleCache::acquire(
 
   const std::uint64_t b0 = now_ns();
   std::shared_ptr<const CompiledArtifact> art =
-      build_artifact(nl, stimulus, faults);
+      build_artifact(nl, stimulus);
   stats.build_ns += now_ns() - b0;
   ++stats.misses;
   insert(art, stats);

@@ -4,21 +4,38 @@
 // preparation bill before the first batch: schedule compilation and a
 // full fault-free good-trace recording. A campaign with S slices pays
 // it S times, and every repeat run of the same cell pays it again. This
-// cache collapses all of that to once per (design, stimulus, fault
-// universe):
+// cache collapses all of that to once per (design, stimulus):
 //
 //   * CompiledArtifact — an immutable, shareable bundle of the netlist,
 //     the CompiledSchedule, and the full-budget bit-packed good trace.
 //     Handed to simulate_faults via FaultSimOptions::artifact, it
 //     replaces the compile + trace-record steps wholesale. Nothing in
-//     it depends on which faults a run simulates, so any slice of the
-//     keyed universe may reuse it bit-identically.
+//     it depends on which faults a run simulates, so every fault
+//     universe, slice and execution shape of the cell reuses it
+//     bit-identically.
 //
 //   * ScheduleCache — a thread-safe in-memory LRU with a byte budget,
 //     optionally backed by an on-disk content-addressed store of FDBA
-//     files (gate/artifact.hpp) so repeat runs in fresh processes
-//     load instead of recompiling. Configure the directory with
-//     --schedule-cache DIR or FDBIST_SCHEDULE_CACHE.
+//     files so repeat runs in fresh processes load instead of
+//     recompiling. Configure the directory with --schedule-cache DIR
+//     or FDBIST_SCHEDULE_CACHE.
+//
+// FDBA layout, version 3, in the common frame of common/binfile.hpp
+// (all integers little-endian):
+//
+//   offset size  field
+//   0      4     magic "FDBA"
+//   4      4     u32  container version (= kArtifactVersion)
+//   8      4     u32  schedule format version (gate::kScheduleFormatVersion)
+//   12     8     u64  netlist fingerprint  } the ArtifactKey
+//   20     8     u64  stimulus fingerprint }
+//   28     8     u64  stimulus length (vectors; the trace covers all)
+//   36     ...   sections (gate/artifact.hpp): netlist, schedule arrays,
+//                good trace
+//   end-8  8     u64  FNV-1a checksum of every preceding byte
+//
+// A file of any other container version is refused as CorruptArtifact
+// and rebuilt.
 //
 // Failure containment: a torn, truncated, corrupt, wrong-version or
 // wrong-fingerprint cache file is refused with a typed error
@@ -58,17 +75,18 @@ struct PassOptions {};
 
 namespace fdbist::fault {
 
+inline constexpr std::uint32_t kArtifactVersion = 3;
+
 /// Cache identity: everything the prepared state depends on. The
-/// fingerprints cover the netlist, stimulus and full fault universe
-/// (fault/checkpoint.hpp hashes); schedule_format pins the compilation
-/// semantics so a kernel-side format bump invalidates every stale
-/// artifact. The key is deliberately lane-width- and thread-count-free:
-/// one artifact serves the scalar, AVX2 and AVX-512 backends at any
+/// fingerprints cover the netlist and the stimulus (fault/checkpoint.hpp
+/// hashes); schedule_format pins the compilation semantics so a
+/// kernel-side format bump invalidates every stale artifact. The key is
+/// deliberately free of the fault universe, lane width and thread
+/// count: one artifact serves every universe, slice and backend at any
 /// parallelism.
 struct ArtifactKey {
   std::uint64_t netlist_fp = 0;
   std::uint64_t stimulus_fp = 0;
-  std::uint64_t faults_fp = 0;
   std::uint32_t schedule_format = gate::kScheduleFormatVersion;
 
   bool operator==(const ArtifactKey&) const = default;
@@ -78,8 +96,7 @@ struct ArtifactKey {
 };
 
 ArtifactKey make_artifact_key(const gate::Netlist& nl,
-                              std::span<const std::int64_t> stimulus,
-                              std::span<const Fault> faults);
+                              std::span<const std::int64_t> stimulus);
 
 /// The reusable preparation state. Immutable after build; shared
 /// read-only across slices, threads and campaign layers via
@@ -87,7 +104,6 @@ ArtifactKey make_artifact_key(const gate::Netlist& nl,
 /// schedule holds a reference into this object's own netlist.
 struct CompiledArtifact {
   ArtifactKey key;
-  std::uint64_t fault_count = 0;  ///< full universe size
   std::uint64_t stimulus_len = 0; ///< trace cycle count
 
   /// Structural copy of the keyed netlist (origin-free — the kernel
@@ -129,14 +145,13 @@ void fold_cache_stats(const ArtifactCacheStats& s, FaultSimStats& into);
 
 /// Build an artifact from scratch (no cache involved): copy the
 /// netlist, compile, record the full-budget trace. Precondition:
-/// non-empty stimulus and faults.
+/// non-empty stimulus.
 std::shared_ptr<const CompiledArtifact> build_artifact(
-    const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
-    std::span<const Fault> faults);
+    const gate::Netlist& nl, std::span<const std::int64_t> stimulus);
 
-/// FDBA (de)serialization. deserialize validates the checksum, the
-/// header identity against `expect` (FingerprintMismatch when it was
-/// written for a different design/stimulus/universe/config), and every
+/// FDBA (de)serialization. deserialize validates the frame, the header
+/// identity against `expect` (FingerprintMismatch when it was written
+/// for a different design, stimulus or schedule format), and every
 /// section's internal structure (CorruptArtifact). save_artifact writes
 /// atomically with the "artifact" failpoint prefix.
 std::vector<std::uint8_t> serialize_artifact(const CompiledArtifact& art);
@@ -160,25 +175,25 @@ public:
 
   explicit ScheduleCache(Config cfg);
 
-  /// Look up or build the artifact for (nl, stimulus, faults): memory
-  /// LRU first, then the disk store, then a scratch build (which also
+  /// Look up or build the artifact for (nl, stimulus): memory LRU
+  /// first, then the disk store, then a scratch build (which also
   /// populates both). Returns nullptr — caller falls back to the
-  /// uncached path — when the universe is empty or the good trace alone
+  /// uncached path — when the stimulus is empty or the good trace alone
   /// would exceed the compiled engine's memory cap (the engine would
   /// auto-select FullSweep there anyway). Thread-safe; `stats`
   /// accumulates what happened.
   std::shared_ptr<const CompiledArtifact> acquire(
       const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
-      std::span<const Fault> faults, ArtifactCacheStats& stats);
+      ArtifactCacheStats& stats);
 
   /// Shim for the perfbench harness's call shape (see gate::PassOptions
-  /// above); forwards to acquire(nl, stimulus, faults, stats). The next
+  /// above); forwards to acquire(nl, stimulus, stats). The next
   /// benchmark change drops it.
   std::shared_ptr<const CompiledArtifact> acquire(
       const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
-      std::span<const Fault> faults, const gate::PassOptions&,
+      std::span<const Fault>, const gate::PassOptions&,
       ArtifactCacheStats& stats) {
-    return acquire(nl, stimulus, faults, stats);
+    return acquire(nl, stimulus, stats);
   }
 
   /// Content-addressed file for a key: "<dir>/fdba-<hex key hash>.fdba".

@@ -1,23 +1,17 @@
 #include "gate/artifact.hpp"
 
-#include <cstring>
-
-#include "common/fingerprint.hpp"
+#include <string>
+#include <vector>
 
 namespace fdbist::gate {
+
+using common::ByteReader;
+using common::ByteWriter;
 
 namespace {
 
 Error corrupt(const std::string& what) {
   return Error{ErrorCode::CorruptArtifact, what};
-}
-
-/// Guard a deserialized element count against the bytes actually left
-/// in the stream, so a corrupt count fails cleanly instead of driving a
-/// multi-gigabyte allocation.
-bool count_fits(const ByteReader& r, std::uint64_t count,
-                std::size_t bytes_per_element) {
-  return bytes_per_element == 0 || count <= r.remaining() / bytes_per_element;
 }
 
 bool needs_operand_a(GateOp op) {
@@ -32,53 +26,13 @@ bool needs_operand_b(GateOp op) {
 /// Read one i32 net-id group, validating every id against `nets`.
 bool read_net_group(ByteReader& r, std::size_t nets,
                     std::vector<NetId>& out) {
-  const std::uint64_t count = r.take_u64();
-  if (!count_fits(r, count, 4)) return false;
-  out.clear();
-  out.reserve(std::size_t(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const NetId id = r.take_i32();
+  if (!r.take_array(r.take_u64(), out)) return false;
+  for (const NetId id : out)
     if (id < 0 || std::size_t(id) >= nets) return false;
-    out.push_back(id);
-  }
-  return !r.failed();
+  return true;
 }
 
 } // namespace
-
-void write_artifact_header(ByteWriter& w, const ArtifactHeader& h) {
-  for (const char c : kArtifactMagic) w.put_u8(std::uint8_t(c));
-  w.put_u32(kArtifactVersion);
-  w.put_u32(h.schedule_format);
-  w.put_u64(h.netlist_fp);
-  w.put_u64(h.stimulus_fp);
-  w.put_u64(h.faults_fp);
-  w.put_u64(h.fault_count);
-  w.put_u64(h.stimulus_len);
-  w.put_u64(0); // reserved
-}
-
-Expected<ArtifactHeader> read_artifact_header(ByteReader& r) {
-  char magic[4];
-  for (char& c : magic) c = char(r.take_u8());
-  if (r.failed() || std::memcmp(magic, kArtifactMagic, 4) != 0)
-    return corrupt("bad magic (not an FDBA artifact)");
-  const std::uint32_t version = r.take_u32();
-  if (version != kArtifactVersion)
-    return corrupt("unsupported artifact version " + std::to_string(version) +
-                   " (expected " + std::to_string(kArtifactVersion) + ")");
-  ArtifactHeader h;
-  h.schedule_format = r.take_u32();
-  h.netlist_fp = r.take_u64();
-  h.stimulus_fp = r.take_u64();
-  h.faults_fp = r.take_u64();
-  h.fault_count = r.take_u64();
-  h.stimulus_len = r.take_u64();
-  const std::uint64_t reserved = r.take_u64();
-  if (r.failed()) return corrupt("truncated header");
-  if (reserved != 0) return corrupt("reserved header field is nonzero");
-  return h;
-}
 
 void write_netlist(ByteWriter& w, const Netlist& nl) {
   w.put_u64(nl.size());
@@ -95,18 +49,18 @@ void write_netlist(ByteWriter& w, const Netlist& nl) {
   w.put_u64(nl.inputs().size());
   for (const auto& group : nl.inputs()) {
     w.put_u64(group.size());
-    for (const NetId id : group) w.put_i32(id);
+    w.put_array(group);
   }
   w.put_u64(nl.outputs().size());
   for (const auto& group : nl.outputs()) {
     w.put_u64(group.size());
-    for (const NetId id : group) w.put_i32(id);
+    w.put_array(group);
   }
 }
 
 Expected<Netlist> read_netlist(ByteReader& r) {
   const std::uint64_t gate_count = r.take_u64();
-  if (r.failed() || !count_fits(r, gate_count, 9))
+  if (r.failed() || !r.count_fits(gate_count, 9))
     return corrupt("netlist gate count exceeds the file");
   Netlist nl;
   for (std::uint64_t i = 0; i < gate_count; ++i) {
@@ -128,7 +82,7 @@ Expected<Netlist> read_netlist(ByteReader& r) {
   }
 
   const std::uint64_t reg_count = r.take_u64();
-  if (r.failed() || !count_fits(r, reg_count, 8))
+  if (r.failed() || !r.count_fits(reg_count, 8))
     return corrupt("register count exceeds the file");
   for (std::uint64_t i = 0; i < reg_count; ++i) {
     const NetId d = r.take_i32();
@@ -142,7 +96,7 @@ Expected<Netlist> read_netlist(ByteReader& r) {
   }
 
   const std::uint64_t input_groups = r.take_u64();
-  if (r.failed() || !count_fits(r, input_groups, 8))
+  if (r.failed() || !r.count_fits(input_groups, 8))
     return corrupt("input group count exceeds the file");
   for (std::uint64_t g = 0; g < input_groups; ++g) {
     std::vector<NetId> group;
@@ -152,7 +106,7 @@ Expected<Netlist> read_netlist(ByteReader& r) {
   }
 
   const std::uint64_t output_groups = r.take_u64();
-  if (r.failed() || !count_fits(r, output_groups, 8))
+  if (r.failed() || !r.count_fits(output_groups, 8))
     return corrupt("output group count exceeds the file");
   for (std::uint64_t g = 0; g < output_groups; ++g) {
     std::vector<NetId> group;
@@ -167,9 +121,9 @@ void write_schedule(ByteWriter& w, const CompiledSchedule& s) {
   const std::size_t n = s.size();
   w.put_u64(n);
   w.put_u64(s.logic_gates());
-  for (std::size_t i = 0; i < n; ++i) w.put_u8(std::uint8_t(s.ops()[i]));
-  for (std::size_t i = 0; i < n; ++i) w.put_i32(s.operand_a()[i]);
-  for (std::size_t i = 0; i < n; ++i) w.put_i32(s.operand_b()[i]);
+  w.put_array(std::span(s.ops(), n));
+  w.put_array(std::span(s.operand_a(), n));
+  w.put_array(std::span(s.operand_b(), n));
   // CSR: offsets then adjacency. The offsets array length is n+1 and
   // its last entry is the adjacency length, so no separate count.
   std::size_t edges = 0;
@@ -179,8 +133,7 @@ void write_schedule(ByteWriter& w, const CompiledSchedule& s) {
     edges += f.size();
   }
   w.put_i32(std::int32_t(edges));
-  for (std::size_t i = 0; i < n; ++i)
-    for (const NetId dst : s.fanout(NetId(i))) w.put_i32(dst);
+  for (std::size_t i = 0; i < n; ++i) w.put_array(s.fanout(NetId(i)));
   for (std::size_t i = 0; i < n; ++i) w.put_i32(s.register_of(NetId(i)));
   for (std::size_t i = 0; i < n; ++i)
     w.put_u8(s.is_observed_output(NetId(i)) ? 1 : 0);
@@ -203,14 +156,9 @@ Expected<CompiledSchedule::RestoreParts> read_schedule(ByteReader& r,
 
   // The SoA arrays are cross-checked verbatim against the netlist: they
   // must be exactly what a fresh compile would copy out of it.
-  parts.op.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    parts.op[i] = GateOp(r.take_u8());
-  parts.a.resize(n);
-  for (std::size_t i = 0; i < n; ++i) parts.a[i] = r.take_i32();
-  parts.b.resize(n);
-  for (std::size_t i = 0; i < n; ++i) parts.b[i] = r.take_i32();
-  if (r.failed()) return corrupt("truncated schedule gate arrays");
+  if (!r.take_array(n, parts.op) || !r.take_array(n, parts.a) ||
+      !r.take_array(n, parts.b))
+    return corrupt("truncated schedule gate arrays");
   const auto& gates = nl.gates();
   for (std::size_t i = 0; i < n; ++i)
     if (parts.op[i] != gates[i].op || parts.a[i] != gates[i].a ||
@@ -220,9 +168,8 @@ Expected<CompiledSchedule::RestoreParts> read_schedule(ByteReader& r,
 
   // CSR offsets: monotone, starting at 0; the total edge count must be
   // exactly what the netlist's operand pins and register D pins induce.
-  parts.fan_start.resize(n + 1);
-  for (std::size_t i = 0; i <= n; ++i) parts.fan_start[i] = r.take_i32();
-  if (r.failed()) return corrupt("truncated fan-out offsets");
+  if (!r.take_array(n + 1, parts.fan_start))
+    return corrupt("truncated fan-out offsets");
   if (!parts.fan_start.empty() && parts.fan_start[0] != 0)
     return corrupt("fan-out CSR does not start at zero");
   for (std::size_t i = 0; i < n; ++i)
@@ -251,10 +198,8 @@ Expected<CompiledSchedule::RestoreParts> read_schedule(ByteReader& r,
       return corrupt("fan-out degree disagrees with the netlist at net " +
                      std::to_string(i));
 
-  if (!count_fits(r, edges, 4)) return corrupt("fan-out adjacency truncated");
-  parts.fan.resize(edges);
-  for (std::size_t e = 0; e < edges; ++e) parts.fan[e] = r.take_i32();
-  if (r.failed()) return corrupt("truncated fan-out adjacency");
+  if (!r.take_array(edges, parts.fan))
+    return corrupt("truncated fan-out adjacency");
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t lo = std::size_t(parts.fan_start[i]);
     const std::size_t hi = std::size_t(parts.fan_start[i + 1]);
@@ -273,11 +218,8 @@ Expected<CompiledSchedule::RestoreParts> read_schedule(ByteReader& r,
 
   // register_of and output marks are fully derivable — validate them
   // semantically instead of just bounds-checking.
-  parts.reg_of.resize(n);
-  for (std::size_t i = 0; i < n; ++i) parts.reg_of[i] = r.take_i32();
-  parts.is_output.resize(n);
-  for (std::size_t i = 0; i < n; ++i) parts.is_output[i] = r.take_u8();
-  if (r.failed()) return corrupt("truncated register/output maps");
+  if (!r.take_array(n, parts.reg_of) || !r.take_array(n, parts.is_output))
+    return corrupt("truncated register/output maps");
   std::vector<std::int32_t> expect_reg(n, -1);
   const auto& regs = nl.registers();
   for (std::size_t rr = 0; rr < regs.size(); ++rr)
@@ -295,7 +237,7 @@ Expected<CompiledSchedule::RestoreParts> read_schedule(ByteReader& r,
 void write_trace(ByteWriter& w, const GoodTrace& t) {
   w.put_u64(t.words_per_cycle);
   w.put_u64(t.cycles);
-  for (const std::uint64_t word : t.bits) w.put_u64(word);
+  w.put_array(t.bits);
 }
 
 Expected<GoodTrace> read_trace(ByteReader& r, std::size_t nets,
@@ -309,37 +251,12 @@ Expected<GoodTrace> read_trace(ByteReader& r, std::size_t nets,
   if (t.cycles != cycles)
     return corrupt("trace covers " + std::to_string(t.cycles) +
                    " cycles, expected " + std::to_string(cycles));
-  const std::uint64_t words =
-      std::uint64_t(t.words_per_cycle) * std::uint64_t(t.cycles);
-  if (!count_fits(r, words, 8)) return corrupt("trace bits exceed the file");
-  t.bits.resize(std::size_t(words));
-  for (std::uint64_t i = 0; i < words; ++i) t.bits[std::size_t(i)] =
-      r.take_u64();
-  if (r.failed()) return corrupt("truncated trace bits");
+  // The cycle count comes from the file: bound it by the bytes left
+  // before multiplying.
+  if (!r.count_fits(t.cycles, 8 * t.words_per_cycle) ||
+      !r.take_array(t.words_per_cycle * t.cycles, t.bits))
+    return corrupt("trace bits exceed the file");
   return t;
-}
-
-void write_artifact_checksum(ByteWriter& w) {
-  const std::uint64_t sum =
-      common::fnv1a(common::kFnvSeed, w.bytes().data(), w.bytes().size());
-  w.put_u64(sum);
-}
-
-Expected<std::span<const std::uint8_t>> verify_artifact_checksum(
-    std::span<const std::uint8_t> bytes) {
-  // Header (64) plus the checksum itself is the smallest well-formed
-  // artifact; anything shorter is a torn write.
-  if (bytes.size() < 72)
-    return corrupt("file too small (" + std::to_string(bytes.size()) +
-                   " bytes)");
-  const std::size_t payload = bytes.size() - 8;
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i)
-    stored |= std::uint64_t(bytes[payload + std::size_t(i)]) << (8 * i);
-  const std::uint64_t sum =
-      common::fnv1a(common::kFnvSeed, bytes.data(), payload);
-  if (sum != stored) return corrupt("checksum mismatch");
-  return bytes.subspan(0, payload);
 }
 
 } // namespace fdbist::gate

@@ -89,7 +89,7 @@ void restamp_checksum(std::vector<std::uint8_t>& bytes) {
       common::fnv1a(common::kFnvSeed, bytes.data(), bytes.size() - 8);
   for (int i = 0; i < 8; ++i)
     bytes[bytes.size() - 8 + std::size_t(i)] =
-        std::uint8_t(h >> (8 * i)); // LE, matching gate/artifact.hpp
+        std::uint8_t(h >> (8 * i)); // LE, matching common/binfile.hpp
 }
 
 class ArtifactTest : public ::testing::Test {
@@ -118,14 +118,13 @@ using ArtifactCache = ArtifactTest;
 
 TEST_F(ArtifactFormat, RoundTripBitIdentical) {
   const auto& f = fixture();
-  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
+  const auto art = build_artifact(f.low.netlist, f.stim);
   ASSERT_NE(art, nullptr);
   const auto bytes = serialize_artifact(*art);
   auto back = deserialize_artifact(bytes, art->key);
   ASSERT_TRUE(back) << back.error().to_string();
 
   EXPECT_EQ((*back)->key, art->key);
-  EXPECT_EQ((*back)->fault_count, art->fault_count);
   EXPECT_EQ(fingerprint_netlist((*back)->netlist),
             fingerprint_netlist(art->netlist));
 
@@ -143,7 +142,7 @@ TEST_F(ArtifactFormat, SliceSubsetBitIdentical) {
   // full-universe artifact: nothing in it depends on the faults a run
   // simulates.
   const auto& f = fixture();
-  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
+  const auto art = build_artifact(f.low.netlist, f.stim);
   const std::size_t half = f.faults.size() / 2;
   FaultSimOptions opt;
   opt.num_threads = 1;
@@ -167,7 +166,7 @@ TEST_F(ArtifactFormat, SliceSubsetBitIdentical) {
 
 TEST_F(ArtifactFormat, TruncationRefused) {
   const auto& f = fixture();
-  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
+  const auto art = build_artifact(f.low.netlist, f.stim);
   const auto bytes = serialize_artifact(*art);
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{3}, std::size_t{11}, bytes.size() / 4,
@@ -182,7 +181,7 @@ TEST_F(ArtifactFormat, TruncationRefused) {
 
 TEST_F(ArtifactFormat, BitFlipRefused) {
   const auto& f = fixture();
-  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
+  const auto art = build_artifact(f.low.netlist, f.stim);
   const auto bytes = serialize_artifact(*art);
   // Sample positions across every section, including the checksum.
   for (std::size_t pos = 0; pos < bytes.size();
@@ -197,10 +196,12 @@ TEST_F(ArtifactFormat, BitFlipRefused) {
 
 TEST_F(ArtifactFormat, WrongContainerVersionRefused) {
   const auto& f = fixture();
-  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
-  // Version 1 is the retired layout (pass configuration, retarget map
-  // and fault sections); the cache deletes and rebuilds a refused file.
-  for (const std::uint8_t version : {1, 99}) {
+  const auto art = build_artifact(f.low.netlist, f.stim);
+  // Versions 1 and 2 are retired layouts (v1 stored a pass
+  // configuration, retarget map and fault sections; v2 keyed the file
+  // on the fault universe); the cache deletes and rebuilds a refused
+  // file.
+  for (const std::uint8_t version : {1, 2, 99}) {
     auto bytes = serialize_artifact(*art);
     bytes[4] = version; // u32 container version, little-endian low byte
     restamp_checksum(bytes);
@@ -214,7 +215,7 @@ TEST_F(ArtifactFormat, WrongScheduleFormatRefused) {
   // A schedule-format bump must invalidate stale artifacts: the header
   // is intact (checksum restamped), but the key no longer matches.
   const auto& f = fixture();
-  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
+  const auto art = build_artifact(f.low.netlist, f.stim);
   auto bytes = serialize_artifact(*art);
   bytes[8] = std::uint8_t(gate::kScheduleFormatVersion + 1);
   restamp_checksum(bytes);
@@ -228,10 +229,10 @@ TEST_F(ArtifactFormat, WrongFingerprintRefused) {
   // e.g. a cache file renamed or hash-colliding — must be refused.
   const auto& f = fixture();
   const auto& g = other_fixture();
-  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
+  const auto art = build_artifact(f.low.netlist, f.stim);
   const std::string path = (dir_ / "foreign.fdba").string();
   ASSERT_TRUE(save_artifact(path, *art));
-  const auto foreign_key = make_artifact_key(g.low.netlist, g.stim, g.faults);
+  const auto foreign_key = make_artifact_key(g.low.netlist, g.stim);
   auto r = load_artifact(path, foreign_key);
   ASSERT_FALSE(r);
   EXPECT_EQ(r.error().code, ErrorCode::FingerprintMismatch);
@@ -239,7 +240,7 @@ TEST_F(ArtifactFormat, WrongFingerprintRefused) {
 
 TEST_F(ArtifactFormat, SaveLoadThroughDisk) {
   const auto& f = fixture();
-  const auto art = build_artifact(f.low.netlist, f.stim, f.faults);
+  const auto art = build_artifact(f.low.netlist, f.stim);
   const std::string path = (dir_ / "a.fdba").string();
   ASSERT_TRUE(save_artifact(path, *art));
   auto back = load_artifact(path, art->key);
@@ -258,10 +259,10 @@ TEST_F(ArtifactCache, MemoryThenDiskHits) {
   cfg.dir = dir_.string();
   ScheduleCache cache(cfg);
   ArtifactCacheStats s1, s2;
-  const auto a1 = cache.acquire(f.low.netlist, f.stim, f.faults, s1);
+  const auto a1 = cache.acquire(f.low.netlist, f.stim, s1);
   ASSERT_NE(a1, nullptr);
   EXPECT_EQ(s1.misses, 1u);
-  const auto a2 = cache.acquire(f.low.netlist, f.stim, f.faults, s2);
+  const auto a2 = cache.acquire(f.low.netlist, f.stim, s2);
   EXPECT_EQ(a2.get(), a1.get()); // the same shared immutable object
   EXPECT_EQ(s2.mem_hits, 1u);
   EXPECT_EQ(s2.misses, 0u);
@@ -270,7 +271,7 @@ TEST_F(ArtifactCache, MemoryThenDiskHits) {
   // must come back through the FDBA file, not a rebuild.
   ScheduleCache fresh(cfg);
   ArtifactCacheStats s3;
-  const auto a3 = fresh.acquire(f.low.netlist, f.stim, f.faults, s3);
+  const auto a3 = fresh.acquire(f.low.netlist, f.stim, s3);
   ASSERT_NE(a3, nullptr);
   EXPECT_EQ(s3.disk_hits, 1u);
   EXPECT_EQ(s3.misses, 0u);
@@ -285,11 +286,11 @@ TEST_F(ArtifactCache, CorruptFileFallsBackToRebuild) {
   {
     ScheduleCache warmup(cfg);
     ArtifactCacheStats s;
-    ASSERT_NE(warmup.acquire(f.low.netlist, f.stim, f.faults, s), nullptr);
+    ASSERT_NE(warmup.acquire(f.low.netlist, f.stim, s), nullptr);
   }
   // Physically corrupt the stored file (not just the failpoint): the
   // load must refuse it, delete it, rebuild, and re-save.
-  const auto key = make_artifact_key(f.low.netlist, f.stim, f.faults);
+  const auto key = make_artifact_key(f.low.netlist, f.stim);
   ScheduleCache cache(cfg);
   const std::string path = cache.entry_path(key);
   {
@@ -299,7 +300,7 @@ TEST_F(ArtifactCache, CorruptFileFallsBackToRebuild) {
     file.put('\x7f');
   }
   ArtifactCacheStats s;
-  const auto art = cache.acquire(f.low.netlist, f.stim, f.faults, s);
+  const auto art = cache.acquire(f.low.netlist, f.stim, s);
   ASSERT_NE(art, nullptr);
   EXPECT_EQ(s.load_failures, 1u);
   EXPECT_EQ(s.misses, 1u);
@@ -308,7 +309,7 @@ TEST_F(ArtifactCache, CorruptFileFallsBackToRebuild) {
   // The rebuild re-saved a good file; a fresh instance loads it.
   ScheduleCache fresh(cfg);
   ArtifactCacheStats s2;
-  ASSERT_NE(fresh.acquire(f.low.netlist, f.stim, f.faults, s2), nullptr);
+  ASSERT_NE(fresh.acquire(f.low.netlist, f.stim, s2), nullptr);
   EXPECT_EQ(s2.disk_hits, 1u);
 }
 
@@ -319,12 +320,12 @@ TEST_F(ArtifactCache, LoadCorruptFailpointFallsBack) {
   {
     ScheduleCache warmup(cfg);
     ArtifactCacheStats s;
-    ASSERT_NE(warmup.acquire(f.low.netlist, f.stim, f.faults, s), nullptr);
+    ASSERT_NE(warmup.acquire(f.low.netlist, f.stim, s), nullptr);
   }
   ASSERT_TRUE(common::failpoint_configure("artifact-load-corrupt=corrupt"));
   ScheduleCache cache(cfg);
   ArtifactCacheStats s;
-  const auto art = cache.acquire(f.low.netlist, f.stim, f.faults, s);
+  const auto art = cache.acquire(f.low.netlist, f.stim, s);
   ASSERT_NE(art, nullptr);
   EXPECT_EQ(s.load_failures, 1u);
   EXPECT_EQ(s.misses, 1u);
@@ -339,10 +340,10 @@ TEST_F(ArtifactCache, SaveErrorFailpointAbsorbed) {
   cfg.dir = dir_.string();
   ScheduleCache cache(cfg);
   ArtifactCacheStats s;
-  const auto art = cache.acquire(f.low.netlist, f.stim, f.faults, s);
+  const auto art = cache.acquire(f.low.netlist, f.stim, s);
   ASSERT_NE(art, nullptr); // the cache is an accelerator, never a dependency
   EXPECT_EQ(s.misses, 1u);
-  const auto key = make_artifact_key(f.low.netlist, f.stim, f.faults);
+  const auto key = make_artifact_key(f.low.netlist, f.stim);
   EXPECT_FALSE(std::filesystem::exists(cache.entry_path(key)));
   EXPECT_EQ(artifact_result(f, art).detect_cycle,
             scratch_result(f).detect_cycle);
@@ -396,8 +397,8 @@ TEST(ArtifactCacheConcurrency, ConcurrentAcquireWithEvictions) {
   // Budget fits either artifact alone but not both, so alternating
   // acquires keep evicting — the LRU bookkeeping is constantly churned
   // while other threads read it.
-  const auto a = build_artifact(f.low.netlist, f.stim, f.faults);
-  const auto b = build_artifact(g.low.netlist, g.stim, g.faults);
+  const auto a = build_artifact(f.low.netlist, f.stim);
+  const auto b = build_artifact(g.low.netlist, g.stim);
   ScheduleCache::Config cfg; // memory-only: dir stays empty
   cfg.mem_budget_bytes = std::max(a->memory_bytes(), b->memory_bytes()) +
                          std::min(a->memory_bytes(), b->memory_bytes()) / 2;
@@ -412,9 +413,9 @@ TEST(ArtifactCacheConcurrency, ConcurrentAcquireWithEvictions) {
     pool.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         const Fixture& fx = (i + t) % 2 == 0 ? f : g;
-        const auto art =
-            cache.acquire(fx.low.netlist, fx.stim, fx.faults, stats[t]);
-        if (art == nullptr || art->fault_count != fx.faults.size())
+        const auto art = cache.acquire(fx.low.netlist, fx.stim, stats[t]);
+        if (art == nullptr ||
+            art->key != make_artifact_key(fx.low.netlist, fx.stim))
           ++failures[t];
       }
     });

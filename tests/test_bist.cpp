@@ -197,7 +197,7 @@ TEST_P(KitGolden, ReportSignatureMatchesFaultFreeSweep) {
       fault::ScheduleCache cold(cfg);
       fault::ArtifactCacheStats s;
       opt.engine = fault::FaultSimEngine::Auto;
-      opt.artifact = cold.acquire(kit.lowered().netlist, stim, kit.faults(), s);
+      opt.artifact = cold.acquire(kit.lowered().netlist, stim, s);
       ASSERT_NE(opt.artifact, nullptr) << cell;
       check(kit.evaluate(*gen, kVectors, opt), true, "evaluate artifact");
     }

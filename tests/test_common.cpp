@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/binfile.hpp"
 #include "common/bits.hpp"
 #include "common/check.hpp"
 #include "common/error.hpp"
@@ -295,6 +300,131 @@ TEST(Failpoints, ClearingDisablesEverySite) {
     EXPECT_TRUE(common::failpoint_eval("fp-dist-clear"));
   }
   EXPECT_FALSE(common::failpoint_eval("fp-dist-clear"));
+}
+
+/// A small framed file: magic "TEST", version 3, a u32, a u64 and a
+/// three-element i32 array.
+std::vector<std::uint8_t> small_file() {
+  common::ByteWriter w = common::start_file({'T', 'E', 'S', 'T'}, 3);
+  w.put_u32(0x01020304);
+  w.put_u64(0x1122334455667788ULL);
+  w.put_array(std::vector<std::int32_t>{-1, 0, 7});
+  common::seal_file(w);
+  return w.take();
+}
+
+Expected<common::ByteReader> open_small(
+    const std::vector<std::uint8_t>& bytes,
+    ErrorCode code = ErrorCode::CorruptArtifact) {
+  return common::open_file(bytes, {'T', 'E', 'S', 'T'}, 3, code);
+}
+
+TEST(BinFile, RoundTripsLittleEndian) {
+  const auto bytes = small_file();
+  ASSERT_EQ(bytes.size(), 8u + 4 + 8 + 12 + 8);
+  EXPECT_EQ(bytes[4], 3); // version, low byte first
+  EXPECT_EQ(bytes[8], 0x04);
+  EXPECT_EQ(bytes[11], 0x01);
+  auto r = open_small(bytes);
+  ASSERT_TRUE(r) << r.error().to_string();
+  EXPECT_EQ(r->take_u32(), 0x01020304u);
+  EXPECT_EQ(r->take_u64(), 0x1122334455667788ULL);
+  std::vector<std::int32_t> values;
+  ASSERT_TRUE(r->take_array(3, values));
+  EXPECT_EQ(values, (std::vector<std::int32_t>{-1, 0, 7}));
+  EXPECT_EQ(r->remaining(), 0u);
+  EXPECT_FALSE(r->failed());
+}
+
+TEST(BinFile, EveryPrefixIsRefusedWithTheCallersCode) {
+  const auto bytes = small_file();
+  for (const ErrorCode code :
+       {ErrorCode::CorruptCheckpoint, ErrorCode::CorruptArtifact}) {
+    for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+      const std::vector<std::uint8_t> cut(bytes.begin(),
+                                          bytes.begin() + std::ptrdiff_t(keep));
+      auto r = open_small(cut, code);
+      ASSERT_FALSE(r) << "accepted a " << keep << "-byte prefix";
+      EXPECT_EQ(r.error().code, code) << keep;
+    }
+  }
+}
+
+TEST(BinFile, BadMagicIsRefused) {
+  auto bytes = small_file();
+  bytes[0] = 'X';
+  auto r = open_small(bytes);
+  ASSERT_FALSE(r);
+  EXPECT_EQ(r.error().code, ErrorCode::CorruptArtifact);
+  EXPECT_NE(r.error().message.find("magic"), std::string::npos);
+}
+
+TEST(BinFile, FutureVersionIsRefusedByNumber) {
+  // The trailer is left stale on purpose: the version check comes
+  // first, so the message names the version rather than the checksum.
+  auto bytes = small_file();
+  bytes[4] = 42;
+  auto r = open_small(bytes, ErrorCode::CorruptCheckpoint);
+  ASSERT_FALSE(r);
+  EXPECT_EQ(r.error().code, ErrorCode::CorruptCheckpoint);
+  EXPECT_NE(r.error().message.find("version 42"), std::string::npos)
+      << r.error().message;
+  EXPECT_NE(r.error().message.find("expected 3"), std::string::npos)
+      << r.error().message;
+}
+
+TEST(BinFile, FlippedTrailerByteIsRefused) {
+  auto bytes = small_file();
+  bytes.back() ^= 0x01;
+  auto r = open_small(bytes);
+  ASSERT_FALSE(r);
+  EXPECT_NE(r.error().message.find("checksum"), std::string::npos);
+}
+
+TEST(BinFile, TrailingBytesAreRefusedOrLeftForTheFormat) {
+  // Bytes appended after the seal break the checksum.
+  auto appended = small_file();
+  appended.push_back(0);
+  auto r = open_small(appended);
+  ASSERT_FALSE(r);
+  EXPECT_NE(r.error().message.find("checksum"), std::string::npos);
+
+  // Bytes sealed inside the payload past what a format reads stay in
+  // the reader, where the format refuses them.
+  common::ByteWriter w = common::start_file({'T', 'E', 'S', 'T'}, 3);
+  w.put_u32(5);
+  w.put_u8(0xAA);
+  common::seal_file(w);
+  const auto bytes = w.take();
+  auto padded = open_small(bytes);
+  ASSERT_TRUE(padded) << padded.error().to_string();
+  EXPECT_EQ(padded->take_u32(), 5u);
+  EXPECT_EQ(padded->remaining(), 1u);
+}
+
+TEST(BinFile, ReaderFailureIsSticky) {
+  const std::vector<std::uint8_t> bytes{1, 2, 3, 4, 5};
+  common::ByteReader r(bytes);
+  EXPECT_EQ(r.take_u32(), 0x04030201u);
+  EXPECT_EQ(r.take_u32(), 0u); // one byte left: past the end
+  EXPECT_TRUE(r.failed());
+  EXPECT_EQ(r.take_u8(), 0u) << "a failed reader reads nothing more";
+  EXPECT_TRUE(r.failed());
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(BinFile, CountLargerThanTheBytesLeftIsRefused) {
+  const std::vector<std::uint8_t> bytes(12, 0xFF);
+  common::ByteReader r(bytes);
+  EXPECT_TRUE(r.count_fits(3, 4));
+  EXPECT_FALSE(r.count_fits(4, 4));
+  // 2^62 + 1 four-byte elements: the byte count wraps to 4 in 64 bits,
+  // which an overflowing size check would accept.
+  std::vector<std::int32_t> out;
+  EXPECT_FALSE(r.take_array((std::uint64_t{1} << 62) + 1, out));
+  EXPECT_TRUE(out.empty()) << "nothing is allocated for a refused count";
+  EXPECT_TRUE(r.failed());
+  EXPECT_FALSE(r.take_array(0, out)) << "the failure is sticky";
 }
 
 } // namespace
