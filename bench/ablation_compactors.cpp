@@ -2,7 +2,9 @@
 // an ideal analyzer; this measures how close each practical compactor
 // comes — per-fault aliasing rate and diagnostic sharpness — on the
 // lowpass design.
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "bist/compactors.hpp"
@@ -11,6 +13,7 @@
 #include "fault/simulator.hpp"
 #include "gate/sim.hpp"
 #include "tpg/generators.hpp"
+#include "tpg/lfsr.hpp"
 
 int main() {
   using namespace fdbist;
@@ -35,30 +38,57 @@ int main() {
                  std::to_string(sample.size()) + " detected faults sampled)");
   std::printf("  %-18s %10s %12s\n", "compactor", "aliased", "aliasing %");
 
+  auto row = [&](const char* name, std::size_t aliased) {
+    std::printf("  %-18s %10zu %11.2f%%\n", name, aliased,
+                100.0 * double(aliased) / double(sample.size()));
+  };
   const auto& out_bits = low.netlist.outputs().front();
   const int w = static_cast<int>(out_bits.size());
-  for (const auto kind :
-       {bist::CompactorKind::Misr, bist::CompactorKind::OnesCount,
-        bist::CompactorKind::TransitionCount}) {
-    std::size_t aliased = 0;
-    std::string name;
-    for (const std::size_t fi : sample) {
-      gate::WordSim sim(low.netlist);
-      sim.add_fault(faults[fi].gate, faults[fi].site, faults[fi].stuck,
-                    1ull << 1);
-      auto good = bist::make_compactor(kind, w);
-      auto bad = bist::make_compactor(kind, w);
-      name = good->name();
-      for (const auto x : stim) {
-        sim.step_broadcast(x);
-        good->absorb(std::uint64_t(sim.lane_value(out_bits, 0)));
-        bad->absorb(std::uint64_t(sim.lane_value(out_bits, 1)));
-      }
-      if (good->signature() == bad->signature()) ++aliased;
+  std::vector<fault::Fault> sampled;
+  for (const std::size_t fi : sample) sampled.push_back(faults[fi]);
+
+  // MISR: one signature run at the output width, where the kernel's
+  // register is Misr(w) over the output stream.
+  fault::FaultSimOptions sopt = fopt;
+  sopt.signature = {w, tpg::default_polynomial(w).low_terms};
+  row("MISR",
+      fault::simulate_faults(low.netlist, stim, sampled, sopt).aliased());
+
+  // Ones and transition counts are not linear, so every machine keeps
+  // its own counters: one 63-lane sweep per batch of sampled faults,
+  // lane 0 the good machine.
+  std::size_t ones_aliased = 0;
+  std::size_t transitions_aliased = 0;
+  gate::WordSim sim(low.netlist);
+  for (std::size_t base = 0; base < sampled.size(); base += 63) {
+    const std::size_t count = std::min<std::size_t>(63, sampled.size() - base);
+    sim.reset();
+    sim.clear_faults();
+    for (std::size_t k = 0; k < count; ++k) {
+      const fault::Fault& f = sampled[base + k];
+      sim.add_fault(f.gate, f.site, f.stuck, std::uint64_t{1} << (k + 1));
     }
-    std::printf("  %-18s %10zu %11.2f%%\n", name.c_str(), aliased,
-                100.0 * double(aliased) / double(sample.size()));
+    std::vector<bist::OnesCountCompactor> ones(count + 1,
+                                               bist::OnesCountCompactor(w));
+    std::vector<bist::TransitionCountCompactor> transitions(
+        count + 1, bist::TransitionCountCompactor(w));
+    for (const auto x : stim) {
+      sim.step_broadcast(x);
+      for (std::size_t lane = 0; lane <= count; ++lane) {
+        const auto y =
+            std::uint64_t(sim.lane_value(out_bits, static_cast<int>(lane)));
+        ones[lane].absorb(y);
+        transitions[lane].absorb(y);
+      }
+    }
+    for (std::size_t lane = 1; lane <= count; ++lane) {
+      ones_aliased += ones[lane].signature() == ones[0].signature();
+      transitions_aliased +=
+          transitions[lane].signature() == transitions[0].signature();
+    }
   }
+  row("ones-count", ones_aliased);
+  row("transition-count", transitions_aliased);
 
   // Diagnostic sharpness of the MISR dictionary over a fault subsample.
   std::vector<fault::Fault> sub;

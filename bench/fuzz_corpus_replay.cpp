@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       ++failed;
       continue;
     }
-    const auto f = verify::check_corpus_case(*c, dir, 3u);
+    const auto f = verify::check_corpus_case(*c, dir, 10u);
     std::printf("  %-40s %s\n", file.c_str(),
                 f.failed ? "REPRODUCES" : "pass");
     if (f.failed) {

@@ -37,19 +37,4 @@ void TransitionCountCompactor::reset() {
   has_prev_ = false;
 }
 
-std::unique_ptr<ResponseCompactor> make_compactor(CompactorKind kind,
-                                                  int word_width) {
-  switch (kind) {
-  case CompactorKind::Misr:
-    return std::make_unique<MisrCompactor>(
-        word_width < 2 ? 2 : (word_width > 31 ? 31 : word_width));
-  case CompactorKind::OnesCount:
-    return std::make_unique<OnesCountCompactor>(word_width);
-  case CompactorKind::TransitionCount:
-    return std::make_unique<TransitionCountCompactor>(word_width);
-  }
-  FDBIST_ASSERT(false, "unknown compactor kind");
-  return nullptr;
-}
-
 } // namespace fdbist::bist

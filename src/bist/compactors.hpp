@@ -1,54 +1,25 @@
-// Response-compaction alternatives.
-//
-// The paper assumes an ideal (non-aliasing) response analyzer; real BIST
-// must compact. Besides the MISR (bist/misr.hpp), two classic low-cost
-// schemes are provided for comparison: ones counting and transition
-// counting. Their aliasing behaviour is measured head-to-head in
-// bench/ablation_compactors.
+// Response-compaction alternatives to the MISR (bist/misr.hpp): ones
+// counting and transition counting, as plain counters with the MISR's
+// absorb/signature/reset shape. Neither is linear over GF(2), so a
+// faulty machine's count cannot be read off a difference register; each
+// machine keeps its own. bench/ablation_compactors measures their
+// aliasing against the MISR's.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
-
-#include "bist/misr.hpp"
 
 namespace fdbist::bist {
 
-/// Uniform interface over response compactors.
-class ResponseCompactor {
-public:
-  virtual ~ResponseCompactor() = default;
-  virtual void absorb(std::uint64_t word) = 0;
-  virtual std::uint32_t signature() const = 0;
-  virtual void reset() = 0;
-  virtual std::string name() const = 0;
-};
-
-/// MISR adapter.
-class MisrCompactor final : public ResponseCompactor {
-public:
-  explicit MisrCompactor(int width) : misr_(width) {}
-  void absorb(std::uint64_t word) override { misr_.absorb(word); }
-  std::uint32_t signature() const override { return misr_.signature(); }
-  void reset() override { misr_.reset(); }
-  std::string name() const override { return "MISR"; }
-
-private:
-  Misr misr_;
-};
-
 /// Ones counting: the signature is the total number of 1 bits observed.
 /// Aliases whenever a fault flips equally many 0->1 and 1->0 bits.
-class OnesCountCompactor final : public ResponseCompactor {
+class OnesCountCompactor {
 public:
   explicit OnesCountCompactor(int word_width);
-  void absorb(std::uint64_t word) override;
-  std::uint32_t signature() const override {
+  void absorb(std::uint64_t word);
+  std::uint32_t signature() const {
     return static_cast<std::uint32_t>(count_);
   }
-  void reset() override { count_ = 0; }
-  std::string name() const override { return "ones-count"; }
+  void reset() { count_ = 0; }
 
 private:
   int width_;
@@ -57,15 +28,14 @@ private:
 
 /// Transition counting: the signature is the number of per-bit
 /// transitions between consecutive response words.
-class TransitionCountCompactor final : public ResponseCompactor {
+class TransitionCountCompactor {
 public:
   explicit TransitionCountCompactor(int word_width);
-  void absorb(std::uint64_t word) override;
-  std::uint32_t signature() const override {
+  void absorb(std::uint64_t word);
+  std::uint32_t signature() const {
     return static_cast<std::uint32_t>(count_);
   }
-  void reset() override;
-  std::string name() const override { return "transition-count"; }
+  void reset();
 
 private:
   int width_;
@@ -73,10 +43,5 @@ private:
   std::uint64_t prev_ = 0;
   bool has_prev_ = false;
 };
-
-/// Factory over the three schemes, for sweeps.
-enum class CompactorKind { Misr, OnesCount, TransitionCount };
-std::unique_ptr<ResponseCompactor> make_compactor(CompactorKind kind,
-                                                  int word_width);
 
 } // namespace fdbist::bist

@@ -1,10 +1,10 @@
 #include "bist/diagnosis.hpp"
 
-#include <algorithm>
+#include <string>
 
 #include "bist/misr.hpp"
 #include "common/check.hpp"
-#include "gate/sim.hpp"
+#include "fault/simulator.hpp"
 
 namespace fdbist::bist {
 
@@ -14,38 +14,24 @@ FaultDictionary::FaultDictionary(const gate::Netlist& nl,
                                  int misr_width) {
   FDBIST_REQUIRE(!stimulus.empty(), "empty stimulus");
   FDBIST_REQUIRE(nl.inputs().size() == 1, "single-input designs only");
-  const auto& out_bits = nl.outputs().front();
-  FDBIST_REQUIRE(misr_width >= static_cast<int>(out_bits.size()),
-                 "MISR narrower than the response word");
+  const int out_w = static_cast<int>(nl.outputs().front().size());
+  FDBIST_REQUIRE(misr_width >= out_w && misr_width <= 31,
+                 "MISR width " + std::to_string(misr_width) + " outside " +
+                     std::to_string(out_w) + "..31");
 
-  signatures_.assign(faults.size(), 0);
-  constexpr std::size_t kLanes = 63;
-  gate::WordSim sim(nl);
-  for (std::size_t base = 0; base < faults.size() || base == 0;
-       base += kLanes) {
-    const std::size_t count =
-        faults.size() > base ? std::min(kLanes, faults.size() - base) : 0;
-    sim.reset();
-    sim.clear_faults();
-    for (std::size_t k = 0; k < count; ++k)
-      sim.add_fault(faults[base + k].gate, faults[base + k].site,
-                    faults[base + k].stuck, std::uint64_t{1} << (k + 1));
-
-    std::vector<Misr> misrs(count + 1, Misr(misr_width));
-    for (const std::int64_t x : stimulus) {
-      sim.step_broadcast(x);
-      for (std::size_t lane = 0; lane <= count; ++lane)
-        misrs[lane].absorb(static_cast<std::uint64_t>(
-            sim.lane_value(out_bits, static_cast<int>(lane))));
-    }
-    if (base == 0) good_signature_ = misrs[0].signature();
-    for (std::size_t k = 0; k < count; ++k)
-      signatures_[base + k] = misrs[k + 1].signature();
-    if (faults.empty()) break;
+  // One signature run; by GF(2) linearity each faulty signature is the
+  // golden one XOR the fault's difference word.
+  fault::FaultSimOptions opt;
+  opt.signature = {misr_width,
+                   tpg::default_polynomial(misr_width).low_terms};
+  std::vector<std::uint32_t> difference;
+  const auto run =
+      fault::simulate_faults(nl, stimulus, faults, opt, difference);
+  good_signature_ = golden_signature(nl, stimulus, run, misr_width);
+  for (const std::uint32_t d : difference) {
+    index_[good_signature_ ^ d].push_back(signatures_.size());
+    signatures_.push_back(good_signature_ ^ d);
   }
-
-  for (std::size_t i = 0; i < signatures_.size(); ++i)
-    index_[signatures_[i]].push_back(i);
 }
 
 std::span<const std::size_t> FaultDictionary::diagnose(

@@ -3,8 +3,9 @@
 // A fault dictionary maps the MISR signature observed after a BIST
 // session to the set of modeled faults that produce it, turning a
 // failing self-test into a short list of candidate defect locations.
-// Dictionaries are built with the parallel simulator: 63 faulty
-// signatures per pass.
+// Dictionaries are built with the parallel simulator: one signature run
+// of fault::simulate_faults, whose per-fault difference words XORed
+// with the golden signature are the faulty signatures.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +20,9 @@ namespace fdbist::bist {
 class FaultDictionary {
 public:
   /// Build the dictionary for a fault universe under a fixed stimulus.
+  /// Signatures are those of bist::Misr(misr_width) over each machine's
+  /// sign-extended output stream; `misr_width` must lie between the
+  /// output word width and 31.
   FaultDictionary(const gate::Netlist& nl,
                   std::span<const fault::Fault> faults,
                   std::span<const std::int64_t> stimulus,

@@ -1,20 +1,10 @@
 #include "bist/kit.hpp"
 
+#include <string>
+
 #include "common/check.hpp"
-#include "gate/sim.hpp"
 
 namespace fdbist::bist {
-
-namespace {
-
-std::uint32_t misr_signature(int width,
-                             std::span<const std::int64_t> words) {
-  Misr misr(width);
-  misr.absorb_all(words);
-  return misr.signature();
-}
-
-} // namespace
 
 BistKit::BistKit(const rtl::FilterDesign& design, int misr_width)
     : design_(design), lowered_(gate::lower(design.graph)),
@@ -22,36 +12,27 @@ BistKit::BistKit(const rtl::FilterDesign& design, int misr_width)
           fault::enumerate_adder_faults(lowered_), lowered_.netlist,
           design.graph)),
       misr_width_(misr_width) {
-  FDBIST_REQUIRE(misr_width >= design.stats().width_out,
-                 "MISR must be at least as wide as the output word");
+  FDBIST_REQUIRE(misr_width >= design.stats().width_out && misr_width <= 31,
+                 "MISR width " + std::to_string(misr_width) + " outside " +
+                     std::to_string(design.stats().width_out) + "..31");
 }
 
 std::vector<std::int64_t> BistKit::golden_response(
     std::span<const std::int64_t> stimulus) const {
-  gate::WordSim sim(lowered_.netlist);
-  const auto& out_bits = lowered_.netlist.outputs().front();
-  std::vector<std::int64_t> out;
-  out.reserve(stimulus.size());
-  for (const std::int64_t x : stimulus) {
-    sim.step_broadcast(x);
-    out.push_back(sim.lane_value(out_bits, 0));
-  }
-  return out;
+  return bist::golden_response(lowered_.netlist, stimulus);
 }
 
 std::uint32_t BistKit::golden_signature(
     std::span<const std::int64_t> stimulus) const {
-  return misr_signature(misr_width_, golden_response(stimulus));
+  // A run that recorded no good outputs: the fault-free sweep.
+  return golden_signature(stimulus, fault::FaultSimResult{});
 }
 
 std::uint32_t BistKit::golden_signature(
     std::span<const std::int64_t> stimulus,
     const fault::FaultSimResult& run) const {
-  // The compiled engine already ran the fault-free machine; its output
-  // words give the golden signature without another sweep.
-  return run.good_outputs.empty()
-             ? golden_signature(stimulus)
-             : misr_signature(misr_width_, run.good_outputs);
+  return bist::golden_signature(lowered_.netlist, stimulus, run,
+                                misr_width_);
 }
 
 BistReport BistKit::make_report(fault::FaultSimResult result,

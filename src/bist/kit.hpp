@@ -41,17 +41,18 @@ class BistKit {
 public:
   /// Lowers the design to gates and enumerates its (ordered) adder fault
   /// universe once; the kit can then evaluate any number of generators.
+  /// `misr_width` must lie between the output word width and 31.
   explicit BistKit(const rtl::FilterDesign& design, int misr_width = 24);
 
   const rtl::FilterDesign& design() const { return design_; }
   const gate::LoweredDesign& lowered() const { return lowered_; }
   const std::vector<fault::Fault>& faults() const { return faults_; }
 
-  /// Fault-free output trace for a stimulus (via the gate-level model).
+  /// Fault-free output trace for a stimulus (bist::golden_response).
   std::vector<std::int64_t> golden_response(
       std::span<const std::int64_t> stimulus) const;
 
-  /// Golden MISR signature for a stimulus.
+  /// Golden MISR signature for a stimulus (bist::golden_signature).
   std::uint32_t golden_signature(
       std::span<const std::int64_t> stimulus) const;
 

@@ -2,6 +2,8 @@
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
+#include "fault/simulator.hpp"
+#include "gate/sim.hpp"
 
 namespace fdbist::bist {
 
@@ -28,6 +30,32 @@ void Misr::absorb(std::uint64_t word) {
 void Misr::absorb_all(std::span<const std::int64_t> words) {
   for (const std::int64_t w : words)
     absorb(static_cast<std::uint64_t>(w));
+}
+
+std::vector<std::int64_t> golden_response(
+    const gate::Netlist& nl, std::span<const std::int64_t> stimulus) {
+  gate::WordSim sim(nl);
+  const auto& out_bits = nl.outputs().front();
+  std::vector<std::int64_t> out;
+  out.reserve(stimulus.size());
+  for (const std::int64_t x : stimulus) {
+    sim.step_broadcast(x);
+    out.push_back(sim.lane_value(out_bits, 0));
+  }
+  return out;
+}
+
+std::uint32_t golden_signature(const gate::Netlist& nl,
+                               std::span<const std::int64_t> stimulus,
+                               const fault::FaultSimResult& run, int width) {
+  // The compiled engine already ran the fault-free machine; its output
+  // words give the golden signature without another sweep.
+  Misr misr(width);
+  if (run.good_outputs.empty())
+    misr.absorb_all(golden_response(nl, stimulus));
+  else
+    misr.absorb_all(run.good_outputs);
+  return misr.signature();
 }
 
 } // namespace fdbist::bist

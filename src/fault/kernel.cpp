@@ -106,15 +106,24 @@ void collect_signature_nets(const gate::Netlist& nl,
       continue;
     sig_nets[(o % width) * folds + o / width] = net;
   }
+  if (out_w == 0 || width <= out_w) return;
+  // Sign extension: one fold entry per row here, so row b is entry b.
+  for (std::size_t b = out_w; b < width; ++b)
+    sig_nets[b] = sig_nets[out_w - 1];
 }
 
-void mark_signature_detects(std::span<const std::size_t> batch,
-                            const std::uint64_t* nonzero_words,
-                            std::uint8_t* signature_detect) {
+void store_signature_words(std::span<const std::size_t> batch,
+                           const std::uint64_t* rows, std::size_t row_words,
+                           int width, std::uint32_t* signature) {
   for (std::size_t k = 0; k < batch.size(); ++k) {
     const std::size_t lane = k + 1;
-    if ((nonzero_words[lane >> 6] >> (lane & 63)) & 1u)
-      signature_detect[batch[k]] = 1;
+    const std::uint64_t* limb = rows + (lane >> 6);
+    std::uint32_t word = 0;
+    for (int b = 0; b < width; ++b) {
+      const std::uint64_t row = limb[std::size_t(b) * row_words];
+      word |= std::uint32_t((row >> (lane & 63)) & 1u) << b;
+    }
+    signature[batch[k]] = word;
   }
 }
 

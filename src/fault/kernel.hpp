@@ -68,12 +68,12 @@ public:
   /// within [window.begin, window.end), or -1, and stops early once
   /// every member has one. `trace` selects the engine: non-null runs
   /// the cone-restricted compiled sweep, null the full-netlist
-  /// reference sweep. When `sig.enabled()` (and `signature_detect`
-  /// non-null), the batch also runs a bit-sliced difference MISR per
-  /// lane — the window must then be the whole budget from reset, and
-  /// early exit is suppressed so every lane absorbs all of it — and
-  /// sets signature_detect[i] for faults whose final signature differs
-  /// from the good machine's.
+  /// reference sweep. When `sig.enabled()` (and `signature` non-null),
+  /// the batch also runs a bit-sliced difference MISR per lane — the
+  /// window must then be the whole budget from reset, and early exit is
+  /// suppressed so every lane absorbs all of it — and writes batch
+  /// member k's final difference word (faulty ^ good signature, bit b =
+  /// MISR bit b) to signature[batch[k]].
   virtual BatchRun run_batch(std::span<const Fault> faults,
                              std::span<const std::int64_t> stimulus,
                              std::span<const std::size_t> batch,
@@ -81,7 +81,7 @@ public:
                              const gate::GoodTrace* trace,
                              std::int32_t* detect,
                              const SignatureOptions& sig,
-                             std::uint8_t* signature_detect) = 0;
+                             std::uint32_t* signature) = 0;
 };
 
 /// Factory + geometry for one backend.
@@ -116,26 +116,30 @@ void collect_batch_sites(std::span<const Fault> faults,
                          std::span<const std::size_t> batch,
                          std::vector<gate::NetId>& sites);
 
-/// The output-to-MISR wiring: every output bit o is folded (XORed) into
-/// MISR bit o mod width, so a MISR narrower than the output word still
-/// observes every response bit — without folding, a fault visible only
-/// in the truncated upper bits would alias unconditionally, and the
-/// measured aliasing could never honor the 2 + 64*N*2^-w expectation.
-/// The result is laid out as width rows of ceil(out_w/width) fold
-/// entries: sig_nets[b*folds + j] = output bit b + j*width, or
-/// gate::kNoNet where no such bit exists. With a cone (compiled
-/// engine), out-of-cone output nets provably hold the good value —
-/// their difference is identically zero — and also map to gate::kNoNet.
+/// The output-to-MISR wiring, the one register definition. A register
+/// at least as wide as the output word absorbs the sign-extended word,
+/// as bist::Misr::absorb does: MISR bits out_w .. width-1 take the sign
+/// bit. A narrower one folds (XORs) output bit o into MISR bit o mod
+/// width, so it still observes every response bit — without folding, a
+/// fault visible only in the truncated upper bits would alias
+/// unconditionally, and the measured aliasing could never honor the
+/// 2 + 64*N*2^-w expectation. The result is laid out as width rows of
+/// ceil(out_w/width) fold entries: sig_nets[b*folds + j] = the output
+/// bit MISR bit b absorbs in fold j, or gate::kNoNet where none exists.
+/// With a cone (compiled engine), out-of-cone output nets provably hold
+/// the good value — their difference is identically zero — and also
+/// map to gate::kNoNet.
 void collect_signature_nets(const gate::Netlist& nl,
                             const SignatureOptions& sig,
                             const gate::CompiledSchedule::Cone* cone,
                             std::vector<gate::NetId>& sig_nets);
 
-/// Scan nonzero difference-signature lane words: batch member k whose
-/// lane k+1 is set gets signature_detect[batch[k]] = 1.
-void mark_signature_detects(std::span<const std::size_t> batch,
-                            const std::uint64_t* nonzero_words,
-                            std::uint8_t* signature_detect);
+/// Transpose the difference register's `width` bit-sliced rows (row b
+/// holds MISR bit b of every lane, `row_words` words per row): batch
+/// member k's word, bit b = MISR bit b, goes to signature[batch[k]].
+void store_signature_words(std::span<const std::size_t> batch,
+                           const std::uint64_t* rows, std::size_t row_words,
+                           int width, std::uint32_t* signature);
 
 // Defined in the per-ISA TUs; null accessors exist only behind the
 // FDBIST_KERNEL_* macros CMake sets when the flags are available.

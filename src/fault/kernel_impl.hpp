@@ -28,7 +28,7 @@ public:
                      std::span<const std::size_t> batch, CycleWindow window,
                      const gate::GoodTrace* trace, std::int32_t* detect,
                      const SignatureOptions& sig,
-                     std::uint8_t* signature_detect) override {
+                     std::uint32_t* signature) override {
     sim_.reset();
     sim_.clear_faults();
     // Faults may only land in the lanes this batch scans below.
@@ -53,7 +53,7 @@ public:
     // Lane 0 carries the good machine (no fault masks it), so a net's
     // lane-0 bit broadcast is the good value under both engines and the
     // XOR against it is the per-lane difference stream.
-    const bool sig_on = sig.enabled() && signature_detect != nullptr;
+    const bool sig_on = sig.enabled() && signature != nullptr;
     if (sig_on) {
       collect_signature_nets(sim_.netlist(), sig,
                              trace != nullptr ? &cone_ : nullptr, sig_nets_);
@@ -93,10 +93,11 @@ public:
       if (!sig_on && found == batch.size()) break;
     }
     if (sig_on) {
-      W nonzero = W::zero();
-      for (int b = 0; b < sig.width; ++b) nonzero |= sig_state_[b];
-      nonzero &= live;
-      mark_signature_detects(batch, nonzero.w, signature_detect);
+      std::uint64_t rows[31 * Words];
+      for (int b = 0; b < sig.width; ++b)
+        for (int wi = 0; wi < Words; ++wi)
+          rows[b * Words + wi] = sig_state_[b].word(wi);
+      store_signature_words(batch, rows, Words, sig.width, signature);
     }
     return {t - window.warm_from, gates_per_cycle};
   }

@@ -167,12 +167,13 @@ std::vector<std::int64_t> read_output_words(
   return out;
 }
 
-} // namespace
-
-FaultSimResult simulate_faults(const gate::Netlist& nl,
-                               std::span<const std::int64_t> stimulus,
-                               std::span<const Fault> faults,
-                               const FaultSimOptions& opt) {
+/// simulate_faults, with the difference words (empty unless the run
+/// compacts) returned through `signature_difference`.
+FaultSimResult simulate(const gate::Netlist& nl,
+                        std::span<const std::int64_t> stimulus,
+                        std::span<const Fault> faults,
+                        const FaultSimOptions& opt,
+                        std::vector<std::uint32_t>& signature_difference) {
   FDBIST_REQUIRE(nl.inputs().size() == 1,
                  "fault simulation drives a single primary input");
   FDBIST_REQUIRE(!nl.outputs().empty(), "netlist has no observed outputs");
@@ -201,7 +202,7 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
   result.vectors = stimulus.size();
   result.detect_cycle.assign(faults.size(), -1);
   result.finalized.assign(faults.size(), 0);
-  if (sig_on) result.signature_detect.assign(faults.size(), 0);
+  signature_difference.assign(sig_on ? faults.size() : 0, 0);
 
   const common::SimdBackend simd = detail::resolve_simd_backend(opt.simd);
   const detail::BatchKernel& kernel = detail::batch_kernel(simd);
@@ -388,7 +389,7 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
           unit_run[u] = pool[worker]->run_batch(
               faults, stimulus, {indices.data() + base, count}, window,
               trace, unit_detect.data() + u * fpb, opt.signature,
-              sig_on ? result.signature_detect.data() : nullptr);
+              sig_on ? signature_difference.data() : nullptr);
           if (segments_left[b].fetch_sub(1, std::memory_order_acq_rel) == 1)
             finish_batch(worker_stats[worker], b);
         });
@@ -424,12 +425,33 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
 
   for (const std::int32_t c : result.detect_cycle)
     if (c >= 0) ++result.detected;
+  for (const std::uint32_t d : signature_difference)
+    result.signature_detect.push_back(d != 0 ? 1 : 0);
   result.complete = result.finalized_count() == faults.size();
   // Merges may have left worker defaults in place.
   result.stats.engine = engine;
   result.stats.lane_width = kernel.lanes();
   result.stats.simd = kernel.backend();
   return result;
+}
+
+} // namespace
+
+FaultSimResult simulate_faults(const gate::Netlist& nl,
+                               std::span<const std::int64_t> stimulus,
+                               std::span<const Fault> faults,
+                               const FaultSimOptions& opt) {
+  std::vector<std::uint32_t> signature_difference;
+  return simulate(nl, stimulus, faults, opt, signature_difference);
+}
+
+FaultSimResult simulate_faults(
+    const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
+    std::span<const Fault> faults, const FaultSimOptions& opt,
+    std::vector<std::uint32_t>& signature_difference) {
+  FDBIST_REQUIRE(opt.signature.enabled(),
+                 "difference words need signature compaction enabled");
+  return simulate(nl, stimulus, faults, opt, signature_difference);
 }
 
 FaultSimResult simulate_design(const gate::LoweredDesign& d,

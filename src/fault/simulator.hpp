@@ -171,12 +171,13 @@ struct FaultSimStats {
 
 /// Opt-in response compaction for simulate_faults. When enabled, every
 /// lane drives a Galois MISR (bist/misr.hpp semantics: shift, feedback,
-/// then inject the low `width` bits of the sign-extended output word)
-/// and a fault's signature verdict is whether its final signature
-/// differs from the good machine's. The kernel exploits MISR linearity
-/// over GF(2): the signatures differ iff the MISR of the per-cycle
-/// XOR-difference stream, run from the zero state, ends nonzero — so
-/// one bit-sliced difference register per lane suffices and the seed
+/// then inject the response word — sign-extended when the register is
+/// wider, folded onto bit o mod width when narrower; see
+/// collect_signature_nets) and a fault's signature verdict is whether
+/// its final signature differs from the good machine's. The kernel
+/// exploits MISR linearity over GF(2): faulty = good XOR the MISR of the
+/// per-cycle XOR-difference stream run from the zero state — so one
+/// bit-sliced difference register per lane suffices and the seed
 /// cancels out entirely.
 struct SignatureOptions {
   /// MISR width (2..31); 0 disables compaction.
@@ -338,6 +339,15 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
                                std::span<const std::int64_t> stimulus,
                                std::span<const Fault> faults,
                                const FaultSimOptions& opt = {});
+
+/// The same run, with opt.signature required, also returning each
+/// fault's final difference word in fault order: faulty ^ good
+/// signature, bit b = MISR bit b, 0 for a fault whose batch never ran.
+/// signature_detect[i] is signature_difference[i] != 0.
+FaultSimResult simulate_faults(
+    const gate::Netlist& nl, std::span<const std::int64_t> stimulus,
+    std::span<const Fault> faults, const FaultSimOptions& opt,
+    std::vector<std::uint32_t>& signature_difference);
 
 /// Convenience: simulate the full adder-fault universe of a lowered
 /// design against a stimulus, with difficulty-ordered batching (see

@@ -10,8 +10,8 @@
 //      biquad, polyphase decimator) unless FuzzOptions::family pins
 //      one, and also run the property checkers on a fixed schedule
 //      (superposition and prefix dominance always; the optional
-//      properties — MISR aliasing, mixed-engine resume, sliced merge,
-//      signature compaction, cached artifact — on rotating strides).
+//      properties — mixed-engine resume, sliced merge, signature
+//      compaction, cached artifact — on rotating strides).
 //   3. On a failure: delta-debug the case down while the same category
 //      of finding persists, then serialize the minimized reproducer to
 //      the corpus directory.
@@ -83,11 +83,10 @@ std::string finding_category(const std::string& detail);
 
 /// Run the full battery appropriate to a case's kind. `scratch_dir`
 /// hosts the checkpoint file of the mixed-engine resume property (empty
-/// disables it). `property_mask` selects optional properties: bit 0 =
-/// MISR aliasing, bit 1 = mixed-engine resume, bit 2 = sliced-vs-
-/// one-shot merge equality, bit 3 = in-kernel signature compaction vs
-/// word-compare ground truth, bit 4 = cached artifact vs scratch
-/// compilation.
+/// disables it). `property_mask` selects optional properties: bit 1 =
+/// mixed-engine resume, bit 2 = sliced-vs-one-shot merge equality, bit
+/// 3 = in-kernel signature compaction vs word-compare ground truth, bit
+/// 4 = cached artifact vs scratch compilation; bit 0 is retired.
 Finding check_corpus_case(const CorpusCase& c,
                           const std::string& scratch_dir,
                           unsigned property_mask);

@@ -6,7 +6,6 @@
 #include <span>
 #include <string>
 
-#include "bist/misr.hpp"
 #include "common/env.hpp"
 #include "common/xoshiro.hpp"
 #include "fault/campaign.hpp"
@@ -14,7 +13,6 @@
 #include "fault/schedule_cache.hpp"
 #include "fixedpoint/format.hpp"
 #include "gate/lower.hpp"
-#include "gate/sim.hpp"
 #include "rtl/sim.hpp"
 #include "tpg/lfsr.hpp"
 
@@ -163,59 +161,6 @@ Finding check_prefix_dominance(const FilterCase& c) {
   return Finding::ok();
 }
 
-Finding check_misr_aliasing(const FilterCase& c, int misr_width) {
-  const LoweredCase lc = prepare(c);
-  if (lc.faults.empty()) return Finding::ok();
-  const rtl::NodeId out = lc.design.graph.outputs().front();
-  const auto& out_bits = lc.low.node_bits[std::size_t(out)];
-
-  // Golden output trace and signature (lane 0 of a clean simulator).
-  std::vector<std::int64_t> golden;
-  golden.reserve(lc.stim.size());
-  {
-    gate::WordSim ws(lc.low.netlist);
-    for (const std::int64_t x : lc.stim) {
-      ws.step_broadcast(x);
-      golden.push_back(ws.lane_value(out_bits, 0));
-    }
-  }
-  bist::Misr golden_misr(misr_width);
-  golden_misr.absorb_all(golden);
-
-  const gate::CompiledSchedule sched_owner(lc.low.netlist);
-  std::size_t detected = 0, aliased = 0;
-  for (const fault::Fault& f : lc.faults) {
-    gate::WordSim ws(lc.low.netlist);
-    ws.add_fault(f.gate, f.site, f.stuck, std::uint64_t{1} << 1);
-    bist::Misr m(misr_width);
-    bool diverged = false;
-    for (std::size_t i = 0; i < lc.stim.size(); ++i) {
-      ws.step_broadcast(lc.stim[i]);
-      const std::int64_t y = ws.lane_value(out_bits, 1);
-      if (y != golden[i]) diverged = true;
-      m.absorb(static_cast<std::uint64_t>(y));
-    }
-    if (!diverged) continue;
-    ++detected;
-    if (m.signature() == golden_misr.signature()) ++aliased;
-  }
-
-  // Expected aliasing rate for a well-mixed width-w MISR is 2^-w per
-  // detected fault; allow a 64x slack multiple plus an absolute floor of
-  // two so a one-in-65536 fluke on a small sample cannot fire.
-  const double expected =
-      double(detected) * std::pow(2.0, -double(misr_width));
-  const double allowed = 2.0 + 64.0 * expected;
-  if (double(aliased) > allowed)
-    return Finding::fail(
-        "misr-aliasing: " + std::to_string(aliased) + " of " +
-        std::to_string(detected) + " detected faults aliased in a " +
-        std::to_string(misr_width) + "-bit MISR (allowed ~" +
-        std::to_string(allowed) + ", expected " + std::to_string(expected) +
-        ")");
-  return Finding::ok();
-}
-
 Finding check_mixed_engine_resume(const FilterCase& c,
                                   const std::string& checkpoint_path) {
   const LoweredCase lc = prepare(c);
@@ -322,8 +267,8 @@ Finding check_signature_compaction(const FilterCase& c, int sig_width) {
     if (sweep.detect_cycle[i] >= 0 && sweep.signature_detect[i] == 0)
       ++aliased;
   }
-  // Same envelope the empirical MISR-aliasing property uses: expected
-  // rate 2^-width per detected fault, 64x slack, absolute floor of two.
+  // Expected rate 2^-width per detected fault, 64x slack, absolute
+  // floor of two so a fluke on a small sample cannot fire.
   const double expected =
       double(sweep.detected) * std::pow(2.0, -double(sig_width));
   const double allowed = 2.0 + 64.0 * expected;

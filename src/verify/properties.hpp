@@ -15,12 +15,13 @@
 //   dominance       full-run verdicts: detection at cycle t depends
 //                   only on vectors [0, t], so a longer stimulus can
 //                   only add detections, never move or remove one
-//   MISR aliasing   the empirical rate of detected faults whose MISR
-//                   signature still matches the golden one stays within
-//                   a generous multiple of the 2^-width expectation
 //   mixed-engine    a campaign checkpointed under one FaultSimEngine
 //   resume          and resumed under another merges to verdicts
 //                   bit-identical to an uninterrupted run
+//   signature       the kernel's difference-MISR verdicts leave the
+//   compaction      word-compare cycles alone, agree across engines,
+//                   imply word-compare detection, and alias within a
+//                   generous multiple of the 2^-width expectation
 //   sliced merge    the fault sample cut into slices, each simulated on
 //                   its own and merged in a shuffled order, yields
 //                   verdicts bit-identical to a one-shot run
@@ -52,12 +53,6 @@ Finding check_superposition(const FilterCase& c);
 /// under the full stimulus and under its first-half prefix; every
 /// verdict must be prefix-consistent.
 Finding check_prefix_dominance(const FilterCase& c);
-
-/// Empirical MISR aliasing bound: among faults the raw-response
-/// comparison detects, those whose `misr_width`-bit signature still
-/// equals the golden signature are aliased. Requires the aliased count
-/// to stay within a slack multiple of the expected N * 2^-width.
-Finding check_misr_aliasing(const FilterCase& c, int misr_width = 16);
 
 /// Kill/resume equality under mixed engines: run a campaign with
 /// engine A checkpointing to `checkpoint_path`, cancel it partway,

@@ -76,6 +76,20 @@ TEST(Kit, MisrMustCoverOutput) {
   EXPECT_THROW(BistKit(small_design(), 8), precondition_error);
 }
 
+TEST(Kit, RejectsMisrWiderThan31Bits) {
+  // Refused at construction, naming the MISR width — not after a whole
+  // fault simulation, by the LFSR degree check inside the golden
+  // signature.
+  const auto lp = designs::make_design("LP");
+  try {
+    BistKit kit(lp, 32);
+    FAIL() << "a 32-bit MISR was accepted";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("MISR width 32"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Kit, GoldenResponseMatchesAcrossCalls) {
   BistKit kit(small_design());
   auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);

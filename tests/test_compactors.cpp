@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bist/compactors.hpp"
 #include "bist/diagnosis.hpp"
+#include "bist/misr.hpp"
 #include "fault/simulator.hpp"
+#include "gate/sim.hpp"
 #include "rtl/fir_builder.hpp"
 #include "tpg/generators.hpp"
 
@@ -44,32 +48,17 @@ TEST(TransitionCount, CountsPerBitTransitions) {
   EXPECT_EQ(c.signature(), 0u);
 }
 
-TEST(Compactors, FactoryProducesAllKinds) {
-  for (const auto k : {CompactorKind::Misr, CompactorKind::OnesCount,
-                       CompactorKind::TransitionCount}) {
-    auto c = make_compactor(k, 16);
-    ASSERT_NE(c, nullptr);
-    c->absorb(0x1234);
-    c->absorb(0x0F0F);
-    const auto s1 = c->signature();
-    c->reset();
-    c->absorb(0x1234);
-    c->absorb(0x0F0F);
-    EXPECT_EQ(c->signature(), s1) << c->name();
-  }
-}
-
 TEST(Compactors, MisrDistinguishesOrderOnesCountDoesNot) {
-  auto misr_a = make_compactor(CompactorKind::Misr, 16);
-  auto misr_b = make_compactor(CompactorKind::Misr, 16);
-  auto ones_a = make_compactor(CompactorKind::OnesCount, 16);
-  auto ones_b = make_compactor(CompactorKind::OnesCount, 16);
-  misr_a->absorb(1); misr_a->absorb(2);
-  misr_b->absorb(2); misr_b->absorb(1);
-  ones_a->absorb(1); ones_a->absorb(2);
-  ones_b->absorb(2); ones_b->absorb(1);
-  EXPECT_NE(misr_a->signature(), misr_b->signature());
-  EXPECT_EQ(ones_a->signature(), ones_b->signature());
+  Misr misr_a(16);
+  Misr misr_b(16);
+  OnesCountCompactor ones_a(16);
+  OnesCountCompactor ones_b(16);
+  misr_a.absorb(1); misr_a.absorb(2);
+  misr_b.absorb(2); misr_b.absorb(1);
+  ones_a.absorb(1); ones_a.absorb(2);
+  ones_b.absorb(2); ones_b.absorb(1);
+  EXPECT_NE(misr_a.signature(), misr_b.signature());
+  EXPECT_EQ(ones_a.signature(), ones_b.signature());
 }
 
 // -------------------------------------------------------------- dictionary
@@ -94,6 +83,34 @@ TEST(Dictionary, GoodSignatureMatchesDirectComputation) {
         sim.lane_value(f.low.netlist.outputs().front(), 0)));
   }
   EXPECT_EQ(dict.good_signature(), misr.signature());
+}
+
+TEST(Dictionary, SignaturesAreRealMisrSignatures) {
+  // Each dictionary signature must be bist::Misr(24) over the faulty
+  // machine's sign-extended output stream. The fixture's output word is
+  // 16 bits, so MISR bits 16..23 absorb the sign bit; a register that
+  // left them empty would disagree on faults that flip the sign bit.
+  Fixture f;
+  FaultDictionary dict(f.low.netlist, f.faults, f.stim);
+  const auto& out_bits = f.low.netlist.outputs().front();
+  ASSERT_LT(out_bits.size(), 24u);
+  const auto plain = fault::simulate_faults(f.low.netlist, f.stim, f.faults);
+  std::size_t undetected = 0;
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < f.faults.size(); i += 5) {
+    gate::WordSim sim(f.low.netlist);
+    sim.add_fault(f.faults[i].gate, f.faults[i].site, f.faults[i].stuck, 2u);
+    Misr misr(24);
+    for (const auto x : f.stim) {
+      sim.step_broadcast(x);
+      misr.absorb(std::uint64_t(sim.lane_value(out_bits, 1)));
+    }
+    EXPECT_EQ(dict.signatures()[i], misr.signature()) << "fault " << i;
+    undetected += plain.detect_cycle[i] < 0 ? 1 : 0;
+    ++checked;
+  }
+  EXPECT_GT(undetected, 0u) << "the sample should cover undetected faults";
+  EXPECT_GT(checked, undetected);
 }
 
 TEST(Dictionary, DiagnosesInjectedFaults) {
@@ -149,6 +166,9 @@ TEST(Dictionary, RejectsBadInputs) {
   EXPECT_THROW(FaultDictionary(f.low.netlist, f.faults, {}),
                precondition_error);
   EXPECT_THROW(FaultDictionary(f.low.netlist, f.faults, f.stim, 8),
+               precondition_error);
+  // Wider than any MISR: refused up front, before any simulation.
+  EXPECT_THROW(FaultDictionary(f.low.netlist, f.faults, f.stim, 32),
                precondition_error);
 }
 

@@ -1,10 +1,10 @@
 // In-kernel signature compaction (FaultSimOptions::signature) against a
 // literal bist::Misr reference: for every registered design, the
-// bit-sliced difference-MISR verdict must equal "simulate the fault
+// bit-sliced difference-MISR word must equal "simulate the fault
 // serially, run a real MISR over the good and faulty output streams,
-// compare final signatures" — for the identity fold (width == output
-// word) and for narrow widths where output bits fold onto MISR bit
-// o mod width. On top of the reference equality: signature detection
+// XOR the final signatures" — for a register wider than the output word
+// (it absorbs the sign-extended word), the identity width, and narrow
+// widths where output bits fold onto MISR bit o mod width. On top of the reference equality: signature detection
 // implies word-compare detection, measured aliasing honors the
 // 2 + 64*N*2^-w expectation, malformed configurations are refused, and
 // signature runs take the full vector budget (no early exit may cut the
@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "bist/misr.hpp"
@@ -54,11 +55,16 @@ SigFixture make_fixture(const std::string& name, std::size_t max_faults,
   return f;
 }
 
-/// The kernel's output-to-MISR wiring as a word transform: keep the low
-/// `out_w` bits, then XOR the `width`-bit chunks together (chunk j
-/// carries output bits j*width ..), so bit b of the result is the XOR of
-/// output bits b, b+width, b+2*width, ... — exactly collect_signature_nets.
-std::uint64_t folded(std::uint64_t word, std::size_t out_w, int width) {
+/// The kernel's output-to-MISR wiring as a word transform on the
+/// sign-extended output word (collect_signature_nets). A register at
+/// least as wide as the word absorbs the word itself — bist::Misr keeps
+/// its low `width` bits, so bits out_w.. take the sign bit. A narrower
+/// one absorbs the fold: keep the low `out_w` bits, then XOR the
+/// `width`-bit chunks together (chunk j carries output bits j*width ..),
+/// so bit b is the XOR of output bits b, b+width, b+2*width, ...
+std::uint64_t register_input(std::uint64_t word, std::size_t out_w,
+                             int width) {
+  if (std::size_t(width) >= out_w) return word;
   if (out_w < 64) word &= (std::uint64_t{1} << out_w) - 1;
   std::uint64_t r = 0;
   for (std::size_t j = 0; j * std::size_t(width) < out_w; ++j)
@@ -66,24 +72,34 @@ std::uint64_t folded(std::uint64_t word, std::size_t out_w, int width) {
   return r & ((std::uint64_t{1} << width) - 1);
 }
 
-/// Serial reference verdict: inject the fault into lane 1 of a plain
-/// WordSim, drive both machines through the stimulus, absorb the folded
-/// output words into two real MISRs, and compare final signatures.
-bool misr_reference_detects(const SigFixture& f, const Fault& fault,
-                            const tpg::Polynomial& poly, int width) {
+/// Serial reference difference words: inject the fault into lane 1 of a
+/// plain WordSim, drive both machines through the stimulus, absorb each
+/// width's register input into two real MISRs, and return the final
+/// faulty ^ good signature per width.
+std::vector<std::uint32_t> misr_reference_differences(
+    const SigFixture& f, const Fault& fault, std::span<const int> widths) {
   const auto& group = f.low.netlist.outputs().front();
   gate::WordSim sim(f.low.netlist);
   sim.add_fault(fault.gate, fault.site, fault.stuck, 2u);
-  bist::Misr good(poly, 0xdead);
-  bist::Misr faulty(poly, 0xdead);
+  std::vector<bist::Misr> good;
+  std::vector<bist::Misr> faulty;
+  for (const int width : widths) {
+    good.emplace_back(tpg::default_polynomial(width), 0xdead);
+    faulty.emplace_back(tpg::default_polynomial(width), 0xdead);
+  }
   for (const std::int64_t v : f.stim) {
     sim.step_broadcast(v);
-    good.absorb(folded(std::uint64_t(sim.lane_value(group, 0)),
-                       group.size(), width));
-    faulty.absorb(folded(std::uint64_t(sim.lane_value(group, 1)),
-                         group.size(), width));
+    const auto g = std::uint64_t(sim.lane_value(group, 0));
+    const auto y = std::uint64_t(sim.lane_value(group, 1));
+    for (std::size_t k = 0; k < widths.size(); ++k) {
+      good[k].absorb(register_input(g, group.size(), widths[k]));
+      faulty[k].absorb(register_input(y, group.size(), widths[k]));
+    }
   }
-  return good.signature() != faulty.signature();
+  std::vector<std::uint32_t> out;
+  for (std::size_t k = 0; k < widths.size(); ++k)
+    out.push_back(faulty[k].signature() ^ good[k].signature());
+  return out;
 }
 
 FaultSimResult run_with_signature(const SigFixture& f, int width,
@@ -97,22 +113,38 @@ FaultSimResult run_with_signature(const SigFixture& f, int width,
 }
 
 TEST(SignatureCompaction, KernelMatchesSerialMisrReferenceEveryFamily) {
-  // Identity fold (width >= output word) and a narrow folded width, on
-  // every registered design: the difference-MISR verdict must equal the
-  // two-real-MISRs reference fault for fault. The seeds differ (the
-  // kernel's difference register starts at zero) — MISR linearity over
-  // GF(2) is what makes the seed cancel, and this is the test that the
-  // kernel actually implements that algebra.
+  // A register wider than the output word (24 bits: the sign bit fills
+  // bits 16..23 of every registered design's 16-bit word), the identity
+  // width and a narrow folded width, on every registered design: each
+  // fault's difference word from the simulate_faults overload must
+  // equal faulty ^ good of the two-real-MISRs reference, and its
+  // verdict must be that word != 0. The seeds differ (the kernel's
+  // difference register starts at zero) — MISR linearity over GF(2) is
+  // what makes the seed cancel, and this is the test that the kernel
+  // actually implements that algebra.
+  constexpr int kWidths[] = {24, 16, 9};
   for (const auto& entry : designs::design_registry()) {
     const SigFixture f = make_fixture(entry.name, 90, 220);
-    for (const int width : {16, 9}) {
-      const auto poly = tpg::default_polynomial(width);
-      const auto r = run_with_signature(f, width, FaultSimEngine::Auto);
+    std::vector<std::vector<std::uint32_t>> words;
+    for (const int width : kWidths) {
+      FaultSimOptions opt;
+      opt.num_threads = 1;
+      opt.signature = {width, tpg::default_polynomial(width).low_terms};
+      std::vector<std::uint32_t> difference;
+      const auto r =
+          simulate_faults(f.low.netlist, f.stim, f.faults, opt, difference);
+      ASSERT_EQ(difference.size(), f.faults.size());
       ASSERT_EQ(r.signature_detect.size(), f.faults.size());
       for (std::size_t i = 0; i < f.faults.size(); ++i)
-        ASSERT_EQ(r.signature_detect[i] != 0,
-                  misr_reference_detects(f, f.faults[i], poly, width))
+        ASSERT_EQ(r.signature_detect[i] != 0, difference[i] != 0)
             << entry.name << " width " << width << " fault " << i;
+      words.push_back(std::move(difference));
+    }
+    for (std::size_t i = 0; i < f.faults.size(); ++i) {
+      const auto ref = misr_reference_differences(f, f.faults[i], kWidths);
+      for (std::size_t k = 0; k < ref.size(); ++k)
+        ASSERT_EQ(words[k][i], ref[k])
+            << entry.name << " width " << kWidths[k] << " fault " << i;
     }
   }
 }
@@ -196,6 +228,11 @@ TEST(SignatureCompaction, MalformedConfigurationsAreRefused) {
   wide_taps.signature.taps = 0x100; // term at/above the degree
   EXPECT_THROW(simulate_faults(f.low.netlist, f.stim, f.faults, wide_taps),
                precondition_error);
+  // Difference words only exist when the run compacts.
+  std::vector<std::uint32_t> difference;
+  EXPECT_THROW(
+      simulate_faults(f.low.netlist, f.stim, f.faults, {}, difference),
+      precondition_error);
 }
 
 } // namespace

@@ -1,7 +1,9 @@
 // Golden snapshot of the Table 4 experiment: missed-fault counts for
 // each generator kind on each reference filter, after 256 vectors (a
 // reduced configuration) and after the paper's 4096 (the EXPERIMENTS.md
-// Table 4 numbers, which table4_missed_faults reproduces).
+// Table 4 numbers, which table4_missed_faults reproduces); and of
+// Table 6, the mixed scheme against each single mode at 8192 vectors
+// (table6_mixed_scheme).
 //
 // The fault engine is fully deterministic, so these counts are exact
 // integers, not tolerances. A diff here means detection behaviour
@@ -16,6 +18,7 @@
 #include "bist/kit.hpp"
 #include "designs/reference.hpp"
 #include "tpg/generators.hpp"
+#include "tpg/lfsr.hpp"
 
 namespace fdbist {
 namespace {
@@ -96,6 +99,43 @@ TEST(Table4Snapshot, SnapshotPreservesPaperOrderingOnLowpass) {
   }
   EXPECT_LE(missed[1], missed[0]); // LFSR-D <= LFSR-1
   EXPECT_GT(missed[2], missed[1]); // LFSR-M worst vs LFSR-D
+}
+
+TEST(Table6Snapshot, MixedSchemeAtPaperBudget) {
+  // Table 6 / Figure 13 at the paper's 8k budget: 4k LFSR-1 vectors then
+  // 4k maximum-variance ones, against each single mode over the same
+  // 8192 vectors. Exact misses (table6_mixed_scheme, EXPERIMENTS.md)
+  // plus the paper's shape claim: the mixed scheme beats every single
+  // mode.
+  constexpr std::size_t kTotal = 8192;
+  struct Row {
+    designs::ReferenceFilter filter;
+    const char* name;
+    std::array<std::size_t, 4> missed; // mixed, LFSR-1, LFSR-D, LFSR-M
+  };
+  constexpr std::array kRows = {
+      Row{designs::ReferenceFilter::Lowpass, "LP", {125, 233, 159, 2810}},
+      Row{designs::ReferenceFilter::Highpass, "HP", {113, 150, 156, 3093}},
+  };
+  for (const Row& row : kRows) {
+    const auto d = designs::make_reference(row.filter);
+    bist::BistKit kit(d);
+    tpg::SwitchedLfsr mixed(12, kTotal / 2, 1);
+    tpg::Lfsr1 lfsr1(12, 1);
+    tpg::DecorrelatedLfsr lfsrd(12, 1);
+    tpg::MaxVarianceLfsr lfsrm(12, 1);
+    const std::array<tpg::Generator*, 4> gens = {&mixed, &lfsr1, &lfsrd,
+                                                 &lfsrm};
+    std::array<std::size_t, 4> missed{};
+    for (std::size_t k = 0; k < gens.size(); ++k) {
+      missed[k] = kit.evaluate(*gens[k], kTotal).missed();
+      EXPECT_EQ(missed[k], row.missed[k]) << row.name << " / "
+                                          << gens[k]->name();
+    }
+    for (std::size_t k = 1; k < gens.size(); ++k)
+      EXPECT_LT(missed[0], missed[k])
+          << row.name << ": mixed vs " << gens[k]->name();
+  }
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 // Algebraic property checkers over randomized filter cases: linearity
 // within truncation slack, prefix-consistent fault verdicts, bounded
-// MISR aliasing, and mixed-engine checkpoint resume equality.
+// signature aliasing on the kernel, and mixed-engine checkpoint resume
+// equality.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -46,14 +47,6 @@ TEST(VerifyProperties, FaultVerdictsArePrefixConsistent) {
   }
 }
 
-TEST(VerifyProperties, MisrAliasingStaysWithinBound) {
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    const std::uint64_t seed = common::test_seed(820 + i);
-    const Finding f = check_misr_aliasing(random_filter_case(seed));
-    EXPECT_FALSE(f.failed) << f.detail << "; " << common::seed_note(seed);
-  }
-}
-
 TEST(VerifyProperties, NarrowMisrAliasesMoreOftenThanWideOne) {
   // Sanity of the measurement itself: a 2-bit signature on the same
   // cases cannot beat the generous bound computed for its width *and*
@@ -62,7 +55,7 @@ TEST(VerifyProperties, NarrowMisrAliasesMoreOftenThanWideOne) {
   std::size_t narrow_failures = 0;
   for (std::uint64_t i = 0; i < 6; ++i) {
     const std::uint64_t seed = common::test_seed(830 + i);
-    if (check_misr_aliasing(random_filter_case(seed), 2).failed)
+    if (check_signature_compaction(random_filter_case(seed), 2).failed)
       ++narrow_failures;
   }
   // Expected aliasing at width 2 is 25% per detected fault; with ~40
