@@ -12,12 +12,11 @@
 //       machine-readable kernel report (BENCH_fault_sim.json by default):
 //       vectors/s and faults/s per (SIMD backend x thread count) plus
 //       engine stats and lane width, so the perf trajectory is tracked
-//       across PRs (scripts/check_bench_regression.py gates on it). The
-//       reference run is pinned to the scalar backend so it stays a
+//       across changes (scripts/check_bench_regression.py gates on it).
+//       The reference run is pinned to the scalar backend so it stays a
 //       stable machine-speed denominator. Exits non-zero if any run —
-//       any engine, backend, thread count, or cache state — disagrees
-//       on a verdict, which makes the CI perf smoke a correctness
-//       tripwire too.
+//       any engine, backend or thread count — disagrees on a verdict,
+//       which makes the CI perf smoke a correctness tripwire too.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -28,13 +27,10 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "common/parse.hpp"
 #include "common/simd.hpp"
 #include "designs/reference.hpp"
 #include "fault/kernel.hpp"
-#include "fault/schedule_cache.hpp"
 #include "fault/simulator.hpp"
 #include "gate/lower.hpp"
 #include "rtl/sim.hpp"
@@ -209,10 +205,7 @@ void append_json_run(std::string& out, const JsonRun& r, std::size_t vectors,
       "       \"mean_cone_fraction\": %.4f, \"mean_early_exit_cycles\": "
       "%.1f, \"gate_eval_savings\": %.4f,\n"
       "       \"prep_compile_ns\": %llu, \"prep_trace_ns\": %llu,\n"
-      "       \"prep_artifact_load_ns\": %llu, \"prep_artifact_build_ns\": "
-      "%llu, \"prep_artifact_save_ns\": %llu,\n"
-      "       \"schedule_compilations\": %llu, \"artifact_mem_hits\": %llu, "
-      "\"artifact_disk_hits\": %llu, \"artifact_misses\": %llu}}",
+      "       \"schedule_compilations\": %llu}}",
       r.label.c_str(), fault_sim_engine_name(s.engine),
       common::simd_backend_name(s.simd), s.lane_width, r.threads, r.seconds,
       double(vectors) / r.seconds, double(faults) / r.seconds,
@@ -227,13 +220,7 @@ void append_json_run(std::string& out, const JsonRun& r, std::size_t vectors,
       s.gate_eval_savings(),
       static_cast<unsigned long long>(s.prep_compile_ns),
       static_cast<unsigned long long>(s.prep_trace_ns),
-      static_cast<unsigned long long>(s.prep_artifact_load_ns),
-      static_cast<unsigned long long>(s.prep_artifact_build_ns),
-      static_cast<unsigned long long>(s.prep_artifact_save_ns),
-      static_cast<unsigned long long>(s.schedule_compilations),
-      static_cast<unsigned long long>(s.artifact_mem_hits),
-      static_cast<unsigned long long>(s.artifact_disk_hits),
-      static_cast<unsigned long long>(s.artifact_misses));
+      static_cast<unsigned long long>(s.schedule_compilations));
   out += buf;
 }
 
@@ -303,45 +290,9 @@ int run_json_report(const std::string& path, const std::string& design_name,
     runs.push_back(timed(base + "-hw", fault::FaultSimEngine::Compiled, b, 0));
   }
 
-  // Schedule-cache ablation (ISSUE 9): cache-cold builds the artifact
-  // and saves it into a fresh on-disk store; cache-warm constructs a
-  // NEW ScheduleCache over the same store — the fresh-process shape —
-  // so the artifact must come back through an FDBA disk load, not the
-  // in-memory LRU. The acquire is timed inside the run: a warm cache is
-  // only a win if load + simulate beats compile + simulate, and the
-  // JSON rows carry prep_artifact_load_ns vs prep_artifact_build_ns so
-  // the baseline gate can watch that stay true.
-  char cache_dir[] = "/tmp/fdbist-bench-cache-XXXXXX";
-  const bool have_cache_dir = ::mkdtemp(cache_dir) != nullptr;
-  if (have_cache_dir) {
-    auto timed_cached = [&](std::string label) {
-      JsonRun r;
-      r.label = std::move(label);
-      r.threads = 1;
-      fault::FaultSimOptions opt;
-      opt.engine = fault::FaultSimEngine::Compiled;
-      opt.simd = common::SimdBackend::Auto;
-      opt.num_threads = 1;
-      fault::ScheduleCache::Config cfg;
-      cfg.dir = cache_dir;
-      fault::ScheduleCache cache(std::move(cfg));
-      fault::ArtifactCacheStats cstats;
-      const auto t0 = std::chrono::steady_clock::now();
-      opt.artifact = cache.acquire(low.netlist, stim, cstats);
-      r.result = fault::simulate_faults(low.netlist, stim, faults, opt);
-      r.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-      fault::fold_cache_stats(cstats, r.result.stats);
-      return r;
-    };
-    runs.push_back(timed_cached("cache-cold-1t"));
-    runs.push_back(timed_cached("cache-warm-1t"));
-  }
-
   // The perf report doubles as a correctness tripwire: every run — any
-  // engine, backend, thread count, or cache state — must produce
-  // bit-identical verdicts.
+  // engine, backend or thread count — must produce bit-identical
+  // verdicts.
   for (const JsonRun& r : runs) {
     if (r.result.detect_cycle != runs.front().result.detect_cycle) {
       std::fprintf(stderr,
@@ -389,23 +340,6 @@ int run_json_report(const std::string& path, const std::string& design_name,
                 r.result.stats.mean_cone_fraction(),
                 r.result.stats.gate_eval_savings());
   std::printf("  compiled vs reference @1 thread: %.2fx\n", speedup);
-  if (have_cache_dir) {
-    const auto& cold = runs[runs.size() - 2].result.stats;
-    const auto& warm = runs.back().result.stats;
-    std::printf("  artifact: cold build %.2f ms (+save %.2f ms), warm disk "
-                "load %.2f ms\n",
-                cold.prep_artifact_build_ns / 1e6,
-                cold.prep_artifact_save_ns / 1e6,
-                warm.prep_artifact_load_ns / 1e6);
-    // Best-effort scratch-store cleanup (one content-addressed file).
-    const auto key = fault::make_artifact_key(low.netlist, stim);
-    fault::ScheduleCache::Config cfg;
-    cfg.dir = cache_dir;
-    std::remove(fault::ScheduleCache(std::move(cfg))
-                    .entry_path(key)
-                    .c_str());
-    ::rmdir(cache_dir);
-  }
   return 0;
 }
 

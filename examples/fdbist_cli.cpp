@@ -5,12 +5,10 @@
 //   fdbist_cli [--threads N] analyze  <design>
 //   fdbist_cli [--threads N] faultsim <design> <generator> <vectors>
 //                            [--design NAME] [--signature W]
-//                            [--schedule-cache DIR] [--no-schedule-cache]
 //   fdbist_cli [--threads N] campaign <design> <generator> <vectors>
 //                            [--design NAME] [--signature W]
 //                            [--checkpoint FILE] [--checkpoint-every N]
 //                            [--resume] [--deadline-s S]
-//                            [--schedule-cache DIR] [--no-schedule-cache]
 //   fdbist_cli [--threads N] spectra  <generator> [samples]
 //   fdbist_cli [--threads N] export   <design> <verilog|dot>
 //   fdbist_cli fuzz [--seed N] [--cases N] [--corpus DIR]
@@ -29,20 +27,12 @@
 // hardware thread, the default; 1 = single-threaded legacy path).
 // Results are bit-identical for every N.
 //
-// --schedule-cache DIR keeps compiled-artifact (FDBA) files in DIR so
-// repeat runs and campaign slices load the prepared schedule + good
-// trace instead of recompiling; with no flag, FDBIST_SCHEDULE_CACHE
-// supplies the directory, and --no-schedule-cache turns caching off
-// even when the variable is set. Results are bit-identical with the
-// cache on, off, cold, or warm; cache and preparation statistics print
-// to stderr so the stdout coverage line stays diffable against an
-// uncached run.
-//
 // `campaign` is `faultsim` with resilience: it periodically persists
 // per-fault verdicts to --checkpoint, a killed run restarted with
 // --resume continues where it stopped (final results bit-identical to
 // an uninterrupted run), and --deadline-s stops workers gracefully at
-// batch boundaries, reporting coverage-so-far.
+// batch boundaries, reporting coverage-so-far. Its slices share one
+// compiled schedule and good trace, prepared once per run.
 //
 // `fuzz` runs the differential verification subsystem (src/verify/):
 // replay the corpus, then `--cases` fresh random cases through every
@@ -77,7 +67,6 @@
 #include "designs/registry.hpp"
 #include "dsp/spectrum.hpp"
 #include "fault/campaign.hpp"
-#include "fault/schedule_cache.hpp"
 #include "gate/verilog.hpp"
 #include "rtl/dot_export.hpp"
 #include "tpg/generators.hpp"
@@ -104,16 +93,12 @@ int usage() {
                "  fdbist_cli [--threads N] faultsim <design> <generator> "
                "<vectors>\n"
                "                           [--design NAME] [--signature W]\n"
-               "                           [--schedule-cache DIR] "
-               "[--no-schedule-cache]\n"
                "  fdbist_cli [--threads N] campaign <design> <generator> "
                "<vectors>\n"
                "                           [--design NAME] [--signature W] "
                "[--checkpoint FILE]\n"
                "                           [--checkpoint-every N] [--resume] "
                "[--deadline-s S]\n"
-               "                           [--schedule-cache DIR] "
-               "[--no-schedule-cache]\n"
                "  fdbist_cli [--threads N] spectra  <generator> [samples]\n"
                "  fdbist_cli [--threads N] export   <design> "
                "<verilog|dot>\n"
@@ -128,10 +113,6 @@ int usage() {
                "(2..31) and report measured aliasing\n"
                "--threads N: fault-sim worker threads (0 = one per "
                "hardware thread; results identical for any N)\n"
-               "--schedule-cache DIR: reuse compiled schedules across "
-               "slices, processes and runs\n"
-               "            (env FDBIST_SCHEDULE_CACHE; "
-               "--no-schedule-cache overrides; results identical)\n"
                "exit codes: 0 ok, 1 error, 2 usage, 4 fuzz discrepancy;\n"
                "            partial campaigns: 3 cancelled, 5 deadline "
                "exceeded\n");
@@ -185,82 +166,6 @@ std::optional<fault::SignatureOptions> arg_signature(const char* text) {
   sig.width = static_cast<int>(*w);
   sig.taps = tpg::default_polynomial(sig.width).low_terms;
   return sig;
-}
-
-/// --schedule-cache / --no-schedule-cache resolution shared by faultsim
-/// and campaign. An explicit --schedule-cache DIR wins; otherwise
-/// FDBIST_SCHEDULE_CACHE supplies the directory; --no-schedule-cache
-/// turns caching off even when the environment variable is set. The
-/// two flags together are a usage error, as is --schedule-cache without
-/// a directory.
-struct CacheFlags {
-  std::string dir; ///< from --schedule-cache
-  bool off = false;
-
-  /// Consume argv[i] if it is a cache flag. Returns false when it is
-  /// not one; *err is set (and exit 2 follows) on malformed use.
-  bool consume(int argc, char** argv, int& i, bool* err) {
-    if (std::strcmp(argv[i], "--schedule-cache") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "fdbist_cli: --schedule-cache requires a directory\n");
-        *err = true;
-        return true;
-      }
-      dir = argv[++i];
-      if (dir.empty()) {
-        std::fprintf(stderr,
-                     "fdbist_cli: --schedule-cache directory is empty\n");
-        *err = true;
-      }
-      return true;
-    }
-    if (std::strcmp(argv[i], "--no-schedule-cache") == 0) {
-      off = true;
-      return true;
-    }
-    return false;
-  }
-
-  /// nullptr when both flags are set (usage error, reported here).
-  /// nullopt-equivalent (an empty unique_ptr with ok=true) when caching
-  /// is simply off.
-  std::unique_ptr<fault::ScheduleCache> make(bool* err) const {
-    if (off && !dir.empty()) {
-      std::fprintf(stderr, "fdbist_cli: --no-schedule-cache conflicts with "
-                           "--schedule-cache\n");
-      *err = true;
-      return nullptr;
-    }
-    if (off) return nullptr;
-    std::string d = dir.empty() ? fault::ScheduleCache::env_dir() : dir;
-    if (d.empty()) return nullptr;
-    fault::ScheduleCache::Config cfg;
-    cfg.dir = std::move(d);
-    return std::make_unique<fault::ScheduleCache>(std::move(cfg));
-  }
-};
-
-/// Cache + preparation observability. Printed to stderr so the stdout
-/// coverage line stays byte-identical with and without a cache (the
-/// warm-cache smoke test diffs stdout directly).
-void print_cache_stats(const fault::FaultSimStats& s) {
-  std::fprintf(stderr,
-               "[cache] artifact hits mem %llu disk %llu, misses %llu, "
-               "evictions %llu, load failures %llu, schedule compilations "
-               "%llu\n",
-               static_cast<unsigned long long>(s.artifact_mem_hits),
-               static_cast<unsigned long long>(s.artifact_disk_hits),
-               static_cast<unsigned long long>(s.artifact_misses),
-               static_cast<unsigned long long>(s.artifact_evictions),
-               static_cast<unsigned long long>(s.artifact_load_failures),
-               static_cast<unsigned long long>(s.schedule_compilations));
-  std::fprintf(stderr,
-               "[prep] compile %.2f ms, trace %.2f ms, artifact load %.2f "
-               "ms, build %.2f ms, save %.2f ms\n",
-               s.prep_compile_ns / 1e6, s.prep_trace_ns / 1e6,
-               s.prep_artifact_load_ns / 1e6, s.prep_artifact_build_ns / 1e6,
-               s.prep_artifact_save_ns / 1e6);
 }
 
 std::unique_ptr<tpg::Generator> parse_generator(const std::string& s,
@@ -413,8 +318,6 @@ int cmd_faultsim(int argc, char** argv) {
 
   fault::FaultSimOptions opt;
   opt.num_threads = g_threads;
-  CacheFlags cache_flags;
-  bool cache_err = false;
   for (int i = 4; i < argc; ++i) {
     if (std::strcmp(argv[i], "--design") == 0 && i + 1 < argc) {
       name = resolve_design_name(argv[++i]);
@@ -423,34 +326,17 @@ int cmd_faultsim(int argc, char** argv) {
       const auto sig = arg_signature(argv[++i]);
       if (!sig) return usage();
       opt.signature = *sig;
-    } else if (cache_flags.consume(argc, argv, i, &cache_err)) {
-      if (cache_err) return usage();
     } else {
       std::fprintf(stderr, "fdbist_cli: unknown faultsim flag \"%s\"\n",
                    argv[i]);
       return usage();
     }
   }
-  const auto cache = cache_flags.make(&cache_err);
-  if (cache_err) return usage();
-
   const auto d = designs::make_design(*name);
   auto gen = parse_generator(argv[2], *vectors, d.stats().width_in);
   if (!gen) return usage();
   bist::BistKit kit(d);
-  fault::ArtifactCacheStats cstats;
-  if (cache != nullptr) {
-    // evaluate() resets the generator and regenerates the identical
-    // stimulus, so acquiring against a pre-generated copy is safe.
-    gen->reset();
-    const auto stimulus = gen->generate_raw(*vectors);
-    opt.artifact = cache->acquire(kit.lowered().netlist, stimulus, cstats);
-  }
   auto report = kit.evaluate(*gen, *vectors, opt);
-  if (cache != nullptr) {
-    fault::fold_cache_stats(cstats, report.fault_result.stats);
-    print_cache_stats(report.fault_result.stats);
-  }
   print_coverage_line(d.name, gen->name(), *vectors, report.fault_result,
                       report.golden_signature);
   print_signature_line(opt.signature, report.fault_result);
@@ -466,14 +352,10 @@ int cmd_campaign(int argc, char** argv) {
   fault::CampaignOptions copt;
   copt.num_threads = g_threads;
   copt.checkpoint_every = 1024;
-  CacheFlags cache_flags;
-  bool cache_err = false;
   for (int i = 4; i < argc; ++i) {
     if (std::strcmp(argv[i], "--design") == 0 && i + 1 < argc) {
       name = resolve_design_name(argv[++i]);
       if (!name) return usage();
-    } else if (cache_flags.consume(argc, argv, i, &cache_err)) {
-      if (cache_err) return usage();
     } else if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
       const auto sig = arg_signature(argv[++i]);
       if (!sig) return usage();
@@ -502,9 +384,6 @@ int cmd_campaign(int argc, char** argv) {
     std::fprintf(stderr, "fdbist_cli: --resume requires --checkpoint\n");
     return usage();
   }
-  const auto cache = cache_flags.make(&cache_err);
-  if (cache_err) return usage();
-  copt.schedule_cache = cache.get();
 
   const auto d = designs::make_design(*name);
   copt.family = static_cast<std::uint32_t>(d.family);
@@ -535,7 +414,6 @@ int cmd_campaign(int argc, char** argv) {
                  copt.checkpoint_path.c_str(), res->resumed_slices,
                  res->completed_slices);
 
-  if (cache != nullptr) print_cache_stats(res->sim.stats);
   const fault::FaultSimResult& r = res->sim;
   if (!r.complete) return print_partial(r, *res->stop_reason);
   print_coverage_line(d.name, gen->name(), *vectors, r,

@@ -1,22 +1,22 @@
 // Crash-safe whole-file replacement.
 //
-// atomic_write_file() is the one durability primitive every on-disk
-// artifact (campaign checkpoints, compiled-schedule files) goes
-// through: write "<path>.tmp", flush and fsync the file, rename over
-// `path`, then fsync the parent directory so the rename itself survives
-// a power cut. A process killed at ANY point leaves either the previous
-// content of `path` or the complete new content — never a torn file —
-// and once the call returns, the new content is durable.
+// atomic_write_file() is the durability primitive the library's one
+// on-disk file, the campaign checkpoint, goes through: write
+// "<path>.tmp", flush and fsync the file, rename over `path`, then
+// fsync the parent directory so the rename itself survives a power
+// cut. A process killed at ANY point leaves either the previous content
+// of `path` or the complete new content — never a torn file — and once
+// the call returns, the new content is durable.
 //
 // Failpoint sites (common/failpoint.hpp), in write order:
-//   <prefix>-torn-write      crash after writing only half the bytes
+//   <prefix>-torn-write      armed `corrupt`: write only half the bytes
+//                            of the tmp file, then SIGKILL
 //   <prefix>-before-rename   crash after the tmp file is durable but
 //                            before it replaces `path`
 //   <prefix>-after-rename    crash after the rename, before the parent
 //                            directory fsync
-// The prefix is supplied per call site ("checkpoint", "artifact") so
-// the checkpoint writer and the schedule cache can be injured
-// independently.
+// The call site supplies the prefix; the checkpoint writer passes
+// "checkpoint".
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,8 @@
-// The one codec for the library's binary files: FDBC campaign
-// checkpoints (fault/checkpoint.hpp) and FDBA compiled artifacts
-// (fault/schedule_cache.hpp).
+// The codec for the library's one binary file format, FDBC campaign
+// checkpoints (fault/checkpoint.hpp).
 //
-// Every file shares one frame, with every integer little-endian, so a
-// file reads the same on every host:
+// The file is one frame, with every integer little-endian, so a file
+// reads the same on every host:
 //
 //   offset size  field
 //   0      4     magic (names the format)
@@ -82,7 +81,6 @@ public:
   void put_u8(std::uint8_t v) { bytes_.push_back(v); }
   void put_u32(std::uint32_t v) { put_array(std::span(&v, 1)); }
   void put_u64(std::uint64_t v) { put_array(std::span(&v, 1)); }
-  void put_i32(std::int32_t v) { put_u32(std::uint32_t(v)); }
 
   /// Append every element of a contiguous array, little-endian, with
   /// one resize.
@@ -112,7 +110,6 @@ public:
   std::uint8_t take_u8() { return take_one<std::uint8_t>(); }
   std::uint32_t take_u32() { return take_one<std::uint32_t>(); }
   std::uint64_t take_u64() { return take_one<std::uint64_t>(); }
-  std::int32_t take_i32() { return std::int32_t(take_u32()); }
 
   /// True when `count` elements of `bytes_per_element` bytes fit in
   /// the bytes left. Check every count read from a file with this
@@ -171,7 +168,7 @@ void seal_file(ByteWriter& w);
 
 /// Check a whole file's frame — size floor, magic, version, checksum,
 /// in that order — and return a reader over its payload. Any failure is
-/// an Error carrying `corrupt` (CorruptCheckpoint, CorruptArtifact); a
+/// an Error carrying `corrupt` (CorruptCheckpoint for checkpoints); a
 /// version mismatch names the version found and the version expected.
 Expected<ByteReader> open_file(std::span<const std::uint8_t> bytes,
                                const char (&magic)[4], std::uint32_t version,

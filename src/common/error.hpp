@@ -31,7 +31,6 @@ enum class ErrorCode {
   DeadlineExceeded,    ///< deadline elapsed before completion
   InvalidArgument,     ///< malformed user input (CLI args, env vars)
   MergeOverlap,        ///< partial results claim the same fault twice
-  CorruptArtifact,     ///< unusable compiled-schedule artifact (FDBA)
 };
 
 inline const char* error_code_name(ErrorCode c) {
@@ -43,7 +42,6 @@ inline const char* error_code_name(ErrorCode c) {
   case ErrorCode::DeadlineExceeded: return "deadline-exceeded";
   case ErrorCode::InvalidArgument: return "invalid-argument";
   case ErrorCode::MergeOverlap: return "merge-overlap";
-  case ErrorCode::CorruptArtifact: return "corrupt-artifact";
   }
   return "unknown";
 }

@@ -1,13 +1,13 @@
 // Named failpoints: deliberate fault injection for crash-tolerance tests.
 //
 // A failpoint is a named site compiled into production code (the
-// checkpoint writer, the schedule cache's artifact I/O) that normally
-// costs one relaxed atomic load and does nothing. Activated — via the
-// FDBIST_FAILPOINTS environment variable or failpoint_configure() — it
-// fires a configured action when execution reaches the site, letting
-// the smoke scripts and death tests exercise exactly the schedules
-// ("SIGKILL between checkpoint write and rename", "artifact file
-// unreadable") that no amount of polite unit testing reaches.
+// checkpoint writer's seams) that normally costs one relaxed atomic
+// load and does nothing. Activated — via the FDBIST_FAILPOINTS
+// environment variable or failpoint_configure() — it fires a
+// configured action when execution reaches the site, letting the smoke
+// scripts and death tests exercise exactly the schedules ("SIGKILL
+// between checkpoint write and rename", "half the file written, then
+// SIGKILL") that no amount of polite unit testing reaches.
 //
 // Spec grammar (strict; a malformed spec is a hard usage error, because
 // silently ignoring it would un-inject the fault a test depends on):
@@ -19,15 +19,16 @@
 //               i.e. every hit from the first on)
 //
 //   FDBIST_FAILPOINTS=checkpoint-before-rename=crash
-//   FDBIST_FAILPOINTS=artifact-load-corrupt=corrupt,artifact-save-error=error
+//   FDBIST_FAILPOINTS=checkpoint-torn-write=corrupt@2
 //
 // Actions:
 //   crash    raise SIGKILL on the calling process (a real un-catchable
 //            kill — exactly what a power cut or OOM kill looks like)
 //   corrupt  failpoint_eval() returns true; the site applies its own
-//            corruption (e.g. flip a byte of a loaded artifact)
-//   error    failpoint_eval() returns true; the site maps it to its
-//            native error path (e.g. a synthetic Io error)
+//            corruption (the torn-write seam writes half the file, then
+//            SIGKILLs the process)
+//   error    failpoint_eval() returns true, as for corrupt; the site
+//            decides what a hit means
 //   off      registered but inert (lets a harness list sites)
 //
 // '@count' arms the action from the count-th evaluation of that site

@@ -1,7 +1,7 @@
 // Shared FNV-1a hashing.
 //
-// The fingerprints (fault/checkpoint.hpp), the artifact key
-// (fault/schedule_cache.hpp) and the binary-file trailer
+// The fingerprints (fault/checkpoint.hpp), which also key compiled
+// artifacts (fault/schedule_cache.hpp), and the binary-file trailer
 // (common/binfile.hpp) share these hash constants, so no two of them
 // can drift apart.
 #pragma once

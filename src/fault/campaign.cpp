@@ -116,29 +116,17 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
 
   std::size_t finalized_before = res.sim.finalized_count();
 
-  // Acquire the compiled artifact ONCE for the whole campaign (memory
-  // LRU -> disk store -> single build) and hand the same shared handle
-  // to every slice — the slices then skip schedule compilation and
-  // trace recording entirely. Skipped when every slice was restored
-  // from the checkpoint (nothing left to prepare for) or the engine is
-  // the FullSweep reference.
-  std::shared_ptr<const CompiledArtifact> artifact = opt.artifact;
-  const bool work_left =
-      std::find(ck.slice_finalized.begin(), ck.slice_finalized.end(),
-                std::uint8_t{0}) != ck.slice_finalized.end();
-  if (artifact == nullptr && opt.schedule_cache != nullptr && work_left &&
-      opt.engine != FaultSimEngine::FullSweep && total > 0) {
-    ArtifactCacheStats cstats;
-    artifact = opt.schedule_cache->acquire(nl, stimulus, cstats);
-    fold_cache_stats(cstats, res.sim.stats);
-  }
-
-  // Every slice runs the caller's FaultSimOptions, sharing the one
-  // artifact and the local token, with progress rebased to the
-  // campaign's global count.
+  // Every slice runs the caller's FaultSimOptions, sharing one artifact
+  // and the local token, with progress rebased to the campaign's global
+  // count. The artifact is the caller's, or one built just before the
+  // first slice that runs, so the slices skip schedule compilation and
+  // trace recording entirely. A campaign with no slice left to run, or
+  // whose slices resolve to the FullSweep engine, builds none.
   FaultSimOptions fopt = opt;
-  fopt.artifact = artifact;
   fopt.cancel = &token;
+  const bool build = opt.artifact == nullptr &&
+                     resolve_engine(nl, stimulus.size(), opt) ==
+                         FaultSimEngine::Compiled;
   if (opt.progress)
     fopt.progress = [&](std::size_t done, std::size_t) {
       opt.progress(finalized_before + done, total);
@@ -150,6 +138,8 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
       res.stop_reason = token.reason();
       break;
     }
+    if (build && fopt.artifact == nullptr)
+      fopt.artifact = build_artifact(nl, stimulus, &res.sim.stats);
     const std::size_t lo = s * slice;
     const std::size_t hi = std::min(total, lo + slice);
     const FaultSimResult part =

@@ -49,7 +49,10 @@ class ScheduleCache; // fault/schedule_cache.hpp
 /// engine, SIMD width, thread count or artifact and stay bit-identical.
 /// `progress` is rebased to campaign-global counts (faults finalized
 /// across all slices including resumed ones, total faults); `cancel`
-/// and `artifact` are shared by every slice.
+/// and `artifact` are shared by every slice. Without an `artifact`,
+/// run_campaign builds one in memory just before the first slice it
+/// runs (when the slices' engine resolves to Compiled) and shares that,
+/// so a campaign compiles and records its good trace once.
 struct CampaignOptions : FaultSimOptions {
   /// Design family the fault universe was built from
   /// (rtl::DesignFamily as u32). Part of the checkpoint audit: two
@@ -74,12 +77,9 @@ struct CampaignOptions : FaultSimOptions {
   /// Wall-clock budget in seconds for the whole call; 0 = unlimited.
   double deadline_s = 0;
 
-  /// Optional schedule cache (caller-owned, must outlive the call).
-  /// When set and `artifact` is empty, run_campaign acquires the
-  /// artifact once before the slice loop — memory LRU, then disk, then
-  /// a single build — and folds the cache stats into the result.
-  /// Ignored when the engine is FullSweep. Null keeps the historical
-  /// once-per-slice preparation.
+  /// Benchmark shim (fault/schedule_cache.hpp), ignored: run_campaign
+  /// builds its artifact in memory whether or not this is set. The
+  /// next benchmark change removes it.
   ScheduleCache* schedule_cache = nullptr;
 };
 
@@ -87,7 +87,7 @@ struct CampaignResult {
   /// Merged verdicts. complete == false iff the run stopped early.
   /// sim.stats aggregates engine observability over the slices this
   /// invocation ran (slices restored from a checkpoint did no work and
-  /// contribute nothing).
+  /// contribute nothing), plus the build of the campaign's artifact.
   FaultSimResult sim;
   /// Slices skipped because the loaded checkpoint had finalized them.
   std::size_t resumed_slices = 0;

@@ -112,7 +112,7 @@ Expected<void> FaultSimResult::merge(const FaultSimResult& part,
 namespace {
 
 /// Trace plus widened worker state above this size force the FullSweep
-/// fallback (Auto only).
+/// fallback (Auto only; resolve_engine).
 constexpr std::size_t kGoodTraceMemCap = std::size_t{512} << 20;
 
 /// Compiled-engine memory estimate for the Auto decision: the good
@@ -210,12 +210,7 @@ FaultSimResult simulate(const gate::Netlist& nl,
       detail::batch_kernel(common::SimdBackend::Scalar);
   const std::size_t threads = common::resolve_threads(opt.num_threads);
 
-  FaultSimEngine engine = opt.engine;
-  if (engine == FaultSimEngine::Auto)
-    engine = compiled_mem_estimate(nl.size(), stimulus.size(), threads,
-                                   kernel.lanes()) <= kGoodTraceMemCap
-                 ? FaultSimEngine::Compiled
-                 : FaultSimEngine::FullSweep;
+  const FaultSimEngine engine = resolve_engine(nl, stimulus.size(), opt);
 
   // Preparation: a compiled schedule and (Compiled engine) a good
   // trace. A prebuilt CompiledArtifact (FaultSimOptions::artifact)
@@ -227,9 +222,9 @@ FaultSimResult simulate(const gate::Netlist& nl,
   std::optional<gate::CompiledSchedule> owned_sched;
   const gate::CompiledSchedule* sched_ptr = nullptr;
   if (art != nullptr) {
-    // A mismatched artifact is an API-misuse bug (the cache keys on
-    // these exact fingerprints), so REQUIRE rather than silently
-    // falling back: a silent recompile here would mask the bug forever.
+    // A mismatched artifact is an API-misuse bug (its key holds these
+    // exact fingerprints), so REQUIRE rather than silently falling
+    // back: a silent recompile here would mask the bug forever.
     FDBIST_REQUIRE(art->key.netlist_fp == fingerprint_netlist(nl),
                    "artifact was built for a different netlist");
     FDBIST_REQUIRE(art->key.stimulus_fp == fingerprint_stimulus(stimulus),
@@ -436,6 +431,18 @@ FaultSimResult simulate(const gate::Netlist& nl,
 }
 
 } // namespace
+
+FaultSimEngine resolve_engine(const gate::Netlist& nl, std::size_t cycles,
+                              const FaultSimOptions& opt) {
+  if (opt.engine != FaultSimEngine::Auto) return opt.engine;
+  const std::size_t lanes =
+      detail::batch_kernel(detail::resolve_simd_backend(opt.simd)).lanes();
+  return compiled_mem_estimate(nl.size(), cycles,
+                               common::resolve_threads(opt.num_threads),
+                               lanes) <= kGoodTraceMemCap
+             ? FaultSimEngine::Compiled
+             : FaultSimEngine::FullSweep;
+}
 
 FaultSimResult simulate_faults(const gate::Netlist& nl,
                                std::span<const std::int64_t> stimulus,

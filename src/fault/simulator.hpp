@@ -87,7 +87,8 @@ struct FaultSimStats {
   std::uint64_t gates_full_sweep = 0;
   /// Fault-free cycles spent recording good traces (compiled engine):
   /// one full-budget recording per simulate_faults call that compiled
-  /// its own schedule, none when it ran off an artifact.
+  /// its own schedule (none when it ran off an artifact) or per
+  /// artifact build booked here.
   std::uint64_t good_trace_cycles = 0;
   /// Sum over batches of |cone gates| / |logic gates|.
   double cone_fraction_sum = 0;
@@ -96,17 +97,13 @@ struct FaultSimStats {
   /// of at most 63 faults runs on 64 lanes whatever the backend.
   std::size_t lane_width = 0;
   common::SimdBackend simd = common::SimdBackend::Auto;
-  /// Preparation-time breakdown: what simulate_faults (or the artifact
-  /// build/load on its behalf) spent before the first batch ran. A run
-  /// handed a prebuilt artifact reports zero compile/trace time — that
-  /// is the whole point — while the acquisition site folds the
-  /// artifact's own build/load/save time in via fold_cache_stats
-  /// (fault/schedule_cache.hpp).
+  /// Preparation-time breakdown: what simulate_faults spent before the
+  /// first batch ran. A run handed a prebuilt artifact reports zero
+  /// compile/trace time — that is the whole point — and whoever built
+  /// the artifact books its build here instead (build_artifact's
+  /// `prep`, as run_campaign does).
   std::uint64_t prep_compile_ns = 0; ///< CompiledSchedule construction
   std::uint64_t prep_trace_ns = 0;   ///< good-trace recording
-  std::uint64_t prep_artifact_load_ns = 0;  ///< FDBA load + validate
-  std::uint64_t prep_artifact_build_ns = 0; ///< artifact build on miss
-  std::uint64_t prep_artifact_save_ns = 0;  ///< FDBA serialize + write
   /// Always 0: kept only because the perfbench harness still reads it;
   /// the next benchmark change drops it.
   std::uint64_t prep_passes_ns = 0;
@@ -114,12 +111,6 @@ struct FaultSimStats {
   /// reused). A campaign split into S slices compiles once per design,
   /// not once per slice — this counter is how tests verify that.
   std::uint64_t schedule_compilations = 0;
-  /// Artifact-cache observability (fold_cache_stats).
-  std::uint64_t artifact_mem_hits = 0;
-  std::uint64_t artifact_disk_hits = 0;
-  std::uint64_t artifact_misses = 0;
-  std::uint64_t artifact_evictions = 0;
-  std::uint64_t artifact_load_failures = 0;
 
   /// Mean fraction of the netlist a batch actually evaluates (1.0 for
   /// the full-sweep engine).
@@ -157,15 +148,7 @@ struct FaultSimStats {
     cone_fraction_sum += o.cone_fraction_sum;
     prep_compile_ns += o.prep_compile_ns;
     prep_trace_ns += o.prep_trace_ns;
-    prep_artifact_load_ns += o.prep_artifact_load_ns;
-    prep_artifact_build_ns += o.prep_artifact_build_ns;
-    prep_artifact_save_ns += o.prep_artifact_save_ns;
     schedule_compilations += o.schedule_compilations;
-    artifact_mem_hits += o.artifact_mem_hits;
-    artifact_disk_hits += o.artifact_disk_hits;
-    artifact_misses += o.artifact_misses;
-    artifact_evictions += o.artifact_evictions;
-    artifact_load_failures += o.artifact_load_failures;
   }
 };
 
@@ -219,8 +202,8 @@ struct FaultSimOptions {
 
   /// Batch engine. Auto resolves to Compiled unless the trace plus the
   /// workers' widened per-net simulation state would exceed an internal
-  /// memory cap (then FullSweep). Verdicts are bit-identical either
-  /// way.
+  /// memory cap (then FullSweep; see resolve_engine). Verdicts are
+  /// bit-identical either way.
   FaultSimEngine engine = FaultSimEngine::Auto;
 
   /// SIMD backend for the batch kernel. Auto honours the FDBIST_SIMD
@@ -241,15 +224,15 @@ struct FaultSimOptions {
 
   /// Prebuilt preparation state (fault/schedule_cache.hpp): the
   /// netlist, compiled schedule and full-budget good trace, built once
-  /// and shared across slices/threads/processes. When set and the
+  /// in memory and shared across slices and threads. When set and the
   /// engine resolves to Compiled, simulate_faults skips its own
   /// compilation and trace recording entirely and simulates `faults`
-  /// (any subset of the artifact's keyed universe) on the artifact's
-  /// netlist. The artifact MUST have been built for this exact
-  /// (netlist, stimulus) — enforced by fingerprint REQUIREs, since a
-  /// mismatched handle is an API-misuse bug, not an environmental
-  /// failure. Ignored by FullSweep. Verdicts are bit-identical with or
-  /// without the artifact.
+  /// (any faults of the netlist) on the artifact's netlist. The
+  /// artifact MUST have been built for this exact (netlist, stimulus) —
+  /// enforced by fingerprint REQUIREs, since a mismatched handle is an
+  /// API-misuse bug, not an environmental failure. Ignored by
+  /// FullSweep. Verdicts are bit-identical with or without the
+  /// artifact.
   std::shared_ptr<const CompiledArtifact> artifact;
 };
 
@@ -339,6 +322,15 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
                                std::span<const std::int64_t> stimulus,
                                std::span<const Fault> faults,
                                const FaultSimOptions& opt = {});
+
+/// The engine simulate_faults runs for `opt` over `cycles` vectors of
+/// `nl`: an explicit engine as given; Auto resolves to Compiled unless
+/// the good trace plus every worker's per-net word at the resolved lane
+/// width would exceed the compiled engine's 512 MiB memory cap, and to
+/// FullSweep otherwise. Allocates nothing. run_campaign asks it before
+/// building the one artifact its slices share.
+FaultSimEngine resolve_engine(const gate::Netlist& nl, std::size_t cycles,
+                              const FaultSimOptions& opt);
 
 /// The same run, with opt.signature required, also returning each
 /// fault's final difference word in fault order: faulty ^ good

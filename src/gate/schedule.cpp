@@ -65,20 +65,6 @@ CompiledSchedule::CompiledSchedule(const Netlist& nl) : nl_(nl), n_(nl.size()) {
   compute_settle_depth();
 }
 
-CompiledSchedule::CompiledSchedule(const Netlist& nl, RestoreParts&& parts)
-    : nl_(nl), n_(nl.size()), logic_gates_(parts.logic_gates),
-      op_(std::move(parts.op)), a_(std::move(parts.a)),
-      b_(std::move(parts.b)), fan_start_(std::move(parts.fan_start)),
-      fan_(std::move(parts.fan)), reg_of_(std::move(parts.reg_of)),
-      is_output_(std::move(parts.is_output)) {
-  FDBIST_ASSERT(op_.size() == n_ && a_.size() == n_ && b_.size() == n_ &&
-                    fan_start_.size() == n_ + 1 && reg_of_.size() == n_ &&
-                    is_output_.size() == n_ &&
-                    fan_.size() == std::size_t(fan_start_[n_]),
-                "restored schedule arrays do not match the netlist");
-  compute_settle_depth();
-}
-
 void CompiledSchedule::compute_settle_depth() {
   // Kahn's algorithm: a net is visited once all its predecessors are,
   // so its depth is final when it leaves the queue. Only edges into a

@@ -78,24 +78,6 @@ public:
   /// safe to share across threads.
   explicit CompiledSchedule(const Netlist& nl);
 
-  /// Pre-built compilation state for the artifact-load path
-  /// (gate/artifact.cpp): the exact member arrays a fresh compile of the
-  /// netlist would produce. The deserializer bounds- and
-  /// consistency-checks every array against the netlist before handing
-  /// them here (a corrupt file must surface as a typed error, not an
-  /// assertion), so this constructor only asserts the size invariants.
-  struct RestoreParts {
-    std::vector<GateOp> op;
-    std::vector<NetId> a;
-    std::vector<NetId> b;
-    std::vector<std::int32_t> fan_start;
-    std::vector<NetId> fan;
-    std::vector<std::int32_t> reg_of;
-    std::vector<std::uint8_t> is_output;
-    std::size_t logic_gates = 0;
-  };
-  CompiledSchedule(const Netlist& nl, RestoreParts&& parts);
-
   const Netlist& netlist() const { return nl_; }
   std::size_t size() const { return n_; }
   std::size_t logic_gates() const { return logic_gates_; }
@@ -177,8 +159,7 @@ public:
                     Cone& out) const;
 
 private:
-  /// One topological (Kahn) walk over the CSR; both constructors call
-  /// it, so the artifact format carries no extra section.
+  /// One topological (Kahn) walk over the CSR.
   void compute_settle_depth();
 
   const Netlist& nl_;

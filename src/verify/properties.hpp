@@ -25,11 +25,10 @@
 //   sliced merge    the fault sample cut into slices, each simulated on
 //                   its own and merged in a shuffled order, yields
 //                   verdicts bit-identical to a one-shot run
-//   cached          simulating off a prebuilt CompiledArtifact — fresh
-//   artifact        from build_artifact and again after an FDBA
-//                   serialize/deserialize round trip — yields verdicts
-//                   bit-identical to compile-from-scratch on both
-//                   engines
+//   cached          simulating off a prebuilt CompiledArtifact from
+//   artifact        build_artifact yields verdicts bit-identical to
+//                   compile-from-scratch on both engines, with no
+//                   preparation work of its own
 //
 // All return verify::Finding; property violations are fuzz findings
 // exactly like oracle discrepancies and go through the same
@@ -78,11 +77,11 @@ Finding check_signature_compaction(const FilterCase& c, int sig_width = 16);
 /// to a one-shot simulate_faults.
 Finding check_sliced_merge(const FilterCase& c);
 
-/// Cached-artifact vs compile-from-scratch differential: build the
+/// Prebuilt-artifact vs compile-from-scratch differential: build the
 /// case's compiled artifact (fault/schedule_cache.hpp), run the
-/// Compiled engine off the handle — once fresh from build_artifact and
-/// once after an FDBA serialize/deserialize round trip — and require
-/// verdicts bit-identical to scratch compilation on both engines.
+/// Compiled engine off the handle, and require verdicts bit-identical
+/// to scratch compilation on both engines and no compilation or trace
+/// recording in the artifact run.
 Finding check_cached_artifact(const FilterCase& c);
 
 } // namespace fdbist::verify

@@ -175,9 +175,9 @@ protected:
 // The report's golden signature must equal an independent fault-free
 // sweep (golden_signature) for every Table 4 TPG, through every route
 // that fills it: read from the compiled engine's good trace (scratch,
-// caller-supplied artifact, fresh campaign, warm disk cache) or
-// recomputed when the run recorded none (FullSweep, a campaign resumed
-// from a complete checkpoint).
+// caller-supplied artifact, fresh campaign with and without a
+// checkpoint) or recomputed when the run recorded none (FullSweep, a
+// campaign resumed from a complete checkpoint).
 TEST_P(KitGolden, ReportSignatureMatchesFaultFreeSweep) {
   constexpr std::size_t kVectors = 256;
   const auto design = designs::make_design(GetParam());
@@ -203,18 +203,9 @@ TEST_P(KitGolden, ReportSignatureMatchesFaultFreeSweep) {
     check(kit.evaluate(*gen, kVectors, opt), true, "evaluate Auto");
     opt.engine = fault::FaultSimEngine::FullSweep;
     check(kit.evaluate(*gen, kVectors, opt), false, "evaluate FullSweep");
-    fault::ScheduleCache::Config cfg;
-    cfg.dir = (dir_ / "cache").string();
-    {
-      // The cold acquisition writes the disk entry the warm campaign
-      // below loads, and supplies the caller's artifact.
-      fault::ScheduleCache cold(cfg);
-      fault::ArtifactCacheStats s;
-      opt.engine = fault::FaultSimEngine::Auto;
-      opt.artifact = cold.acquire(kit.lowered().netlist, stim, s);
-      ASSERT_NE(opt.artifact, nullptr) << cell;
-      check(kit.evaluate(*gen, kVectors, opt), true, "evaluate artifact");
-    }
+    opt.engine = fault::FaultSimEngine::Auto;
+    opt.artifact = fault::build_artifact(kit.lowered().netlist, stim);
+    check(kit.evaluate(*gen, kVectors, opt), true, "evaluate artifact");
 
     // Two slices, so the merged result adopts one slice's words.
     fault::CampaignOptions copt;
@@ -230,14 +221,11 @@ TEST_P(KitGolden, ReportSignatureMatchesFaultFreeSweep) {
     ASSERT_TRUE(resumed) << cell << ": " << resumed.error().to_string();
     check(*resumed, false, "campaign resumed from a complete checkpoint");
 
-    fault::ScheduleCache warm(cfg);
     copt.resume = false;
     copt.checkpoint_path.clear();
-    copt.schedule_cache = &warm;
-    auto cached = kit.evaluate_campaign(*gen, kVectors, copt);
-    ASSERT_TRUE(cached) << cell << ": " << cached.error().to_string();
-    check(*cached, true, "campaign warm disk cache");
-    EXPECT_EQ(cached->fault_result.stats.artifact_disk_hits, 1u) << cell;
+    auto unsaved = kit.evaluate_campaign(*gen, kVectors, copt);
+    ASSERT_TRUE(unsaved) << cell << ": " << unsaved.error().to_string();
+    check(*unsaved, true, "campaign without a checkpoint");
   }
 }
 

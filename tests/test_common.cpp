@@ -315,7 +315,7 @@ std::vector<std::uint8_t> small_file() {
 
 Expected<common::ByteReader> open_small(
     const std::vector<std::uint8_t>& bytes,
-    ErrorCode code = ErrorCode::CorruptArtifact) {
+    ErrorCode code = ErrorCode::CorruptCheckpoint) {
   return common::open_file(bytes, {'T', 'E', 'S', 'T'}, 3, code);
 }
 
@@ -339,7 +339,7 @@ TEST(BinFile, RoundTripsLittleEndian) {
 TEST(BinFile, EveryPrefixIsRefusedWithTheCallersCode) {
   const auto bytes = small_file();
   for (const ErrorCode code :
-       {ErrorCode::CorruptCheckpoint, ErrorCode::CorruptArtifact}) {
+       {ErrorCode::CorruptCheckpoint, ErrorCode::InvalidArgument}) {
     for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
       const std::vector<std::uint8_t> cut(bytes.begin(),
                                           bytes.begin() + std::ptrdiff_t(keep));
@@ -355,7 +355,7 @@ TEST(BinFile, BadMagicIsRefused) {
   bytes[0] = 'X';
   auto r = open_small(bytes);
   ASSERT_FALSE(r);
-  EXPECT_EQ(r.error().code, ErrorCode::CorruptArtifact);
+  EXPECT_EQ(r.error().code, ErrorCode::CorruptCheckpoint);
   EXPECT_NE(r.error().message.find("magic"), std::string::npos);
 }
 

@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include "designs/registry.hpp"
 #include "fault/simulator.hpp"
+#include "gate/schedule.hpp"
 #include "rtl/fir_builder.hpp"
 #include "tpg/generators.hpp"
 
@@ -213,6 +215,26 @@ TEST(Simulate, RejectsBadInputs) {
   const auto faults = enumerate_adder_faults(t.low);
   EXPECT_THROW(simulate_faults(t.low.netlist, {}, faults),
                precondition_error);
+}
+
+TEST(Simulate, AutoEngineResolvesFromTheTraceSize) {
+  // Auto runs the compiled engine unless its good trace would not fit
+  // the memory cap. The decision allocates nothing, so it can be asked
+  // about a budget far beyond anything a test could simulate.
+  const auto design = designs::make_design("LP");
+  const auto low = gate::lower(design.graph);
+  constexpr std::size_t kHuge = std::size_t{1} << 20;
+  ASSERT_GT(gate::GoodTrace::bytes_needed(low.netlist.size(), kHuge),
+            std::size_t{512} << 20);
+  FaultSimOptions opt;
+  EXPECT_EQ(resolve_engine(low.netlist, 4096, opt), FaultSimEngine::Compiled);
+  EXPECT_EQ(resolve_engine(low.netlist, kHuge, opt),
+            FaultSimEngine::FullSweep);
+  for (const auto e : {FaultSimEngine::Compiled, FaultSimEngine::FullSweep}) {
+    opt.engine = e;
+    EXPECT_EQ(resolve_engine(low.netlist, 4096, opt), e);
+    EXPECT_EQ(resolve_engine(low.netlist, kHuge, opt), e);
+  }
 }
 
 TEST(Simulate, ProgressCallbackRuns) {

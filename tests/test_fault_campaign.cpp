@@ -650,19 +650,26 @@ class CampaignDeathTest : public CampaignTest {};
 TEST_F(CampaignDeathTest, TornWriteNeverYieldsALoadableFile) {
   const std::string p = path();
   const Checkpoint ck = tagged_checkpoint(11);
+  // The size of the whole file, from an intact save elsewhere.
+  ASSERT_TRUE(save_checkpoint(path("whole.ckpt"), ck));
+  const auto size = std::filesystem::file_size(path("whole.ckpt"));
+  // `corrupt` makes the seam write half the file before it dies;
+  // `crash` would die before writing a byte.
   EXPECT_EXIT(
       {
-        (void)common::failpoint_configure("checkpoint-torn-write=crash");
+        (void)common::failpoint_configure("checkpoint-torn-write=corrupt");
         (void)save_checkpoint(p, ck);
       },
       ::testing::KilledBySignal(SIGKILL), "");
   EXPECT_FALSE(std::filesystem::exists(p))
       << "a crash before the rename must leave the target untouched";
   EXPECT_FALSE(load_checkpoint(p));
-  // The half-written tmp file, if present, must refuse to load too.
-  if (std::filesystem::exists(p + ".tmp")) {
-    EXPECT_FALSE(load_checkpoint(p + ".tmp"));
-  }
+  // The half-written tmp file is there, and refuses to load.
+  ASSERT_TRUE(std::filesystem::exists(p + ".tmp"));
+  EXPECT_EQ(std::filesystem::file_size(p + ".tmp"), size / 2);
+  const auto torn = load_checkpoint(p + ".tmp");
+  ASSERT_FALSE(torn);
+  EXPECT_EQ(torn.error().code, ErrorCode::CorruptCheckpoint);
 }
 
 TEST_F(CampaignDeathTest, CrashBeforeRenameLeavesNoCheckpoint) {

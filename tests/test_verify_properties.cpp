@@ -89,10 +89,10 @@ TEST(VerifyProperties, SignatureCompactionHoldsForEveryFamily) {
 }
 
 TEST(VerifyProperties, CachedArtifactHoldsForEveryFamily) {
-  // Simulating off a prebuilt / FDBA-round-tripped artifact must be
-  // bit-identical to compile-from-scratch on both engines, for every
-  // design family (the per-family pin keeps a decimator-only or
-  // IIR-only regression from hiding behind the rotation).
+  // Simulating off a prebuilt artifact must be bit-identical to
+  // compile-from-scratch on both engines, for every design family (the
+  // per-family pin keeps a decimator-only or IIR-only regression from
+  // hiding behind the rotation).
   for (std::int32_t family = 0; family <= 2; ++family) {
     for (std::uint64_t i = 0; i < 3; ++i) {
       const std::uint64_t seed = common::test_seed(910 + 10 * family + i);
