@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "fault/simulator.hpp"
 #include "gate/lower.hpp"
 #include "tpg/generators.hpp"
@@ -15,7 +15,7 @@
 int main() {
   using namespace fdbist;
   const std::size_t vectors = bench::budget(4096);
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
 
   bench::heading("Ablation: ripple-carry vs carry-save accumulation (LP)");
 

@@ -9,7 +9,7 @@
 #include "bench/bench_util.hpp"
 #include "bist/compactors.hpp"
 #include "bist/diagnosis.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "fault/simulator.hpp"
 #include "gate/sim.hpp"
 #include "tpg/generators.hpp"
@@ -17,7 +17,7 @@
 
 int main() {
   using namespace fdbist;
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   const auto low = gate::lower(d.graph);
   const auto faults = fault::order_for_simulation(
       fault::enumerate_adder_faults(low), low.netlist, d.graph);

@@ -7,13 +7,13 @@
 
 #include "bench/bench_util.hpp"
 #include "bist/kit.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "tpg/generators.hpp"
 
 int main() {
   using namespace fdbist;
   const std::size_t vectors = 2 * bench::budget(4096);
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   bist::BistKit kit(d);
 
   bench::heading("Ablation: LFSR width vs input cycling (LP, " +

@@ -8,7 +8,7 @@
 #include "analysis/targeted.hpp"
 #include "bench/bench_util.hpp"
 #include "bist/kit.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "fault/simulator.hpp"
 #include "tpg/generators.hpp"
 
@@ -21,9 +21,8 @@ int main() {
   std::printf("  %-5s %22s %8s %10s\n", "Des.", "scheme", "vectors",
               "missed");
 
-  for (const auto f : {designs::ReferenceFilter::Lowpass,
-                       designs::ReferenceFilter::Highpass}) {
-    const auto d = designs::make_reference(f);
+  for (const char* name : {"LP", "HP"}) {
+    const auto d = designs::make_design(name);
     bist::BistKit kit(d);
 
     tpg::SwitchedLfsr mixed(12, half, 1);

@@ -7,18 +7,14 @@
 // is the reproduction target (see EXPERIMENTS.md).
 #pragma once
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <utility>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "bist/kit.hpp"
 #include "common/parse.hpp"
-#include "fault/campaign.hpp"
 
 namespace fdbist::bench {
 
@@ -46,16 +42,6 @@ inline std::size_t threads() {
     std::exit(2);
   }
   return *v;
-}
-
-/// Campaign checkpoint directory: when FDBIST_CHECKPOINT_DIR is set,
-/// the heavy sweeps route fault simulation through the campaign layer,
-/// persisting per-(design, generator) checkpoints there so a killed
-/// sweep resumes instead of restarting (results bit-identical either
-/// way). Unset/empty = plain in-memory runs.
-inline const char* checkpoint_dir() {
-  const char* d = std::getenv("FDBIST_CHECKPOINT_DIR");
-  return (d != nullptr && d[0] != '\0') ? d : nullptr;
 }
 
 inline void heading(const std::string& title) {
@@ -93,39 +79,18 @@ inline void progress(const char* label, std::size_t done, std::size_t total) {
   std::fflush(stderr);
 }
 
-/// BIST evaluation with campaign resilience: when FDBIST_CHECKPOINT_DIR
-/// is set, verdicts checkpoint to "<dir>/<label>.ckpt" and an
-/// interrupted sweep resumes from there on the next run; otherwise the
-/// plain engine. Campaign errors (unreadable/foreign checkpoint) abort
-/// the bench with the typed error message — a sweep must never print
-/// rows computed from a checkpoint it could not trust.
+/// One BIST evaluation on the bench's worker count, with a progress
+/// ticker labelled `label`. Every sweep finishes in seconds, so it runs
+/// in memory; `fdbist_cli campaign` is the checkpointed path.
 inline bist::BistReport evaluate(const bist::BistKit& kit,
                                  tpg::Generator& gen, std::size_t vectors,
                                  const std::string& label) {
-  fault::CampaignOptions opt;
+  fault::FaultSimOptions opt;
   opt.num_threads = threads();
   opt.progress = [label](std::size_t done, std::size_t total) {
     progress(label.c_str(), done, total);
   };
-  const char* dir = checkpoint_dir();
-  if (dir == nullptr) return kit.evaluate(gen, vectors, opt);
-
-  ::mkdir(dir, 0777); // EEXIST is fine; real failures surface on save
-  std::string file;
-  for (const char c : label)
-    file.push_back(std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-                           c == '.' || c == '_' || c == '-'
-                       ? c
-                       : '_');
-  opt.checkpoint_path = std::string(dir) + "/" + file + ".ckpt";
-  opt.resume = true;
-  auto report = kit.evaluate_campaign(gen, vectors, opt);
-  if (!report) {
-    std::fprintf(stderr, "bench: %s: %s\n", label.c_str(),
-                 report.error().to_string().c_str());
-    std::exit(1);
-  }
-  return std::move(*report);
+  return kit.evaluate(gen, vectors, opt);
 }
 
 } // namespace fdbist::bench

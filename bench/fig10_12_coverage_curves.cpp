@@ -8,7 +8,7 @@
 
 #include "bench/bench_util.hpp"
 #include "bist/kit.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "tpg/generators.hpp"
 
 int main() {
@@ -23,16 +23,16 @@ int main() {
       tpg::GeneratorKind::LfsrM, tpg::GeneratorKind::Ramp};
 
   const struct {
-    designs::ReferenceFilter filter;
+    const char* design;
     const char* figure;
   } kRuns[] = {
-      {designs::ReferenceFilter::Lowpass, "Figure 10 (lowpass)"},
-      {designs::ReferenceFilter::Bandpass, "Figure 11 (bandpass)"},
-      {designs::ReferenceFilter::Highpass, "Figure 12 (highpass)"},
+      {"LP", "Figure 10 (lowpass)"},
+      {"BP", "Figure 11 (bandpass)"},
+      {"HP", "Figure 12 (highpass)"},
   };
 
   for (const auto& run : kRuns) {
-    const auto d = designs::make_reference(run.filter);
+    const auto d = designs::make_design(run.design);
     bist::BistKit kit(d);
     bench::heading(std::string(run.figure) +
                    ": fault coverage vs vectors (%)");

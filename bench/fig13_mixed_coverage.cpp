@@ -6,7 +6,7 @@
 
 #include "bench/bench_util.hpp"
 #include "bist/kit.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "tpg/generators.hpp"
 
 int main() {
@@ -14,7 +14,7 @@ int main() {
   const std::size_t vectors = bench::budget(4096);
   const std::size_t switch_at = vectors / 2; // paper: 2k of 4k shown
 
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   bist::BistKit kit(d);
 
   bench::heading("Figure 13: mixed-mode advantage on the lowpass filter");

@@ -1,19 +1,20 @@
 // Reproduces Figure 1 and Table 2: the difficult-test zones of a
 // variance-mismatched adder, and which of the T1/T2/T5/T6 classes each
 // generator actually asserts at tap 20 of the lowpass design.
+#include <cmath>
 #include <cstdio>
 
 #include "analysis/test_zones.hpp"
 #include "analysis/variance.hpp"
 #include "bench/bench_util.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "dsp/stats.hpp"
 #include "rtl/sim.hpp"
 #include "tpg/generators.hpp"
 
 int main() {
   using namespace fdbist;
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   const auto tap = d.tap_accumulators[20];
   const std::size_t vectors = bench::budget(4095);
 

@@ -13,13 +13,13 @@
 
 #include "bench/bench_util.hpp"
 #include "bist/kit.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "gate/sim.hpp"
 #include "tpg/generators.hpp"
 
 int main() {
   using namespace fdbist;
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   bist::BistKit kit(d);
   const std::size_t vectors = bench::budget(4096);
 

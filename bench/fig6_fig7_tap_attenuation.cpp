@@ -9,14 +9,14 @@
 
 #include "analysis/variance.hpp"
 #include "bench/bench_util.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "dsp/stats.hpp"
 #include "rtl/sim.hpp"
 #include "tpg/generators.hpp"
 
 int main() {
   using namespace fdbist;
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   const auto tap = d.tap_accumulators[20];
   const auto fmt = d.graph.node(tap).fmt;
   const double full_scale = std::ldexp(1.0, fmt.width - 1 - fmt.frac);

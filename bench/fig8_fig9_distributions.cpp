@@ -10,14 +10,14 @@
 #include "analysis/distribution.hpp"
 #include "analysis/lfsr_model.hpp"
 #include "bench/bench_util.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "dsp/convolution.hpp"
 #include "rtl/sim.hpp"
 #include "tpg/generators.hpp"
 
 int main() {
   using namespace fdbist;
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   const auto tap = d.tap_accumulators[20];
   const auto& h = d.linear[std::size_t(tap)].impulse;
   const std::size_t vectors = bench::budget(4095);

@@ -29,7 +29,7 @@
 
 #include "common/parse.hpp"
 #include "common/simd.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "fault/kernel.hpp"
 #include "fault/simulator.hpp"
 #include "gate/lower.hpp"
@@ -238,9 +238,7 @@ int run_json_report(const std::string& path, const std::string& design_name,
   // Default workload is the table4 shape: a paper reference design and
   // the LFSR-D generator. bench12 is the small option for quick loops.
   rtl::FilterDesign design =
-      design_name == "bench12"
-          ? bench_design()
-          : designs::make_reference(designs::ReferenceFilter::Lowpass);
+      design_name == "bench12" ? bench_design() : designs::make_design("LP");
   const auto low = gate::lower(design.graph);
   const auto faults = fault::order_for_simulation(
       fault::enumerate_adder_faults(low), low.netlist, design.graph);

@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "fault/fault.hpp"
 #include "gate/lower.hpp"
 
@@ -16,10 +16,8 @@ int main() {
 
   std::printf("  %-6s %7s %6s %4s %6s %4s %8s %8s\n", "design", "adders",
               "regs", "in", "coef", "out", "gates", "faults");
-  for (const auto f :
-       {designs::ReferenceFilter::Lowpass, designs::ReferenceFilter::Bandpass,
-        designs::ReferenceFilter::Highpass}) {
-    const auto d = designs::make_reference(f);
+  for (const char* name : {"LP", "BP", "HP"}) {
+    const auto d = designs::make_design(name);
     const auto s = d.stats();
     const auto low = gate::lower(d.graph);
     const auto faults = fault::enumerate_adder_faults(low);

@@ -5,7 +5,7 @@
 
 #include "analysis/compatibility.hpp"
 #include "bench/bench_util.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 
 int main() {
   using namespace fdbist;
@@ -17,7 +17,9 @@ int main() {
   std::printf("        LFSR-M      +    +    +\n");
   std::printf("        Ramp        +    -    -\n\n");
 
-  const auto designs = designs::make_all_references();
+  const std::vector<rtl::FilterDesign> designs = {
+      designs::make_design("LP"), designs::make_design("BP"),
+      designs::make_design("HP")};
   const auto rows = analysis::compatibility_matrix(designs);
 
   std::printf("  measured rating (spectral efficiency in parens):\n");

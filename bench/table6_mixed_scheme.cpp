@@ -6,7 +6,7 @@
 
 #include "bench/bench_util.hpp"
 #include "bist/kit.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "tpg/generators.hpp"
 
 int main() {
@@ -20,9 +20,8 @@ int main() {
               "best single mode,\n"
               "  up to 3.5x over basic LFSR testing.\n\n");
 
-  for (const auto f : {designs::ReferenceFilter::Lowpass,
-                       designs::ReferenceFilter::Highpass}) {
-    const auto d = designs::make_reference(f);
+  for (const char* name : {"LP", "HP"}) {
+    const auto d = designs::make_design(name);
     bist::BistKit kit(d);
     const double adders = double(d.stats().adders);
 

@@ -10,15 +10,14 @@
 #include <cstdio>
 
 #include "bist/kit.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "fault/fault.hpp"
 #include "gate/sim.hpp"
 #include "tpg/generators.hpp"
 
 int main() {
   using namespace fdbist;
-  const auto design =
-      designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto design = designs::make_design("LP");
   bist::BistKit kit(design);
 
   // Choose a fault two bits below the MSB of the tap-20 accumulator.

@@ -4,19 +4,19 @@
 //   fdbist_cli [--threads N] design   <lowpass|highpass|bandpass> <taps> <f1> [f2]
 //   fdbist_cli [--threads N] analyze  <design>
 //   fdbist_cli [--threads N] faultsim <design> <generator> <vectors>
-//                            [--design NAME] [--signature W]
+//                            [--signature W]
 //   fdbist_cli [--threads N] campaign <design> <generator> <vectors>
-//                            [--design NAME] [--signature W]
-//                            [--checkpoint FILE] [--checkpoint-every N]
-//                            [--resume] [--deadline-s S]
+//                            [--signature W] [--checkpoint FILE]
+//                            [--checkpoint-every N] [--resume]
+//                            [--deadline-s S]
 //   fdbist_cli [--threads N] spectra  <generator> [samples]
 //   fdbist_cli [--threads N] export   <design> <verilog|dot>
 //   fdbist_cli fuzz [--seed N] [--cases N] [--corpus DIR]
 //                   [--minimize 0|1] [--mutate K] [--family F]
 //
 // <design> is any name from `fdbist_cli designs` (case-insensitive:
-// LP, BP, HP, IIR4, DEC2, ...); the optional --design flag overrides
-// the positional, and an unknown name is a usage error (exit 2).
+// LP, BP, HP, IIR4, DEC2, ...), built through the design registry; an
+// unknown name is a usage error (exit 2).
 // --signature W routes verdicts through a width-W MISR difference
 // register in the fault kernel (W in 2..31; the default primitive
 // polynomial) and reports measured aliasing against the word-compare
@@ -65,6 +65,7 @@
 #include "bist/kit.hpp"
 #include "common/parse.hpp"
 #include "designs/registry.hpp"
+#include "dsp/fir_design.hpp"
 #include "dsp/spectrum.hpp"
 #include "fault/campaign.hpp"
 #include "gate/verilog.hpp"
@@ -92,10 +93,10 @@ int usage() {
                "  fdbist_cli [--threads N] analyze  <design>\n"
                "  fdbist_cli [--threads N] faultsim <design> <generator> "
                "<vectors>\n"
-               "                           [--design NAME] [--signature W]\n"
+               "                           [--signature W]\n"
                "  fdbist_cli [--threads N] campaign <design> <generator> "
                "<vectors>\n"
-               "                           [--design NAME] [--signature W] "
+               "                           [--signature W] "
                "[--checkpoint FILE]\n"
                "                           [--checkpoint-every N] [--resume] "
                "[--deadline-s S]\n"
@@ -312,17 +313,14 @@ void print_signature_line(const fault::SignatureOptions& sig,
 
 int cmd_faultsim(int argc, char** argv) {
   if (argc < 4) return usage();
-  auto name = resolve_design_name(argv[1]);
+  const auto name = resolve_design_name(argv[1]);
   const auto vectors = arg_size(argv[3], "<vectors>", 1, kMaxVectors);
   if (!name || !vectors) return usage();
 
   fault::FaultSimOptions opt;
   opt.num_threads = g_threads;
   for (int i = 4; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--design") == 0 && i + 1 < argc) {
-      name = resolve_design_name(argv[++i]);
-      if (!name) return usage();
-    } else if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
       const auto sig = arg_signature(argv[++i]);
       if (!sig) return usage();
       opt.signature = *sig;
@@ -345,7 +343,7 @@ int cmd_faultsim(int argc, char** argv) {
 
 int cmd_campaign(int argc, char** argv) {
   if (argc < 4) return usage();
-  auto name = resolve_design_name(argv[1]);
+  const auto name = resolve_design_name(argv[1]);
   const auto vectors = arg_size(argv[3], "<vectors>", 1, kMaxVectors);
   if (!name || !vectors) return usage();
 
@@ -353,10 +351,7 @@ int cmd_campaign(int argc, char** argv) {
   copt.num_threads = g_threads;
   copt.checkpoint_every = 1024;
   for (int i = 4; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--design") == 0 && i + 1 < argc) {
-      name = resolve_design_name(argv[++i]);
-      if (!name) return usage();
-    } else if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
       const auto sig = arg_signature(argv[++i]);
       if (!sig) return usage();
       copt.signature = *sig;

@@ -12,21 +12,21 @@
 
 #include "analysis/compatibility.hpp"
 #include "bist/kit.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "tpg/generators.hpp"
 
 int main(int argc, char** argv) {
   using namespace fdbist;
 
-  auto which = designs::ReferenceFilter::Lowpass;
+  const char* which = "LP";
   if (argc > 1 && std::strcmp(argv[1], "bp") == 0)
-    which = designs::ReferenceFilter::Bandpass;
+    which = "BP";
   else if (argc > 1 && std::strcmp(argv[1], "hp") == 0)
-    which = designs::ReferenceFilter::Highpass;
+    which = "HP";
   const std::size_t vectors =
       argc > 2 ? std::stoul(argv[2]) : std::size_t{2048};
 
-  const auto design = designs::make_reference(which);
+  const auto design = designs::make_design(which);
   std::printf("== generator face-off on the %s reference design "
               "(%zu vectors) ==\n\n",
               design.name.c_str(), vectors);

@@ -4,7 +4,7 @@
 //
 // Typical use (see examples/quickstart.cpp):
 //
-//   auto design = designs::make_reference(designs::ReferenceFilter::Lowpass);
+//   auto design = designs::make_design("LP"); // designs/registry.hpp
 //   bist::BistKit kit(design);
 //   auto gen = tpg::make_generator(analysis::recommend_generator(design));
 //   auto report = kit.evaluate(*gen, 4096);

@@ -1,5 +1,6 @@
 #include "common/atomic_file.hpp"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -8,22 +9,33 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include "common/failpoint.hpp"
-
 namespace fdbist::common {
 
 namespace {
+
+std::atomic<CrashSeam> g_armed{CrashSeam::None};
+
+bool armed(CrashSeam seam) {
+  return g_armed.load(std::memory_order_relaxed) == seam;
+}
+
+[[noreturn]] void crash(const char* seam) {
+  std::fprintf(stderr, "fdbist: crash seam %s: SIGKILL\n", seam);
+  std::fflush(stderr);
+  ::kill(::getpid(), SIGKILL);
+  for (;;) ::pause(); // unreachable: SIGKILL cannot be caught
+}
 
 Error io_error(const std::string& what, const std::string& path) {
   return Error{ErrorCode::Io,
                what + " " + path + " (" + std::strerror(errno) + ")"};
 }
 
-std::string failpoint_name(const char* prefix, const char* site) {
-  return std::string(prefix) + "-" + site;
-}
-
 } // namespace
+
+void arm_crash_seam(CrashSeam seam) {
+  g_armed.store(seam, std::memory_order_relaxed);
+}
 
 Expected<void> fsync_parent_dir(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
@@ -42,26 +54,20 @@ Expected<void> fsync_parent_dir(const std::string& path) {
 }
 
 Expected<void> atomic_write_file(const std::string& path,
-                                 std::span<const std::uint8_t> bytes,
-                                 const char* failpoint_prefix) {
+                                 std::span<const std::uint8_t> bytes) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return io_error("cannot open for writing:", tmp);
 
-  // Torn write (arm "<prefix>-torn-write" with the `corrupt` action):
-  // persist half the payload, make it durable, then die — the tail
-  // checksum is what makes the torn tmp file detectable, and the
-  // not-yet-renamed `path` is what keeps it harmless.
-  if (failpoint_prefix != nullptr && failpoints_active() &&
-      failpoint_eval(failpoint_name(failpoint_prefix, "torn-write").c_str())) {
+  // Torn write: persist half the payload, make it durable, then die —
+  // the tail checksum is what makes the torn tmp file detectable, and
+  // the not-yet-renamed `path` is what keeps it harmless.
+  if (armed(CrashSeam::TornWrite)) {
     std::fwrite(bytes.data(), 1, bytes.size() / 2, f);
     std::fflush(f);
     ::fsync(fileno(f));
     std::fclose(f);
-    std::fprintf(stderr, "fdbist: failpoint %s-torn-write: SIGKILL\n",
-                 failpoint_prefix);
-    std::fflush(stderr);
-    ::kill(::getpid(), SIGKILL);
+    crash("torn-write");
   }
 
   const bool wrote =
@@ -72,16 +78,14 @@ Expected<void> atomic_write_file(const std::string& path,
     return io_error("short write to", tmp);
   }
 
-  if (failpoint_prefix != nullptr)
-    FDBIST_FAILPOINT(failpoint_name(failpoint_prefix, "before-rename").c_str());
+  if (armed(CrashSeam::BeforeRename)) crash("before-rename");
 
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return io_error("cannot rename into place:", path);
   }
 
-  if (failpoint_prefix != nullptr)
-    FDBIST_FAILPOINT(failpoint_name(failpoint_prefix, "after-rename").c_str());
+  if (armed(CrashSeam::AfterRename)) crash("after-rename");
 
   return fsync_parent_dir(path);
 }

@@ -5,11 +5,52 @@
 #include "common/check.hpp"
 #include "dsp/fir_design.hpp"
 #include "rtl/decimator_builder.hpp"
+#include "rtl/fir_builder.hpp"
 #include "rtl/iir_builder.hpp"
 
 namespace fdbist::designs {
 
 namespace {
+
+// Scale an impulse response to an L1 norm of 0.98, inside the 16-bit
+// unit output format with margin for truncation slack.
+std::vector<double> l1_normalized(std::vector<double> h) {
+  const double l1 = dsp::l1_norm(h);
+  FDBIST_ASSERT(l1 > 0.0, "degenerate reference design");
+  const double scale = 0.98 / l1;
+  for (double& v : h) v *= scale;
+  return h;
+}
+
+// The paper's Table 1 CUTs: lowpass, bandpass and highpass
+// multiplierless FIRs of comparable complexity (~60 taps, 12-bit input,
+// 14/15-bit coefficients, 16-bit output). The paper's exact coefficient
+// sets are proprietary (FIRGEN designs); these are equivalent
+// Kaiser-window designs — DESIGN.md §2 says why that preserves the
+// testability behaviour.
+struct Table1Fir {
+  dsp::FirSpec fir;
+  int coef_width;
+};
+
+// Narrow-band lowpass: passband well inside the Type 1 LFSR's
+// low-frequency rolloff — the paper's problem case (Section 5).
+constexpr Table1Fir kLowpass{
+    {dsp::FilterKind::Lowpass, 60, 0.045, 0.0, 5.65}, 15};
+// Mid-band, somewhat wider passband (paper Section 8 remarks the BP is
+// slightly easier for wide-band generators).
+constexpr Table1Fir kBandpass{
+    {dsp::FilterKind::Bandpass, 58, 0.19, 0.31, 5.65}, 14};
+// 61 taps: type I, because an even-length symmetric FIR is structurally
+// zero at Nyquist (documented substitution).
+constexpr Table1Fir kHighpass{
+    {dsp::FilterKind::Highpass, 61, 0.42, 0.0, 5.65}, 15};
+
+rtl::FilterDesign table1_fir(const Table1Fir& spec, const std::string& name) {
+  rtl::FirBuilderOptions opt; // Table 1's 12-bit input
+  opt.coef_width = spec.coef_width;
+  return rtl::build_fir(l1_normalized(dsp::design_fir(spec.fir)), opt, name);
+}
 
 // L1 norm of the real-valued cascade impulse response, by direct DF-I
 // recursion in doubles. Used to pre-scale the first section's numerator
@@ -59,12 +100,8 @@ std::vector<rtl::BiquadSection> iir4_sections() {
 // Reference decimator: 2-to-1 with a 31-tap Kaiser lowpass cut at the
 // new Nyquist rate, L1-normalized like the Table 1 references.
 std::vector<double> dec2_coefficients() {
-  auto h = dsp::design_fir({dsp::FilterKind::Lowpass, 31, 0.21, 0.0, 5.65});
-  const double l1 = dsp::l1_norm(h);
-  FDBIST_ASSERT(l1 > 0.0, "degenerate decimator reference design");
-  const double scale = 0.98 / l1;
-  for (double& v : h) v *= scale;
-  return h;
+  return l1_normalized(
+      dsp::design_fir({dsp::FilterKind::Lowpass, 31, 0.21, 0.0, 5.65}));
 }
 
 } // namespace
@@ -92,9 +129,9 @@ bool has_design(const std::string& name) {
 }
 
 rtl::FilterDesign make_design(const std::string& name) {
-  if (name == "LP") return make_reference(ReferenceFilter::Lowpass);
-  if (name == "BP") return make_reference(ReferenceFilter::Bandpass);
-  if (name == "HP") return make_reference(ReferenceFilter::Highpass);
+  if (name == "LP") return table1_fir(kLowpass, name);
+  if (name == "BP") return table1_fir(kBandpass, name);
+  if (name == "HP") return table1_fir(kHighpass, name);
   if (name == "IIR4") {
     rtl::IirBuilderOptions opt;
     return rtl::build_iir_biquad(iir4_sections(), opt, "IIR4");
@@ -110,14 +147,6 @@ rtl::FilterDesign make_design(const std::string& name) {
   }
   throw precondition_error("unknown design name \"" + name +
                            "\" (registered: " + names + ")");
-}
-
-std::vector<rtl::FilterDesign> make_all_designs() {
-  std::vector<rtl::FilterDesign> out;
-  out.reserve(design_registry().size());
-  for (const RegistryEntry& e : design_registry())
-    out.push_back(make_design(e.name));
-  return out;
 }
 
 } // namespace fdbist::designs

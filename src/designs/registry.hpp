@@ -1,18 +1,17 @@
-// Named-design registry.
+// Named-design registry: the one front door to the designs.
 //
 // Every workload the pipeline can target — the paper's three Table 1
-// FIRs plus the added IIR biquad cascade and polyphase decimator
-// reference designs — is registered here under a stable name, so the
-// CLI (--design), the bench drivers, and the test suites all build
-// designs through one front door. Entries carry the design family; the
-// family tag then rides through checkpoints, the corpus format, and the
-// verify oracle's per-family budgets.
+// FIRs (LP, BP, HP) plus the added IIR biquad cascade and polyphase
+// decimator reference designs — is registered here under a stable name,
+// and make_design is the only way the CLI, the bench drivers, the
+// examples and the test suites build one. Entries carry the design
+// family; the family tag then rides through checkpoints, the corpus
+// format, and the verify oracle's per-family budgets.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "designs/reference.hpp"
 #include "rtl/builder.hpp"
 
 namespace fdbist::designs {
@@ -33,8 +32,5 @@ bool has_design(const std::string& name);
 /// Build a registered design by name. Throws precondition_error on an
 /// unknown name (the message lists the registered names).
 rtl::FilterDesign make_design(const std::string& name);
-
-/// Build every registered design, in registry order.
-std::vector<rtl::FilterDesign> make_all_designs();
 
 } // namespace fdbist::designs

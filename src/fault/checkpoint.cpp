@@ -99,9 +99,9 @@ Expected<void> save_checkpoint(const std::string& path, const Checkpoint& ck) {
   // tmp + fsync + rename + parent-dir fsync (common/atomic_file.hpp): a
   // SIGKILL at any point leaves either the old checkpoint or the new
   // one, never a torn file at `path`, and a completed save survives a
-  // power cut. The "checkpoint-*" failpoints let the crash tests stand
-  // exactly on the write/rename seams.
-  return common::atomic_write_file(path, w.bytes(), "checkpoint");
+  // power cut. Its crash seams let the death tests stand exactly on the
+  // write/rename points.
+  return common::atomic_write_file(path, w.bytes());
 }
 
 Expected<Checkpoint> load_checkpoint(const std::string& path) {

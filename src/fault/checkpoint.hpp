@@ -39,9 +39,9 @@
 // Saves are atomic and durable (write to "<path>.tmp", fsync, rename,
 // fsync the parent directory — common/atomic_file.hpp), so a process
 // killed mid-save never corrupts the previous good checkpoint and a
-// completed save survives power loss. The "checkpoint-torn-write",
-// "checkpoint-before-rename" and "checkpoint-after-rename" failpoints
-// (common/failpoint.hpp) inject crashes at exactly those seams. Loads
+// completed save survives power loss. The crash seams of
+// common/atomic_file.hpp (torn write, before rename, after rename) let
+// the death tests kill a save at exactly those points. Loads
 // validate the frame, then every count against the file's size, and
 // return typed errors: Io for filesystem failures, CorruptCheckpoint
 // for anything malformed.

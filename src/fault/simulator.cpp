@@ -461,13 +461,4 @@ FaultSimResult simulate_faults(
   return simulate(nl, stimulus, faults, opt, signature_difference);
 }
 
-FaultSimResult simulate_design(const gate::LoweredDesign& d,
-                               const rtl::Graph& g,
-                               std::span<const std::int64_t> stimulus,
-                               const FaultSimOptions& opt) {
-  const auto faults =
-      order_for_simulation(enumerate_adder_faults(d), d.netlist, g);
-  return simulate_faults(d.netlist, stimulus, faults, opt);
-}
-
 } // namespace fdbist::fault

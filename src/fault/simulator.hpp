@@ -341,13 +341,4 @@ FaultSimResult simulate_faults(
     std::span<const Fault> faults, const FaultSimOptions& opt,
     std::vector<std::uint32_t>& signature_difference);
 
-/// Convenience: simulate the full adder-fault universe of a lowered
-/// design against a stimulus, with difficulty-ordered batching (see
-/// fault::order_for_simulation). `g` is the RTL graph the design was
-/// lowered from.
-FaultSimResult simulate_design(const gate::LoweredDesign& d,
-                               const rtl::Graph& g,
-                               std::span<const std::int64_t> stimulus,
-                               const FaultSimOptions& opt = {});
-
 } // namespace fdbist::fault

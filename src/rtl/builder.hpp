@@ -84,6 +84,10 @@ struct BuilderContext {
 /// assign_widths (or pinned by a family builder that sizes explicitly).
 inline constexpr int kProvisionalWidth = 48;
 
+/// Width of every family's output word, in the unit format
+/// fx::Format::unit(kOutputWidth): Table 1's 16-bit output.
+inline constexpr int kOutputWidth = 16;
+
 /// A constant-multiplication result: the node computing |sum| and whether
 /// the true product is its negation (used when every CSD digit is
 /// negative, so the structural combiner absorbs the sign via Sub).

@@ -18,8 +18,6 @@ FilterDesign build_polyphase_decimator(
                  "lane width out of range");
   FDBIST_REQUIRE(opt.factor * opt.lane_width <= 32,
                  "packed input exceeds 32 bits");
-  FDBIST_REQUIRE(opt.output_width >= 2 && opt.output_width <= 62,
-                 "output width out of range");
   FDBIST_REQUIRE(opt.product_frac >= 1 && opt.product_frac <= 40,
                  "product_frac out of range");
   for (const double c : coefficients)
@@ -36,7 +34,6 @@ FilterDesign build_polyphase_decimator(
 
   csd::QuantizeOptions qopt;
   qopt.width = opt.coef_width;
-  qopt.max_digits = opt.max_csd_digits;
   d.coefs = csd::quantize_all(coefficients, qopt);
 
   Graph& g = d.graph;
@@ -44,7 +41,7 @@ FilterDesign build_polyphase_decimator(
 
   const fx::Format packed_fmt{m_factor * w, w - 1};
   d.input = g.input(packed_fmt, "x");
-  const NodeId xr = opt.input_register ? g.reg(d.input, "x.reg") : d.input;
+  const NodeId xr = g.reg(d.input, "x.reg");
 
   // Lane extraction: arithmetic shift + wrap slices lane m's bits; the
   // Scale restores unit weighting (raw bits unchanged, frac + m*w).
@@ -86,7 +83,7 @@ FilterDesign build_polyphase_decimator(
     d.structural_adders.push_back(acc);
   }
 
-  const fx::Format out_fmt = fx::Format::unit(opt.output_width);
+  const fx::Format out_fmt = fx::Format::unit(kOutputWidth);
   const NodeId y = g.resize(acc, out_fmt, "y.resize");
   d.output = g.output(y, "y");
 

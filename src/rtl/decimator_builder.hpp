@@ -28,14 +28,13 @@
 
 namespace fdbist::rtl {
 
+/// The input is always registered and the output is always the
+/// kOutputWidth-bit unit word (rtl/builder.hpp); neither is an option.
 struct DecimatorOptions {
-  int factor = 2;         ///< decimation ratio M (2..4)
-  int lane_width = 12;    ///< bits per packed input sample
+  int factor = 2;        ///< decimation ratio M (2..4)
+  int lane_width = 12;   ///< bits per packed input sample
   int coef_width = 15;
-  int max_csd_digits = 0; ///< cap nonzero digits per coefficient (0 = off)
-  int product_frac = 15;  ///< fractional bits kept in the datapath
-  int output_width = 16;
-  bool input_register = true;
+  int product_frac = 15; ///< fractional bits kept in the datapath
 };
 
 /// Build, scale, and analyze an M-phase polyphase decimator from the

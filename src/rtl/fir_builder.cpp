@@ -12,8 +12,6 @@ FilterDesign build_fir(const std::vector<double>& coefficients,
   FDBIST_REQUIRE(!coefficients.empty(), "empty coefficient list");
   FDBIST_REQUIRE(opt.input_width >= 2 && opt.input_width <= 32,
                  "input width out of range");
-  FDBIST_REQUIRE(opt.output_width >= 2 && opt.output_width <= 62,
-                 "output width out of range");
   FDBIST_REQUIRE(opt.product_frac >= 1 && opt.product_frac <= 40,
                  "product_frac out of range");
   for (const double c : coefficients)
@@ -24,14 +22,13 @@ FilterDesign build_fir(const std::vector<double>& coefficients,
   d.family = DesignFamily::Fir;
   csd::QuantizeOptions qopt;
   qopt.width = opt.coef_width;
-  qopt.max_digits = opt.max_csd_digits;
   d.coefs = csd::quantize_all(coefficients, qopt);
 
   Graph& g = d.graph;
   BuilderContext ctx{&g, opt.coef_width, opt.product_frac};
 
   d.input = g.input(fx::Format::unit(opt.input_width), "x");
-  const NodeId x = opt.input_register ? g.reg(d.input, "x.reg") : d.input;
+  const NodeId x = g.reg(d.input, "x.reg");
 
   // Shared zero constant for the rare all-negative-last-tap case.
   NodeId zero = kNoNode;
@@ -40,7 +37,7 @@ FilterDesign build_fir(const std::vector<double>& coefficients,
                                       d.structural_adders, zero);
 
   // Output stage: resize the final accumulator to the output format.
-  const fx::Format out_fmt = fx::Format::unit(opt.output_width);
+  const fx::Format out_fmt = fx::Format::unit(kOutputWidth);
   const NodeId y = g.resize(w0, out_fmt, "y.resize");
   d.output = g.output(y, "y");
 

@@ -6,7 +6,8 @@
 //
 //   w_k[n] = c_k * x[n] + w_{k+1}[n-1],      y[n] = w_0[n]
 //
-// followed by conservative L1-norm scaling (see rtl/scaling.hpp).
+// behind an input register, followed by conservative L1-norm scaling
+// (see rtl/scaling.hpp) and a resize to the 16-bit output word.
 // DesignStats / FilterDesign and the shared tap-cascade machinery live
 // in rtl/builder.hpp, common to every design family.
 #pragma once
@@ -18,13 +19,12 @@
 
 namespace fdbist::rtl {
 
+/// The input is always registered and the output is always the
+/// kOutputWidth-bit unit word (rtl/builder.hpp); neither is an option.
 struct FirBuilderOptions {
-  int input_width = 12;   ///< Table 1: 12-bit input
-  int coef_width = 15;    ///< Table 1: 14/15-bit coefficients
-  int max_csd_digits = 0; ///< cap nonzero digits per coefficient (0 = off)
-  int product_frac = 15;  ///< fractional bits kept in the datapath
-  int output_width = 16;  ///< Table 1: 16-bit output
-  bool input_register = true;
+  int input_width = 12;  ///< Table 1: 12-bit input
+  int coef_width = 15;   ///< Table 1: 14/15-bit coefficients
+  int product_frac = 15; ///< fractional bits kept in the datapath
 };
 
 /// Build, scale, and analyze a transposed-form CSD FIR from real

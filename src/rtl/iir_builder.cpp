@@ -66,8 +66,6 @@ FilterDesign build_iir_biquad(const std::vector<BiquadSection>& sections,
   FDBIST_REQUIRE(!sections.empty(), "empty section list");
   FDBIST_REQUIRE(opt.input_width >= 2 && opt.input_width <= 32,
                  "input width out of range");
-  FDBIST_REQUIRE(opt.output_width >= 2 && opt.output_width <= 62,
-                 "output width out of range");
   FDBIST_REQUIRE(opt.product_frac >= 1 && opt.product_frac <= 40,
                  "product_frac out of range");
   FDBIST_REQUIRE(opt.state_width > opt.product_frac &&
@@ -91,14 +89,13 @@ FilterDesign build_iir_biquad(const std::vector<BiquadSection>& sections,
 
   csd::QuantizeOptions qopt;
   qopt.width = opt.coef_width;
-  qopt.max_digits = opt.max_csd_digits;
 
   Graph& g = d.graph;
   BuilderContext ctx{&g, opt.coef_width, opt.product_frac};
   const fx::Format state_fmt{opt.state_width, opt.product_frac};
 
   d.input = g.input(fx::Format::unit(opt.input_width), "x");
-  NodeId sec_in = opt.input_register ? g.reg(d.input, "x.reg") : d.input;
+  NodeId sec_in = g.reg(d.input, "x.reg");
 
   NodeId zero = kNoNode;
   std::vector<NodeId> fixed;
@@ -144,7 +141,7 @@ FilterDesign build_iir_biquad(const std::vector<BiquadSection>& sections,
     sec_in = y;
   }
 
-  const fx::Format out_fmt = fx::Format::unit(opt.output_width);
+  const fx::Format out_fmt = fx::Format::unit(kOutputWidth);
   const NodeId y_out = g.resize(sec_in, out_fmt, "y.resize");
   d.output = g.output(y_out, "y");
   fixed.push_back(y_out);

@@ -37,14 +37,13 @@ struct BiquadSection {
   double a2 = 0.0;
 };
 
+/// The input is always registered and the output is always the
+/// kOutputWidth-bit unit word (rtl/builder.hpp); neither is an option.
 struct IirBuilderOptions {
   int input_width = 12;
   int coef_width = 15;
-  int max_csd_digits = 0; ///< cap nonzero digits per coefficient (0 = off)
-  int product_frac = 15;  ///< fractional bits kept in the datapath
-  int state_width = 20;   ///< section state format {state_width, product_frac}
-  int output_width = 16;
-  bool input_register = true;
+  int product_frac = 15; ///< fractional bits kept in the datapath
+  int state_width = 20;  ///< section state format {state_width, product_frac}
 };
 
 /// Build, scale, and analyze a DF-I biquad cascade. Sections run in the

@@ -8,10 +8,19 @@
 //      filter cases, each derived deterministically from (seed, index).
 //      Filter cases rotate through every design family (FIR, IIR
 //      biquad, polyphase decimator) unless FuzzOptions::family pins
-//      one, and also run the property checkers on a fixed schedule
-//      (superposition and prefix dominance always; the optional
-//      properties — mixed-engine resume, sliced merge, signature
-//      compaction, cached artifact — on rotating strides).
+//      one, and also run the property checkers on a fixed schedule:
+//      superposition and prefix dominance always, the optional
+//      properties on rotating strides of the case index i, one bit
+//      each in a property mask —
+//        bit 1  mixed-engine resume         i % 32 == 3
+//        bit 2  sliced-vs-one-shot merge    i % 16 == 7
+//        bit 3  in-kernel signature vs
+//               word-compare ground truth   i % 4 == 1
+//      Bits 0 and 4 are retired. Corpus replays run every bit. The
+//      mixed-engine resume property writes its checkpoint into the
+//      corpus directory, or the system temp directory without one,
+//      under a name unique to the process and the check, so
+//      concurrent runs that share a directory stay independent.
 //   3. On a failure: delta-debug the case down while the same category
 //      of finding persists, then serialize the minimized reproducer to
 //      the corpus directory.
@@ -80,16 +89,6 @@ struct FuzzReport {
 /// so a case failing "rtl-vs-gate" cannot degenerate into one failing
 /// "mutation escaped".
 std::string finding_category(const std::string& detail);
-
-/// Run the full battery appropriate to a case's kind. `scratch_dir`
-/// hosts the checkpoint file of the mixed-engine resume property (empty
-/// disables it). `property_mask` selects optional properties: bit 1 =
-/// mixed-engine resume, bit 2 = sliced-vs-one-shot merge equality, bit
-/// 3 = in-kernel signature compaction vs word-compare ground truth, bit
-/// 4 = cached artifact vs scratch compilation; bit 0 is retired.
-Finding check_corpus_case(const CorpusCase& c,
-                          const std::string& scratch_dir,
-                          unsigned property_mask);
 
 FuzzReport run_fuzz(const FuzzOptions& opt);
 

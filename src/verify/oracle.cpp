@@ -318,16 +318,28 @@ Finding check_filter_case(const FilterCase& c) {
                          "FullSweep despite a mutated netlist");
 
   // Row 5: a sliced campaign (the checkpoint/resume execution shape,
-  // in-memory) must reproduce the one-shot verdicts exactly.
+  // in-memory) must reproduce the one-shot verdicts exactly. On the
+  // Compiled engine its slices all run off the one artifact it builds
+  // before the first slice: one schedule compilation and one good trace
+  // for the whole campaign, none per slice.
   fault::CampaignOptions copt;
   copt.num_threads = 1;
-  copt.checkpoint_every = 48; // forces several slices for our samples
+  copt.checkpoint_every = 16; // several slices of a 40-fault sample
   auto camp = run_campaign(low.netlist, stim, faults, copt);
   if (!camp)
     return Finding::fail("campaign: unexpected error " +
                          camp.error().to_string());
   if (!camp->sim.complete)
     return Finding::fail("campaign: stopped early with no deadline/cancel");
+  const fault::FaultSimStats& cs = camp->sim.stats;
+  if (fault::resolve_engine(low.netlist, stim.size(), copt) ==
+          fault::FaultSimEngine::Compiled &&
+      (cs.schedule_compilations != 1 || cs.good_trace_cycles != stim.size()))
+    return Finding::fail(
+        "campaign: prepared " + std::to_string(cs.schedule_compilations) +
+        " schedules and traced " + std::to_string(cs.good_trace_cycles) +
+        " cycles for a " + std::to_string(stim.size()) +
+        "-vector stimulus; its slices must share one artifact");
   return diff_verdicts(ref, "one-shot", camp->sim, "sliced-campaign");
 }
 

@@ -9,7 +9,8 @@
 //               record_good_trace vs WordSim lane 0      every net/cycle
 //               linear model (rtl/linear_model.hpp)      |y| <= L1 bound
 //               Compiled engine vs  FullSweep engine     detect cycles
-//               one-shot engine vs  sliced campaign      detect cycles
+//               one-shot engine vs  sliced campaign      detect cycles,
+//                                                        one preparation
 //               FaultSimResult::stats                    self-consistency
 //
 // Every check is exact (bit-identity or a provable bound) — no

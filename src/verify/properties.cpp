@@ -10,7 +10,6 @@
 #include "common/xoshiro.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault.hpp"
-#include "fault/schedule_cache.hpp"
 #include "fixedpoint/format.hpp"
 #include "gate/lower.hpp"
 #include "rtl/sim.hpp"
@@ -325,43 +324,6 @@ Finding check_sliced_merge(const FilterCase& c) {
     return Finding::fail(
         "sliced-merge: merged slice verdicts differ from the one-shot "
         "reference");
-  return Finding::ok();
-}
-
-Finding check_cached_artifact(const FilterCase& c) {
-  const LoweredCase lc = prepare(c);
-  if (lc.faults.empty()) return Finding::ok();
-
-  // Compile-from-scratch references on both engines. If these already
-  // disagree the artifact is innocent — report it as an engine
-  // divergence.
-  fault::FaultSimOptions sweep_opt;
-  sweep_opt.num_threads = 1;
-  sweep_opt.engine = fault::FaultSimEngine::FullSweep;
-  const auto sweep =
-      simulate_faults(lc.low.netlist, lc.stim, lc.faults, sweep_opt);
-
-  fault::FaultSimOptions cone_opt;
-  cone_opt.num_threads = 1;
-  cone_opt.engine = fault::FaultSimEngine::Compiled;
-  const auto scratch =
-      simulate_faults(lc.low.netlist, lc.stim, lc.faults, cone_opt);
-  if (scratch.detect_cycle != sweep.detect_cycle)
-    return Finding::fail(
-        "cached-artifact: engines disagree before any artifact is "
-        "involved");
-
-  cone_opt.artifact = fault::build_artifact(lc.low.netlist, lc.stim);
-  const auto warm =
-      simulate_faults(lc.low.netlist, lc.stim, lc.faults, cone_opt);
-  if (warm.detect_cycle != scratch.detect_cycle ||
-      warm.detected != scratch.detected)
-    return Finding::fail(
-        "cached-artifact: fresh-built artifact changed verdicts");
-  if (warm.stats.schedule_compilations != 0 ||
-      warm.stats.good_trace_cycles != 0)
-    return Finding::fail(
-        "cached-artifact: the artifact path still did preparation work");
   return Finding::ok();
 }
 

@@ -25,10 +25,11 @@
 //   sliced merge    the fault sample cut into slices, each simulated on
 //                   its own and merged in a shuffled order, yields
 //                   verdicts bit-identical to a one-shot run
-//   cached          simulating off a prebuilt CompiledArtifact from
-//   artifact        build_artifact yields verdicts bit-identical to
-//                   compile-from-scratch on both engines, with no
-//                   preparation work of its own
+//
+// A campaign's shared CompiledArtifact needs no property of its own:
+// the oracle's sliced-campaign row (verify/oracle.hpp) compares its
+// verdicts with the one-shot reference on every filter case and asserts
+// that the campaign prepared once.
 //
 // All return verify::Finding; property violations are fuzz findings
 // exactly like oracle discrepancies and go through the same
@@ -76,12 +77,5 @@ Finding check_signature_compaction(const FilterCase& c, int sig_width = 16);
 /// order, and require every fault finalized with verdicts bit-identical
 /// to a one-shot simulate_faults.
 Finding check_sliced_merge(const FilterCase& c);
-
-/// Prebuilt-artifact vs compile-from-scratch differential: build the
-/// case's compiled artifact (fault/schedule_cache.hpp), run the
-/// Compiled engine off the handle, and require verdicts bit-identical
-/// to scratch compilation on both engines and no compilation or trace
-/// recording in the artifact run.
-Finding check_cached_artifact(const FilterCase& c);
 
 } // namespace fdbist::verify

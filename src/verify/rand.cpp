@@ -246,17 +246,6 @@ std::vector<std::int64_t> filter_stimulus(const FilterCase& c) {
   return gen->generate_raw(std::max<std::uint32_t>(c.vectors, 1));
 }
 
-const char* filter_generator_name(std::uint8_t generator) {
-  switch (generator % 6) {
-  case 0: return "LFSR-1";
-  case 1: return "LFSR-2";
-  case 2: return "LFSR-D";
-  case 3: return "LFSR-M";
-  case 4: return "Ramp";
-  default: return "White";
-  }
-}
-
 RtlCase random_rtl_case(std::uint64_t seed, std::size_t ops,
                         std::size_t cycles) {
   Xoshiro256 rng(seed);

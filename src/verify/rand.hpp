@@ -106,7 +106,6 @@ rtl::FilterDesign build_filter(const FilterCase& c);
 /// Words are generated at the built design's input width — the packed
 /// factor * lane_width word for decimators.
 std::vector<std::int64_t> filter_stimulus(const FilterCase& c);
-const char* filter_generator_name(std::uint8_t generator);
 
 /// Random case generators. Deterministic functions of the seed.
 /// `family` pins the filter case's design family; -1 rotates through

@@ -4,7 +4,7 @@
 #include "analysis/compatibility.hpp"
 #include "analysis/lfsr_model.hpp"
 #include "analysis/variance.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "dsp/spectrum.hpp"
 #include "dsp/stats.hpp"
 #include "rtl/sim.hpp"
@@ -15,8 +15,7 @@ namespace {
 
 // The reference designs are expensive-ish to construct; share them.
 const rtl::FilterDesign& lp_design() {
-  static const rtl::FilterDesign d =
-      designs::make_reference(designs::ReferenceFilter::Lowpass);
+  static const rtl::FilterDesign d = designs::make_design("LP");
   return d;
 }
 
@@ -165,7 +164,9 @@ TEST(Compatibility, MatrixMatchesPaperTable3) {
   //   LFSR-D   +    +    +
   //   LFSR-M   +    +    +
   //   Ramp     +    -    -
-  const auto designs = designs::make_all_references();
+  const std::vector<rtl::FilterDesign> designs = {
+      designs::make_design("LP"), designs::make_design("BP"),
+      designs::make_design("HP")};
   const auto rows = compatibility_matrix(designs);
   ASSERT_EQ(rows.size(), 5u);
   auto rating = [&](std::size_t r, std::size_t c) {
@@ -190,7 +191,9 @@ TEST(Compatibility, MatrixMatchesPaperTable3) {
 }
 
 TEST(Compatibility, RecommendationAvoidsIncompatible) {
-  const auto designs = designs::make_all_references();
+  const std::vector<rtl::FilterDesign> designs = {
+      designs::make_design("LP"), designs::make_design("BP"),
+      designs::make_design("HP")};
   // LP: LFSR-1 rates '-', LFSR-2 '±', so the cheapest '+' is LFSR-D.
   EXPECT_EQ(recommend_generator(designs[0]), tpg::GeneratorKind::LfsrD);
   // BP/HP: the plain Type 1 LFSR already rates '+' and is cheapest.

@@ -8,7 +8,6 @@
 #include "common/bits.hpp"
 #include "common/check.hpp"
 #include "common/error.hpp"
-#include "common/failpoint.hpp"
 #include "common/parallel.hpp"
 #include "common/parse.hpp"
 #include "common/xoshiro.hpp"
@@ -242,64 +241,6 @@ TEST(Xoshiro, UniformInUnitInterval) {
 TEST(Xoshiro, BelowStaysInRange) {
   Xoshiro256 rng(9);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.below(17), 17u);
-}
-
-/// Installs a failpoint spec for one test and always clears the
-/// process-wide registry on the way out, pass or fail.
-struct FailpointGuard {
-  explicit FailpointGuard(const std::string& spec) {
-    auto r = common::failpoint_configure(spec);
-    if (!r) ADD_FAILURE() << r.error().to_string();
-  }
-  ~FailpointGuard() { (void)common::failpoint_configure(""); }
-};
-
-TEST(Failpoints, ParsesTheFullGrammar) {
-  auto specs = common::parse_failpoints(
-      "a=crash,b=corrupt@3,c=corrupt,d=off,e=error");
-  ASSERT_TRUE(specs) << specs.error().to_string();
-  ASSERT_EQ(specs->size(), 5u);
-  EXPECT_EQ((*specs)[0].name, "a");
-  EXPECT_EQ((*specs)[0].action, common::FailAction::Crash);
-  EXPECT_EQ((*specs)[0].from_hit, 1u);
-  EXPECT_EQ((*specs)[1].name, "b");
-  EXPECT_EQ((*specs)[1].action, common::FailAction::Corrupt);
-  EXPECT_EQ((*specs)[1].from_hit, 3u);
-  EXPECT_EQ((*specs)[2].action, common::FailAction::Corrupt);
-  EXPECT_EQ((*specs)[3].action, common::FailAction::Off);
-  EXPECT_EQ((*specs)[4].action, common::FailAction::Error);
-}
-
-TEST(Failpoints, RejectsMalformedSpecs) {
-  const char* bad[] = {
-      "a",        "a=",        "=crash", "a=bogus",      "a=crash@0",
-      "a=crash@", "a=sleep:",  "a=sleep:x", "a=crash,,b=off",
-      "a=sleep:250", // no sleep action
-  };
-  for (const char* spec : bad) {
-    auto r = common::parse_failpoints(spec);
-    ASSERT_FALSE(r) << "accepted \"" << spec << "\"";
-    EXPECT_EQ(r.error().code, ErrorCode::InvalidArgument) << spec;
-  }
-}
-
-TEST(Failpoints, ArmsFromTheConfiguredHitCount) {
-  FailpointGuard guard("fp-dist-count=corrupt@3,fp-dist-now=error");
-  EXPECT_TRUE(common::failpoints_active());
-  EXPECT_FALSE(common::failpoint_eval("fp-dist-count")) << "hit 1";
-  EXPECT_FALSE(common::failpoint_eval("fp-dist-count")) << "hit 2";
-  EXPECT_TRUE(common::failpoint_eval("fp-dist-count")) << "hit 3 arms";
-  EXPECT_TRUE(common::failpoint_eval("fp-dist-count")) << "stays armed";
-  EXPECT_TRUE(common::failpoint_eval("fp-dist-now")) << "default from 1";
-  EXPECT_FALSE(common::failpoint_eval("fp-dist-unregistered"));
-}
-
-TEST(Failpoints, ClearingDisablesEverySite) {
-  {
-    FailpointGuard guard("fp-dist-clear=error");
-    EXPECT_TRUE(common::failpoint_eval("fp-dist-clear"));
-  }
-  EXPECT_FALSE(common::failpoint_eval("fp-dist-clear"));
 }
 
 /// A small framed file: magic "TEST", version 3, a u32, a u64 and a

@@ -4,7 +4,7 @@
 #include "analysis/distribution.hpp"
 #include "analysis/lfsr_model.hpp"
 #include "common/xoshiro.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "dsp/convolution.hpp"
 #include "dsp/stats.hpp"
 #include "rtl/sim.hpp"
@@ -111,7 +111,7 @@ TEST(Distribution, DensityIntegratesToOne) {
 TEST(Distribution, Figure8TheoryMatchesTap20Histogram) {
   // Paper Figure 8: predicted LFSR-1 amplitude distribution at tap 20 of
   // the lowpass filter vs the simulation histogram.
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   const auto tap = d.tap_accumulators[20];
   const auto& h = d.linear[std::size_t(tap)].impulse;
   const auto g = lfsr1_impulse_model(12);
@@ -134,7 +134,7 @@ TEST(Distribution, Figure8TheoryMatchesTap20Histogram) {
 TEST(Distribution, Figure9IdealizedMatchesDecorrelated) {
   // Paper Figure 9: an idealized independent-vector generator predicts
   // the LFSR-D histogram fairly well.
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   const auto tap = d.tap_accumulators[20];
   const auto& h = d.linear[std::size_t(tap)].impulse;
   DistributionOptions opt;

@@ -1,7 +1,7 @@
 #include <sstream>
 #include <gtest/gtest.h>
 
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "gate/verilog.hpp"
 #include "rtl/dot_export.hpp"
 #include "rtl/fir_builder.hpp"
@@ -98,11 +98,9 @@ TEST(Dot, ContainsAllNodesAndEdges) {
 // with its shape and op label, every operand edge with its styling
 // (DOT). Checked on all three reference filters so a formatting
 // regression in either emitter fails loudly.
-TEST(ExportRoundTrip, VerilogReparsesForAllReferenceFilters) {
-  for (const auto which :
-       {designs::ReferenceFilter::Lowpass, designs::ReferenceFilter::Bandpass,
-        designs::ReferenceFilter::Highpass}) {
-    const auto d = designs::make_reference(which);
+TEST(ExportRoundTrip, VerilogReparsesForEveryTable1Design) {
+  for (const char* name : {"LP", "BP", "HP"}) {
+    const auto d = designs::make_design(name);
     const auto low = gate::lower(d.graph);
     auto parsed = verify::parse_verilog(gate::to_verilog(low.netlist));
     ASSERT_TRUE(parsed) << d.name << ": " << parsed.error().to_string();
@@ -111,11 +109,9 @@ TEST(ExportRoundTrip, VerilogReparsesForAllReferenceFilters) {
   }
 }
 
-TEST(ExportRoundTrip, DotReparsesForAllReferenceFilters) {
-  for (const auto which :
-       {designs::ReferenceFilter::Lowpass, designs::ReferenceFilter::Bandpass,
-        designs::ReferenceFilter::Highpass}) {
-    const auto d = designs::make_reference(which);
+TEST(ExportRoundTrip, DotReparsesForEveryTable1Design) {
+  for (const char* name : {"LP", "BP", "HP"}) {
+    const auto d = designs::make_design(name);
     auto parsed = verify::parse_dot(rtl::to_dot(d.graph, {d.name, true}));
     ASSERT_TRUE(parsed) << d.name << ": " << parsed.error().to_string();
     EXPECT_EQ(parsed->graph_name, d.name);

@@ -21,7 +21,7 @@
 
 #include <signal.h>
 
-#include "common/failpoint.hpp"
+#include "common/atomic_file.hpp"
 #include "common/fingerprint.hpp"
 #include "fault/campaign.hpp"
 #include "fault/checkpoint.hpp"
@@ -641,9 +641,10 @@ TEST_F(CampaignTest, OversizedStimulusIsRefusedLoudly) {
 
 // ---------------------------------------------------------------------------
 // Crash consistency of the atomic checkpoint write. Each death test
-// SIGKILLs a forked child at one failpoint seam inside
-// save_checkpoint and then audits the filesystem the child left
-// behind: at no seam may a torn or half-renamed file ever load.
+// SIGKILLs a forked child at one crash seam of atomic_write_file
+// (common/atomic_file.hpp) inside save_checkpoint and then audits the
+// filesystem the child left behind: at no seam may a torn or
+// half-renamed file ever load.
 
 class CampaignDeathTest : public CampaignTest {};
 
@@ -653,11 +654,10 @@ TEST_F(CampaignDeathTest, TornWriteNeverYieldsALoadableFile) {
   // The size of the whole file, from an intact save elsewhere.
   ASSERT_TRUE(save_checkpoint(path("whole.ckpt"), ck));
   const auto size = std::filesystem::file_size(path("whole.ckpt"));
-  // `corrupt` makes the seam write half the file before it dies;
-  // `crash` would die before writing a byte.
+  // The torn-write seam writes half the file before it dies.
   EXPECT_EXIT(
       {
-        (void)common::failpoint_configure("checkpoint-torn-write=corrupt");
+        common::arm_crash_seam(common::CrashSeam::TornWrite);
         (void)save_checkpoint(p, ck);
       },
       ::testing::KilledBySignal(SIGKILL), "");
@@ -677,7 +677,7 @@ TEST_F(CampaignDeathTest, CrashBeforeRenameLeavesNoCheckpoint) {
   const Checkpoint ck = tagged_checkpoint(22);
   EXPECT_EXIT(
       {
-        (void)common::failpoint_configure("checkpoint-before-rename=crash");
+        common::arm_crash_seam(common::CrashSeam::BeforeRename);
         (void)save_checkpoint(p, ck);
       },
       ::testing::KilledBySignal(SIGKILL), "");
@@ -692,7 +692,7 @@ TEST_F(CampaignDeathTest, CrashBeforeRenameKeepsThePreviousCheckpoint) {
   const Checkpoint new_ck = tagged_checkpoint(44);
   EXPECT_EXIT(
       {
-        (void)common::failpoint_configure("checkpoint-before-rename=crash");
+        common::arm_crash_seam(common::CrashSeam::BeforeRename);
         (void)save_checkpoint(p, new_ck);
       },
       ::testing::KilledBySignal(SIGKILL), "");
@@ -708,7 +708,7 @@ TEST_F(CampaignDeathTest, CrashAfterRenameIsDurable) {
   const Checkpoint ck = tagged_checkpoint(55);
   EXPECT_EXIT(
       {
-        (void)common::failpoint_configure("checkpoint-after-rename=crash");
+        common::arm_crash_seam(common::CrashSeam::AfterRename);
         (void)save_checkpoint(p, ck);
       },
       ::testing::KilledBySignal(SIGKILL), "");

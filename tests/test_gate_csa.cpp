@@ -4,7 +4,6 @@
 // accumulation-chain register count.
 #include <gtest/gtest.h>
 
-#include "designs/reference.hpp"
 #include "designs/registry.hpp"
 #include "fault/serial.hpp"
 #include "fault/simulator.hpp"
@@ -97,7 +96,7 @@ TEST(CarrySave, FaultUniverseSimulates) {
 }
 
 TEST(CarrySave, WorksOnReferenceLowpass) {
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   const auto csa = lower_carry_save(d);
   rtl::Simulator rs(d.graph);
   WordSim ws(csa.netlist);

@@ -6,7 +6,8 @@
 
 #include "analysis/variance.hpp"
 #include "bist/kit.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
+#include "dsp/fir_design.hpp"
 #include "dsp/stats.hpp"
 #include "fault/simulator.hpp"
 #include "gate/lower.hpp"
@@ -18,14 +19,21 @@ namespace fdbist {
 namespace {
 
 const rtl::FilterDesign& lp() {
-  static const auto d =
-      designs::make_reference(designs::ReferenceFilter::Lowpass);
+  static const auto d = designs::make_design("LP");
   return d;
+}
+
+/// The paper's three Table 1 designs, in table order.
+std::vector<rtl::FilterDesign> table1_designs() {
+  std::vector<rtl::FilterDesign> out;
+  for (const char* name : {"LP", "BP", "HP"})
+    out.push_back(designs::make_design(name));
+  return out;
 }
 
 TEST(ReferenceDesigns, Table1ScaleMatches) {
   // Paper Table 1: ~60 registers, 148-184 adders, 12/14-15/16-bit widths.
-  for (const auto& d : designs::make_all_references()) {
+  for (const auto& d : table1_designs()) {
     const auto s = d.stats();
     EXPECT_GE(s.adders, 140u) << d.name;
     EXPECT_LE(s.adders, 200u) << d.name;
@@ -41,7 +49,7 @@ TEST(ReferenceDesigns, Table1ScaleMatches) {
 TEST(ReferenceDesigns, ComplexitySpreadWithinPaperWindow) {
   // "the number of adders in the most complex design is within 14% of
   // ... the simplest" — ours spread slightly wider; assert within 30%.
-  const auto all = designs::make_all_references();
+  const auto all = table1_designs();
   std::size_t mn = SIZE_MAX;
   std::size_t mx = 0;
   for (const auto& d : all) {
@@ -57,7 +65,7 @@ TEST(ReferenceDesigns, FaultUniverseScale) {
   // "redundant operator elimination" step) and shares duplicated CSD
   // logic, so the collapsed universe lands near half that — same order
   // of magnitude, with no structurally undetectable sites.
-  for (const auto& d : designs::make_all_references()) {
+  for (const auto& d : table1_designs()) {
     const auto low = gate::lower(d.graph);
     const auto faults = fault::enumerate_adder_faults(low);
     EXPECT_GT(faults.size(), 15000u) << d.name;
@@ -175,23 +183,28 @@ TEST(Paper, VariancePredictionFlagsTheActualMisses) {
 }
 
 TEST(ReferenceDesigns, FrequencyResponsesAreTheirTypes) {
-  using designs::ReferenceFilter;
-  auto mag = [](ReferenceFilter f, double freq) {
-    const auto h = designs::reference_coefficients(f);
-    return std::abs(dsp::freq_response(h, freq));
+  // The ideal responses the designs were quantized from.
+  auto mag_of = [](const char* name) {
+    std::vector<double> h;
+    for (const auto& c : designs::make_design(name).coefs)
+      h.push_back(c.target);
+    return [h](double freq) { return std::abs(dsp::freq_response(h, freq)); };
   };
   // Lowpass: passes DC, blocks 0.25.
-  EXPECT_GT(mag(ReferenceFilter::Lowpass, 0.01), 10.0 * mag(ReferenceFilter::Lowpass, 0.25));
+  const auto lp_mag = mag_of("LP");
+  EXPECT_GT(lp_mag(0.01), 10.0 * lp_mag(0.25));
   // Bandpass: passes 0.25, blocks DC and 0.45.
-  EXPECT_GT(mag(ReferenceFilter::Bandpass, 0.25), 10.0 * mag(ReferenceFilter::Bandpass, 0.02));
-  EXPECT_GT(mag(ReferenceFilter::Bandpass, 0.25), 10.0 * mag(ReferenceFilter::Bandpass, 0.46));
+  const auto bp_mag = mag_of("BP");
+  EXPECT_GT(bp_mag(0.25), 10.0 * bp_mag(0.02));
+  EXPECT_GT(bp_mag(0.25), 10.0 * bp_mag(0.46));
   // Highpass: passes 0.48, blocks DC.
-  EXPECT_GT(mag(ReferenceFilter::Highpass, 0.48), 10.0 * mag(ReferenceFilter::Highpass, 0.05));
+  const auto hp_mag = mag_of("HP");
+  EXPECT_GT(hp_mag(0.48), 10.0 * hp_mag(0.05));
 }
 
 TEST(ReferenceDesigns, DeterministicConstruction) {
-  const auto a = designs::make_reference(designs::ReferenceFilter::Bandpass);
-  const auto b = designs::make_reference(designs::ReferenceFilter::Bandpass);
+  const auto a = designs::make_design("BP");
+  const auto b = designs::make_design("BP");
   EXPECT_EQ(a.graph.size(), b.graph.size());
   EXPECT_EQ(a.stats().adders, b.stats().adders);
   for (std::size_t i = 0; i < a.coefs.size(); ++i)

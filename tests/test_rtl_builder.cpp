@@ -239,7 +239,6 @@ TEST(Builder, StatsReflectOptions) {
   FirBuilderOptions opt;
   opt.input_width = 12;
   opt.coef_width = 14;
-  opt.output_width = 16;
   auto d = build_fir({0.3, -0.2, 0.1}, opt, "s");
   const auto s = d.stats();
   EXPECT_EQ(s.width_in, 12);
@@ -255,21 +254,6 @@ TEST(Builder, TapAccumulatorsAreOrdered) {
   // w_0 is the output-side accumulator; later taps feed earlier ones.
   for (const NodeId id : d.tap_accumulators) EXPECT_NE(id, kNoNode);
   EXPECT_EQ(d.graph.node(d.output).kind, OpKind::Output);
-}
-
-TEST(Builder, MaxCsdDigitsReducesAdders) {
-  // An awkward coefficient set needs many digits; capping digits must
-  // reduce adder count.
-  std::vector<double> coefs;
-  Xoshiro256 rng(77);
-  for (int i = 0; i < 16; ++i) coefs.push_back(0.05 * (2.0 * rng.uniform() - 1.0) + ((i%2) ? 0.02921 : -0.04567));
-  FirBuilderOptions unlimited;
-  FirBuilderOptions capped;
-  capped.max_csd_digits = 2;
-  const auto d1 = build_fir(coefs, unlimited, "u");
-  const auto d2 = build_fir(coefs, capped, "c");
-  EXPECT_LT(d2.graph.adder_count(), d1.graph.adder_count());
-  EXPECT_LE(csd::max_digit_count(d2.coefs), 2);
 }
 
 TEST(Builder, L1TooLargeRejected) {

@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "bist/kit.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "tpg/generators.hpp"
 #include "tpg/lfsr.hpp"
 
@@ -30,8 +30,7 @@ constexpr std::array kKinds = {
     tpg::GeneratorKind::LfsrM, tpg::GeneratorKind::Ramp};
 
 struct Golden {
-  designs::ReferenceFilter filter;
-  const char* name;
+  const char* name; // registered design
   std::array<std::size_t, 4> missed; // Lfsr1, LfsrD, LfsrM, Ramp
 };
 
@@ -40,23 +39,23 @@ using GoldenTable = std::array<Golden, kFilters>;
 
 // Baked from a green run at 256 vectors (reduced Table 4 config).
 constexpr GoldenTable kGolden = {
-    Golden{designs::ReferenceFilter::Lowpass, "LP", {371, 295, 2901, 6040}},
-    Golden{designs::ReferenceFilter::Bandpass, "BP", {294, 278, 2651, 4993}},
-    Golden{designs::ReferenceFilter::Highpass, "HP", {310, 308, 3166, 5465}},
+    Golden{"LP", {371, 295, 2901, 6040}},
+    Golden{"BP", {294, 278, 2651, 4993}},
+    Golden{"HP", {310, 308, 3166, 5465}},
 };
 
 // The paper's budget: EXPERIMENTS.md Table 4.
 constexpr GoldenTable kGolden4096 = {
-    Golden{designs::ReferenceFilter::Lowpass, "LP", {233, 165, 2811, 199}},
-    Golden{designs::ReferenceFilter::Bandpass, "BP", {143, 141, 2582, 464}},
-    Golden{designs::ReferenceFilter::Highpass, "HP", {150, 163, 3093, 444}},
+    Golden{"LP", {233, 165, 2811, 199}},
+    Golden{"BP", {143, 141, 2582, 464}},
+    Golden{"HP", {150, 163, 3093, 444}},
 };
 
 void expect_missed_counts(const GoldenTable& golden, std::size_t vectors) {
   bool any_diff = false;
   std::array<std::array<std::size_t, 4>, kFilters> measured{};
   for (std::size_t di = 0; di < kFilters; ++di) {
-    const auto d = designs::make_reference(golden[di].filter);
+    const auto d = designs::make_design(golden[di].name);
     bist::BistKit kit(d);
     for (std::size_t gi = 0; gi < kKinds.size(); ++gi) {
       auto gen = tpg::make_generator(kKinds[gi], 12);
@@ -90,7 +89,7 @@ TEST(Table4Snapshot, SnapshotPreservesPaperOrderingOnLowpass) {
   // Shape check that survives re-bakes: on LP the decimation LFSR beats
   // the plain LFSR-1, and LFSR-M is the worst mode — the paper's
   // headline ordering (Table 4, row LP).
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   bist::BistKit kit(d);
   std::array<std::size_t, 4> missed{};
   for (std::size_t gi = 0; gi < kKinds.size(); ++gi) {
@@ -109,16 +108,15 @@ TEST(Table6Snapshot, MixedSchemeAtPaperBudget) {
   // mode.
   constexpr std::size_t kTotal = 8192;
   struct Row {
-    designs::ReferenceFilter filter;
-    const char* name;
+    const char* name; // registered design
     std::array<std::size_t, 4> missed; // mixed, LFSR-1, LFSR-D, LFSR-M
   };
   constexpr std::array kRows = {
-      Row{designs::ReferenceFilter::Lowpass, "LP", {125, 233, 159, 2810}},
-      Row{designs::ReferenceFilter::Highpass, "HP", {113, 150, 156, 3093}},
+      Row{"LP", {125, 233, 159, 2810}},
+      Row{"HP", {113, 150, 156, 3093}},
   };
   for (const Row& row : kRows) {
-    const auto d = designs::make_reference(row.filter);
+    const auto d = designs::make_design(row.name);
     bist::BistKit kit(d);
     tpg::SwitchedLfsr mixed(12, kTotal / 2, 1);
     tpg::Lfsr1 lfsr1(12, 1);

@@ -4,7 +4,7 @@
 #include "analysis/targeted.hpp"
 #include "analysis/test_zones.hpp"
 #include "bist/kit.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "dsp/stats.hpp"
 #include "rtl/sim.hpp"
 #include "tpg/generators.hpp"
@@ -65,7 +65,7 @@ TEST(Targeted, ZoneWindowAssertsT1AtTap20OfTheLowpass) {
   // The paper's Figure 3 fault is detectable only by T1, which the
   // LFSR-1 never asserts at tap 20; the zone-targeted window must land
   // the primary input inside the T1 zone deterministically.
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   const auto tap = d.tap_accumulators[20];
   for (const auto t : {DifficultTest::T1a, DifficultTest::T1b}) {
     const auto seq = zone_window(d, tap, t);
@@ -76,7 +76,7 @@ TEST(Targeted, ZoneWindowAssertsT1AtTap20OfTheLowpass) {
 }
 
 TEST(Targeted, ZoneWindowsCoverT6Too) {
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   const auto tap = d.tap_accumulators[20];
   for (const auto t : {DifficultTest::T6a, DifficultTest::T6b}) {
     const auto seq = zone_window(d, tap, t);
@@ -87,7 +87,7 @@ TEST(Targeted, ZoneWindowsCoverT6Too) {
 }
 
 TEST(Targeted, OverflowZonesUnreachable) {
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   const auto tap = d.tap_accumulators[20];
   EXPECT_TRUE(zone_window(d, tap, DifficultTest::T2b).empty());
   EXPECT_TRUE(zone_window(d, tap, DifficultTest::T5b).empty());

@@ -2,15 +2,14 @@
 #include <gtest/gtest.h>
 
 #include "analysis/test_length.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "tpg/generators.hpp"
 
 namespace fdbist::analysis {
 namespace {
 
 const rtl::FilterDesign& lp() {
-  static const auto d =
-      designs::make_reference(designs::ReferenceFilter::Lowpass);
+  static const auto d = designs::make_design("LP");
   return d;
 }
 

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/test_zones.hpp"
-#include "designs/reference.hpp"
+#include "designs/registry.hpp"
 #include "tpg/generators.hpp"
 
 namespace fdbist::analysis {
@@ -98,7 +98,7 @@ TEST(Monitor, Figure3Story_T1MissedByLfsr1AssertedByLfsrM) {
   // The paper's central example: at tap 20 of the lowpass filter the
   // attenuated LFSR-1 signal cannot assert T1, while a maximum-variance
   // sequence can.
-  const auto d = designs::make_reference(designs::ReferenceFilter::Lowpass);
+  const auto d = designs::make_design("LP");
   // Tap 20's structural accumulator.
   const auto adder = d.tap_accumulators[20];
   ASSERT_EQ(d.graph.node(adder).kind == rtl::OpKind::Add ||

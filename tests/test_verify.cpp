@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "common/env.hpp"
 #include "gate/lower.hpp"
@@ -373,6 +375,36 @@ TEST_F(VerifyTest, FuzzIntoMissingCorpusDirIsClean) {
   EXPECT_TRUE(r.findings.empty()) << r.findings.front().detail;
   EXPECT_TRUE(r.io_errors.empty()) << r.io_errors.front();
   EXPECT_TRUE(std::filesystem::is_directory(opt.corpus_dir));
+}
+
+// Runs that share a corpus directory (or, without one, the system temp
+// directory) must not see each other: every mixed-engine resume check
+// writes, resumes and removes a checkpoint of its own. Four concurrent
+// runs whose seeds each reach that property a dozen times must all come
+// back clean, exactly as each one does alone.
+TEST_F(VerifyTest, ConcurrentRunsSharingACorpusDirAreClean) {
+  std::vector<FuzzReport> reports(4);
+  std::vector<std::thread> runs;
+  for (std::size_t t = 0; t < reports.size(); ++t)
+    runs.emplace_back([&reports, t, corpus = dir()] {
+      FuzzOptions opt;
+      opt.seed = 1 + t;
+      opt.cases = 400;
+      opt.minimize = false;
+      opt.family = static_cast<std::int32_t>(rtl::DesignFamily::Fir);
+      opt.corpus_dir = corpus;
+      reports[t] = run_fuzz(opt);
+    });
+  for (std::thread& run : runs) run.join();
+  for (std::size_t t = 0; t < reports.size(); ++t) {
+    const FuzzReport& r = reports[t];
+    EXPECT_EQ(r.cases_run, 400u) << "seed " << 1 + t;
+    EXPECT_TRUE(r.findings.empty())
+        << "seed " << 1 + t << ": " << r.findings.size()
+        << " findings, first: " << r.findings.front().detail;
+    EXPECT_TRUE(r.io_errors.empty())
+        << "seed " << 1 + t << ": " << r.io_errors.front();
+  }
 }
 
 TEST_F(VerifyTest, MutationSelfTestIsCaughtMinimizedAndReplayable) {
