@@ -1,183 +1,34 @@
-// Microbenchmarks and ablations of the fault-simulation engine:
-//   - gate-level sweep cost per simulated cycle (64 machines/word),
-//   - full-design fault simulation throughput,
-//   - compiled cone-restricted engine vs the full-sweep reference,
-//   - thread-count sweep: wall-clock speedup of the sharded engine,
-//   - ablation: equivalence collapsing (universe size reduction),
-//   - ablation: difficulty-ordered vs enumeration-ordered batching.
+// Fault-simulation engine report: one LP x LFSR-D cell at 512 vectors,
+// simulated by the scalar FullSweep reference and by the compiled
+// engine on every SIMD backend this build and CPU can run, each at 1, 2
+// and hardware-concurrency threads.
 //
-// Two modes:
-//   perf_fault_sim [gbench flags]   google-benchmark microbenchmarks
-//   perf_fault_sim --json[=PATH] [--json-vectors=N] [--json-design=lp|bench12]
-//       machine-readable kernel report (BENCH_fault_sim.json by default):
-//       vectors/s and faults/s per (SIMD backend x thread count) plus
-//       engine stats and lane width, so the perf trajectory is tracked
-//       across changes (scripts/check_bench_regression.py gates on it).
-//       The reference run is pinned to the scalar backend so it stays a
-//       stable machine-speed denominator. Exits non-zero if any run —
-//       any engine, backend or thread count — disagrees on a verdict,
-//       which makes the CI perf smoke a correctness tripwire too.
-#include <benchmark/benchmark.h>
-
+//   perf_fault_sim [PATH]
+//
+// Prints one row per run (seconds, lane width, cone fraction, gate-eval
+// savings) and writes the same runs, with the engine stats, as JSON to
+// PATH (BENCH_fault_sim.json by default). Exits 1 if any run — any
+// engine, backend or thread count — disagrees with the reference on a
+// verdict, which makes the report a correctness tripwire. Speed is
+// gated elsewhere, by scripts/perf_ab.py on the paper workloads.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/parse.hpp"
 #include "common/simd.hpp"
 #include "designs/registry.hpp"
 #include "fault/kernel.hpp"
 #include "fault/simulator.hpp"
 #include "gate/lower.hpp"
-#include "rtl/sim.hpp"
 #include "tpg/generators.hpp"
 
 namespace {
 
 using namespace fdbist;
 
-// A mid-size design keeps iteration times benchmark-friendly.
-const rtl::FilterDesign& bench_design() {
-  static const auto d = rtl::build_fir(
-      {0.21, -0.15, 0.11, 0.083, -0.062, 0.047, -0.035, 0.026, -0.02,
-       0.015, -0.011, 0.008},
-      {}, "bench12");
-  return d;
-}
-
-const gate::LoweredDesign& bench_lowered() {
-  static const auto low = gate::lower(bench_design().graph);
-  return low;
-}
-
-void BM_GateSweepPerCycle(benchmark::State& state) {
-  gate::WordSim sim(bench_lowered().netlist);
-  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
-  for (auto _ : state) sim.step_broadcast(gen->next_raw());
-  state.SetItemsProcessed(state.iterations() * 64); // machines per word
-  state.counters["gates/cycle"] = static_cast<double>(
-      bench_lowered().netlist.logic_gate_count());
-}
-BENCHMARK(BM_GateSweepPerCycle);
-
-void BM_RtlSweepPerCycle(benchmark::State& state) {
-  rtl::Simulator sim(bench_design().graph);
-  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
-  for (auto _ : state) sim.step(gen->next_raw());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RtlSweepPerCycle);
-
-void BM_FaultSimFullDesign(benchmark::State& state) {
-  const auto vectors = static_cast<std::size_t>(state.range(0));
-  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
-  const auto stim = gen->generate_raw(vectors);
-  const auto faults = fault::order_for_simulation(
-      fault::enumerate_adder_faults(bench_lowered()),
-      bench_lowered().netlist, bench_design().graph);
-  for (auto _ : state) {
-    auto res = fault::simulate_faults(bench_lowered().netlist, stim, faults);
-    benchmark::DoNotOptimize(res.detected);
-  }
-  state.counters["faults"] = static_cast<double>(faults.size());
-}
-BENCHMARK(BM_FaultSimFullDesign)->Arg(256)->Arg(1024);
-
-// Compiled cone-restricted engine vs the retained full-sweep reference
-// at one thread: the batch kernel is the only variable. Arg 0 = full
-// sweep, 1 = compiled. Verdicts are bit-identical; only the work moves.
-void BM_FaultSimEngines(benchmark::State& state) {
-  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
-  const auto stim = gen->generate_raw(1024);
-  const auto faults = fault::order_for_simulation(
-      fault::enumerate_adder_faults(bench_lowered()),
-      bench_lowered().netlist, bench_design().graph);
-  fault::FaultSimOptions opt;
-  opt.num_threads = 1;
-  opt.engine = state.range(0) == 0 ? fault::FaultSimEngine::FullSweep
-                                   : fault::FaultSimEngine::Compiled;
-  double cone_fraction = 1.0;
-  for (auto _ : state) {
-    auto res =
-        fault::simulate_faults(bench_lowered().netlist, stim, faults, opt);
-    benchmark::DoNotOptimize(res.detected);
-    cone_fraction = res.stats.mean_cone_fraction();
-  }
-  state.SetLabel(fault_sim_engine_name(opt.engine));
-  state.counters["faults"] = static_cast<double>(faults.size());
-  state.counters["cone_frac"] = cone_fraction;
-}
-BENCHMARK(BM_FaultSimEngines)->Arg(0)->Arg(1);
-
-// Thread-count sweep over the same campaign: wall-clock speedup of the
-// sharded engine vs the single-threaded legacy path. Arg is
-// FaultSimOptions::num_threads (0 = one worker per hardware thread);
-// results are bit-identical across the sweep, only the time moves.
-// UseRealTime because the work happens on internal worker threads the
-// default CPU-time clock of the calling thread would not see.
-void BM_FaultSimThreads(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
-  const auto stim = gen->generate_raw(1024);
-  const auto faults = fault::order_for_simulation(
-      fault::enumerate_adder_faults(bench_lowered()),
-      bench_lowered().netlist, bench_design().graph);
-  fault::FaultSimOptions opt;
-  opt.num_threads = threads;
-  for (auto _ : state) {
-    auto res =
-        fault::simulate_faults(bench_lowered().netlist, stim, faults, opt);
-    benchmark::DoNotOptimize(res.detected);
-  }
-  state.counters["threads"] = static_cast<double>(
-      threads == 0 ? std::thread::hardware_concurrency() : threads);
-  state.counters["faults"] = static_cast<double>(faults.size());
-}
-BENCHMARK(BM_FaultSimThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(0) // hardware concurrency
-    ->UseRealTime();
-
-void BM_Ablation_NoCollapse(benchmark::State& state) {
-  // Without equivalence collapsing the universe inflates; measure the
-  // end-to-end cost difference.
-  fault::EnumerateOptions eopt;
-  eopt.collapse = false;
-  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
-  const auto stim = gen->generate_raw(256);
-  const auto faults = fault::order_for_simulation(
-      fault::enumerate_adder_faults(bench_lowered(), eopt),
-      bench_lowered().netlist, bench_design().graph);
-  for (auto _ : state) {
-    auto res = fault::simulate_faults(bench_lowered().netlist, stim, faults);
-    benchmark::DoNotOptimize(res.detected);
-  }
-  state.counters["faults"] = static_cast<double>(faults.size());
-}
-BENCHMARK(BM_Ablation_NoCollapse);
-
-void BM_Ablation_UnorderedBatches(benchmark::State& state) {
-  // Difficulty ordering clusters hard faults into few batches; without
-  // it, stragglers keep many batches alive to the full budget.
-  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
-  const auto stim = gen->generate_raw(256);
-  const auto faults = fault::enumerate_adder_faults(bench_lowered());
-  for (auto _ : state) {
-    auto res = fault::simulate_faults(bench_lowered().netlist, stim, faults);
-    benchmark::DoNotOptimize(res.detected);
-  }
-  state.counters["faults"] = static_cast<double>(faults.size());
-}
-BENCHMARK(BM_Ablation_UnorderedBatches);
-
-// ---------------------------------------------------------------------------
-// Machine-readable kernel report (--json mode).
+constexpr const char* kDesign = "LP";
+constexpr std::size_t kVectors = 512;
 
 struct JsonRun {
   std::string label;
@@ -187,8 +38,7 @@ struct JsonRun {
   fault::FaultSimResult result;
 };
 
-void append_json_run(std::string& out, const JsonRun& r, std::size_t vectors,
-                     std::size_t faults) {
+void append_json_run(std::string& out, const JsonRun& r, std::size_t faults) {
   char buf[2560];
   const auto& s = r.result.stats;
   std::snprintf(
@@ -208,8 +58,8 @@ void append_json_run(std::string& out, const JsonRun& r, std::size_t vectors,
       "       \"schedule_compilations\": %llu}}",
       r.label.c_str(), fault_sim_engine_name(s.engine),
       common::simd_backend_name(s.simd), s.lane_width, r.threads, r.seconds,
-      double(vectors) / r.seconds, double(faults) / r.seconds,
-      double(vectors) * double(faults) / r.seconds, r.result.detected,
+      double(kVectors) / r.seconds, double(faults) / r.seconds,
+      double(kVectors) * double(faults) / r.seconds, r.result.detected,
       static_cast<unsigned long long>(s.batches),
       static_cast<unsigned long long>(s.cycles_simulated),
       static_cast<unsigned long long>(s.cycles_budgeted),
@@ -224,26 +74,13 @@ void append_json_run(std::string& out, const JsonRun& r, std::size_t vectors,
   out += buf;
 }
 
-std::size_t parse_json_size(const char* arg, const char* name) {
-  const auto v = common::parse_size(arg, name, 1, 1u << 20);
-  if (!v) {
-    std::fprintf(stderr, "perf_fault_sim: %s\n", v.error().to_string().c_str());
-    std::exit(2);
-  }
-  return *v;
-}
-
-int run_json_report(const std::string& path, const std::string& design_name,
-                    std::size_t vectors) {
-  // Default workload is the table4 shape: a paper reference design and
-  // the LFSR-D generator. bench12 is the small option for quick loops.
-  rtl::FilterDesign design =
-      design_name == "bench12" ? bench_design() : designs::make_design("LP");
+int run_json_report(const char* path) {
+  const auto design = designs::make_design(kDesign);
   const auto low = gate::lower(design.graph);
   const auto faults = fault::order_for_simulation(
       fault::enumerate_adder_faults(low), low.netlist, design.graph);
   auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
-  const auto stim = gen->generate_raw(vectors);
+  const auto stim = gen->generate_raw(kVectors);
 
   auto timed = [&](std::string label, fault::FaultSimEngine engine,
                    common::SimdBackend simd, std::size_t threads) {
@@ -264,8 +101,8 @@ int run_json_report(const std::string& path, const std::string& design_name,
   };
 
   std::vector<JsonRun> runs;
-  // Reference pinned to scalar: a machine-speed denominator that never
-  // shifts when a wider backend appears or disappears.
+  // The reference is pinned to the scalar backend, which every build and
+  // CPU can run, so the verdict check below always has the same anchor.
   runs.push_back(timed("reference-1t", fault::FaultSimEngine::FullSweep,
                        common::SimdBackend::Scalar, 1));
   // Headline trio keeps the historical labels (Auto = widest runnable).
@@ -288,9 +125,8 @@ int run_json_report(const std::string& path, const std::string& design_name,
     runs.push_back(timed(base + "-hw", fault::FaultSimEngine::Compiled, b, 0));
   }
 
-  // The perf report doubles as a correctness tripwire: every run — any
-  // engine, backend or thread count — must produce bit-identical
-  // verdicts.
+  // The correctness tripwire: every run — any engine, backend or thread
+  // count — must produce bit-identical verdicts.
   for (const JsonRun& r : runs) {
     if (r.result.detect_cycle != runs.front().result.detect_cycle) {
       std::fprintf(stderr,
@@ -311,27 +147,26 @@ int run_json_report(const std::string& path, const std::string& design_name,
                   "    \"nets\": %zu, \"logic_gates\": %zu},\n"
                   "  \"speedup_compiled_vs_reference_1t\": %.3f,\n"
                   "  \"runs\": [\n",
-                  design_name.c_str(), vectors, faults.size(),
-                  low.netlist.size(), low.netlist.logic_gate_count(),
-                  speedup);
+                  kDesign, kVectors, faults.size(), low.netlist.size(),
+                  low.netlist.logic_gate_count(), speedup);
     json += buf;
   }
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    append_json_run(json, runs[i], vectors, faults.size());
+    append_json_run(json, runs[i], faults.size());
     json += i + 1 < runs.size() ? ",\n" : "\n";
   }
   json += "  ]\n}\n";
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "perf_fault_sim: cannot write %s\n", path.c_str());
+    std::fprintf(stderr, "perf_fault_sim: cannot write %s\n", path);
     return 1;
   }
   std::fputs(json.c_str(), f);
   std::fclose(f);
 
-  std::printf("wrote %s (%s, %zu faults, %zu vectors)\n", path.c_str(),
-              design_name.c_str(), faults.size(), vectors);
+  std::printf("wrote %s (%s, %zu faults, %zu vectors)\n", path, kDesign,
+              faults.size(), kVectors);
   for (const JsonRun& r : runs)
     std::printf("  %-21s %8.3fs  %4zu lanes  cone %.3f  savings %.3f\n",
                 r.label.c_str(), r.seconds, r.result.stats.lane_width,
@@ -344,38 +179,10 @@ int run_json_report(const std::string& path, const std::string& design_name,
 } // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::string json_design = "lp";
-  std::size_t json_vectors = 1024;
-  bool json_mode = false;
-  std::vector<char*> passthrough{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_mode = true;
-      json_path = "BENCH_fault_sim.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_mode = true;
-      json_path = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--json-vectors=", 15) == 0) {
-      json_vectors = parse_json_size(argv[i] + 15, "--json-vectors");
-    } else if (std::strncmp(argv[i], "--json-design=", 14) == 0) {
-      json_design = argv[i] + 14;
-      if (json_design != "lp" && json_design != "bench12") {
-        std::fprintf(stderr,
-                     "perf_fault_sim: --json-design must be lp or bench12\n");
-        return 2;
-      }
-    } else {
-      passthrough.push_back(argv[i]);
-    }
+  // A flag-like argument is refused rather than taken as a file name.
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    std::fprintf(stderr, "usage: perf_fault_sim [PATH]\n");
+    return 2;
   }
-  if (json_mode) return run_json_report(json_path, json_design, json_vectors);
-
-  int bench_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&bench_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, passthrough.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return run_json_report(argc == 2 ? argv[1] : "BENCH_fault_sim.json");
 }

@@ -63,6 +63,7 @@
 #include "analysis/compatibility.hpp"
 #include "analysis/variance.hpp"
 #include "bist/kit.hpp"
+#include "common/check.hpp"
 #include "common/parse.hpp"
 #include "designs/registry.hpp"
 #include "dsp/fir_design.hpp"
@@ -216,7 +217,19 @@ int cmd_design(int argc, char** argv) {
   auto h = dsp::design_fir(spec);
   const double scale = 0.98 / dsp::l1_norm(h);
   for (double& v : h) v *= scale;
-  const auto d = rtl::build_fir(h, {}, argv[1]);
+  // Quantizing a long filter's many small coefficients adds truncation
+  // slack that the 0.98 scale no longer covers, and build_fir refuses it.
+  rtl::FilterDesign d;
+  try {
+    d = rtl::build_fir(h, {}, argv[1]);
+  } catch (const precondition_error&) {
+    std::fprintf(stderr,
+                 "fdbist_cli: %zu taps overflow the %d-bit output (quantized "
+                 "L1 norm plus truncation slack exceeds full scale); use "
+                 "fewer taps\n",
+                 spec.taps, rtl::kOutputWidth);
+    return 2;
+  }
   const auto s = d.stats();
   std::printf("%s: %zu taps, %zu adders, %zu registers, widths "
               "%d/%d/%d\n",
@@ -491,17 +504,17 @@ int cmd_fuzz(int argc, char** argv) {
 
 int cmd_spectra(int argc, char** argv) {
   if (argc < 2) return usage();
+  const dsp::WelchOptions opt{};
   std::size_t samples = std::size_t{1} << 14;
   if (argc > 2) {
     const auto parsed =
-        arg_size(argv[2], "[samples]", 64, std::size_t{1} << 24);
+        arg_size(argv[2], "[samples]", opt.segment, std::size_t{1} << 24);
     if (!parsed) return usage();
     samples = *parsed;
   }
   auto gen = parse_generator(argv[1], samples);
   if (!gen) return usage();
   const auto x = gen->generate_real(samples);
-  dsp::WelchOptions opt;
   const auto psd = dsp::welch_psd(x, opt);
   const auto db = dsp::to_db(psd);
   const auto f = dsp::welch_frequencies(opt);
