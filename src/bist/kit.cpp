@@ -10,7 +10,7 @@ BistKit::BistKit(const rtl::FilterDesign& design, int misr_width)
     : design_(design), lowered_(gate::lower(design.graph)),
       faults_(fault::order_for_simulation(
           fault::enumerate_adder_faults(lowered_), lowered_.netlist,
-          design.graph)),
+          design)),
       misr_width_(misr_width) {
   FDBIST_REQUIRE(misr_width >= design.stats().width_out && misr_width <= 31,
                  "MISR width " + std::to_string(misr_width) + " outside " +

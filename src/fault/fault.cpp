@@ -88,12 +88,13 @@ int bits_below_msb(const Fault& f, const gate::Netlist& nl,
   return g.node(og.node).fmt.width - 1 - og.bit;
 }
 
-std::vector<Fault> order_for_simulation(std::vector<Fault> faults,
-                                        const gate::Netlist& nl,
-                                        const rtl::Graph& g) {
-  const auto linear = rtl::analyze_linear(g);
-  const auto gains = rtl::variance_gains(linear);
+namespace {
 
+/// order_for_simulation over precomputed white-noise variance gains.
+std::vector<Fault> order_by_difficulty(std::vector<Fault> faults,
+                                       const gate::Netlist& nl,
+                                       const rtl::Graph& g,
+                                       const std::vector<double>& gains) {
   // Higher score = easier fault: more bits below the MSB, and a larger
   // expected signal swing (log sigma) at the owning node.
   auto score = [&](const Fault& f) {
@@ -107,11 +108,36 @@ std::vector<Fault> order_for_simulation(std::vector<Fault> faults,
     return static_cast<double>(nd.fmt.width - 1 - og.bit) + std::log2(rel);
   };
 
-  std::stable_sort(faults.begin(), faults.end(),
-                   [&](const Fault& a, const Fault& b) {
-                     return score(a) > score(b);
+  // Score each fault once, then stable-sort the keys.
+  struct Keyed {
+    double score;
+    Fault fault;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(faults.size());
+  for (const Fault& f : faults) keyed.push_back({score(f), f});
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const Keyed& a, const Keyed& b) {
+                     return a.score > b.score;
                    });
+  for (std::size_t i = 0; i < faults.size(); ++i) faults[i] = keyed[i].fault;
   return faults;
+}
+
+} // namespace
+
+std::vector<Fault> order_for_simulation(std::vector<Fault> faults,
+                                        const gate::Netlist& nl,
+                                        const rtl::Graph& g) {
+  return order_by_difficulty(std::move(faults), nl, g,
+                             rtl::variance_gains(rtl::analyze_linear(g)));
+}
+
+std::vector<Fault> order_for_simulation(std::vector<Fault> faults,
+                                        const gate::Netlist& nl,
+                                        const rtl::FilterDesign& design) {
+  return order_by_difficulty(std::move(faults), nl, design.graph,
+                             rtl::variance_gains(design.linear));
 }
 
 } // namespace fdbist::fault

@@ -33,9 +33,9 @@ struct EnumerateOptions {
   bool collapse = true; ///< apply equivalence collapsing (ablatable)
 };
 
-/// All stuck-at faults in the Add/Sub cells of a lowered design, ordered
-/// adder-major and LSB-to-MSB within each adder (so the hard MSB-side
-/// faults cluster into adjacent parallel-simulation batches).
+/// All stuck-at faults in the Add/Sub cells of a lowered design, in gate
+/// order: adder-major and LSB-to-MSB within each adder, since lowering
+/// emits an adder's cells together.
 std::vector<Fault> enumerate_adder_faults(const gate::LoweredDesign& d,
                                           const EnumerateOptions& opt = {});
 
@@ -47,16 +47,22 @@ std::string describe(const Fault& f, const gate::Netlist& nl,
 int bits_below_msb(const Fault& f, const gate::Netlist& nl,
                    const rtl::Graph& g);
 
-/// Reorder faults so that easy (quickly detected) faults come first and
-/// the hard upper-bit faults cluster at the end. Parallel fault
-/// simulation exits a batch as soon as all 63 faults in it are detected;
-/// clustering the hard faults into few batches makes the remaining
-/// batches exit after tens of cycles instead of running the full budget
-/// (order is a pure performance heuristic — results are identical for
-/// any order). The score combines the bit position below the adder MSB
-/// with the node's white-noise signal variance (paper Eqn 1).
+/// The universe order: easy (quickly detected) faults first, the hard
+/// upper-bit faults at the end. Each fault's score combines its bit
+/// position below the adder MSB with the node's white-noise signal
+/// variance (paper Eqn 1); faults are stable-sorted by it, each scored
+/// once. The order fixes fault indices — in reports, verdict digests
+/// and campaign slice membership — but never a verdict, and not how
+/// simulate_faults batches a given set of faults: it packs its batches
+/// by fault site whatever order it is given.
 std::vector<Fault> order_for_simulation(std::vector<Fault> faults,
                                         const gate::Netlist& nl,
                                         const rtl::Graph& g);
+
+/// The same order from the design's own linear analysis
+/// (FilterDesign::linear) instead of recomputing it from the graph.
+std::vector<Fault> order_for_simulation(std::vector<Fault> faults,
+                                        const gate::Netlist& nl,
+                                        const rtl::FilterDesign& design);
 
 } // namespace fdbist::fault

@@ -58,9 +58,8 @@ struct CompiledArtifact {
   /// a shared handle never depends on the caller's netlist outliving
   /// it.
   gate::Netlist netlist;
-  /// Good-machine trace over the full stimulus. Batch kernels only read
-  /// row prefixes, so the same trace serves the stage-1 weed-out budget
-  /// and the full-budget stage.
+  /// Good-machine trace over the full stimulus. Batch kernels read the
+  /// rows of their windows, so the one trace serves every pass.
   gate::GoodTrace trace;
 
   /// Compiled over `netlist`; emplaced last, after the netlist member

@@ -5,7 +5,9 @@
 #include <chrono>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <optional>
+#include <tuple>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
@@ -131,17 +133,18 @@ std::size_t compiled_mem_estimate(std::size_t nets, std::size_t cycles,
 /// warm-up costs at most 1/16 of it.
 constexpr std::size_t kSettleDepthsPerSegment = 16;
 
-/// Time segments for a compiled word-compare pass of `budget` cycles:
-/// n = floor(budget / (16 D)), used only when n >= 2, and none without
-/// a settle depth (registers in a cycle never forget their start
-/// state). It depends on the netlist and the budget alone, never on the
-/// thread count, so results and stats are the same at every thread
-/// count. A netlist without registers (D = 0) splits as if D were 1.
-std::size_t segment_count(std::size_t budget,
+/// Time segments for a compiled word-compare pass over a window of
+/// `cycles` cycles: n = floor(cycles / (16 D)), used only when n >= 2,
+/// and none without a settle depth (registers in a cycle never forget
+/// their start state). It depends on the netlist and the window alone,
+/// never on the thread count, so results and stats are the same at
+/// every thread count. A netlist without registers (D = 0) splits as if
+/// D were 1.
+std::size_t segment_count(std::size_t cycles,
                           std::optional<std::size_t> settle_depth) {
   if (!settle_depth) return 1;
   const std::size_t n =
-      budget / (kSettleDepthsPerSegment *
+      cycles / (kSettleDepthsPerSegment *
                 std::max<std::size_t>(*settle_depth, 1));
   return n >= 2 ? n : 1;
 }
@@ -244,8 +247,8 @@ FaultSimResult simulate(const gate::Netlist& nl,
   const std::uint64_t full_sweep_gates = nl.logic_gate_count();
 
   // The compiled engine's good trace: the artifact's, or one full-budget
-  // recording per call. Batch kernels only read row prefixes, so the
-  // same trace serves the stage-1 weed-out and the full-budget stage.
+  // recording per call. Batch kernels read the rows of their windows,
+  // so the one trace serves every pass.
   std::optional<gate::GoodTrace> recorded;
   const gate::GoodTrace* trace = nullptr;
   if (engine == FaultSimEngine::Compiled && !faults.empty()) {
@@ -263,7 +266,7 @@ FaultSimResult simulate(const gate::Netlist& nl,
 
   // Progress counts *finalized* faults — detected, or survived the full
   // stimulus — so the reported sequence climbs monotonically to the
-  // total exactly once even though the engine takes two passes. The
+  // total exactly once even though the engine takes several passes. The
   // mutex both serializes the user callback and orders the cumulative
   // counter, so workers finishing batches out of order still deliver a
   // strictly increasing sequence.
@@ -276,26 +279,28 @@ FaultSimResult simulate(const gate::Netlist& nl,
     opt.progress(progress_done, faults.size());
   };
 
-  // One pass over `indices` with the first `budget` vectors, run as
-  // (batch x time-segment) units sharded dynamically across workers.
-  // Each worker owns a private executor (a width-dispatched BatchWorker
-  // over the shared schedule); each unit writes its own detection
-  // array. The worker that finishes a batch's last segment takes every
-  // fault's detect cycle from the earliest segment that saw it, writes
-  // the batch's disjoint detect_cycle and finalized entries and its
-  // survivor list, and books its stats. Survivor lists are concatenated in batch order
-  // afterwards, which makes the returned order — and therefore the
-  // batch composition of the next pass — identical to the sequential
-  // engine's for any thread count.
+  // One pass over `indices` through the cycle window [begin, end), run
+  // as (batch x time-segment) units sharded dynamically across workers.
+  // Each batch runs from reset at reset_point(begin) and counts
+  // detections from `begin` on. Each worker owns a private executor (a
+  // width-dispatched BatchWorker over the shared schedule); each unit
+  // writes its own detection array. The worker that finishes a batch's
+  // last segment takes every fault's detect cycle from the earliest
+  // segment that saw it, writes the batch's disjoint detect_cycle and
+  // finalized entries and its survivor list, and books its stats.
+  // Survivor lists are concatenated in batch order afterwards, which
+  // makes the returned order — and therefore the batch composition of
+  // the next pass — identical to the sequential engine's for any thread
+  // count.
   //
-  // Segments (segment_count) split compiled word-compare passes only:
-  // a signature is absorbed over the whole stimulus, and the FullSweep
-  // reference stays one sequential run per batch. Segment [b, e)
-  // starts from reset at max(0, b - D) and counts detections from b on;
-  // after D cycles every net holds its sequential value, so it detects
-  // exactly what the whole-budget run detects in [b, e). An unsplit
-  // pass is the one-segment case. Units are numbered segment-major:
-  // u = segment * num_batches + batch.
+  // Segments (segment_count on the window length) split compiled
+  // word-compare passes only: a signature is absorbed over the whole
+  // stimulus, and the FullSweep reference stays one sequential run per
+  // batch. Segment [b, e) starts from reset at reset_point(b) and
+  // counts detections from b on; after D cycles every net holds its
+  // sequential value, so it detects exactly what the whole-window run
+  // detects in [b, e). An unsplit pass is the one-segment case. Units
+  // are numbered segment-major: u = segment * num_batches + batch.
   //
   // A pass that fits one 64-lane batch runs on the 64-lane kernel: a
   // wider word would carry its empty lanes through every gate.
@@ -306,14 +311,20 @@ FaultSimResult simulate(const gate::Netlist& nl,
   // Batches that finished keep their verdicts — the partial result is
   // valid, just incomplete.
   const std::optional<std::size_t> settle = sched.settle_depth();
+  // Where a run whose detections count from cycle b starts from reset:
+  // D cycles early, or at 0 on a netlist without a settle depth, whose
+  // registers never forget their start state.
+  auto reset_point = [&](std::size_t b) {
+    return settle ? b - std::min(b, *settle) : 0;
+  };
   auto run_pass = [&](const std::vector<std::size_t>& indices,
-                      std::size_t budget, bool final_pass) {
+                      std::size_t begin, std::size_t end, bool final_pass) {
     const detail::BatchKernel& k =
         indices.size() <= narrow.faults_per_batch() ? narrow : kernel;
     const std::size_t fpb = k.faults_per_batch();
     const std::size_t num_batches = (indices.size() + fpb - 1) / fpb;
     const std::size_t segments =
-        trace != nullptr && !sig_on ? segment_count(budget, settle) : 1;
+        trace != nullptr && !sig_on ? segment_count(end - begin, settle) : 1;
     const std::size_t units = num_batches * segments;
     const std::size_t workers =
         std::max<std::size_t>(1, std::min(threads, units));
@@ -327,8 +338,9 @@ FaultSimResult simulate(const gate::Netlist& nl,
     std::vector<std::atomic<std::size_t>> segments_left(num_batches);
     for (auto& left : segments_left)
       left.store(segments, std::memory_order_relaxed);
-    std::vector<FaultSimStats> worker_stats(workers);
+    std::vector<FaultSimStats> batch_stats(num_batches);
     std::vector<std::vector<std::size_t>> batch_survivors(num_batches);
+    const std::size_t reset = reset_point(begin);
 
     auto finish_batch = [&](FaultSimStats& st, std::size_t b) {
       const std::size_t base = b * fpb;
@@ -349,10 +361,11 @@ FaultSimResult simulate(const gate::Netlist& nl,
         ++found;
         last = std::max(last, std::size_t(c));
       }
-      // The sequential engine's cycles: up to the last detection when
-      // it found every fault and could exit early, else the budget.
+      // The batch's one unsplit run over the window, from its reset
+      // point: up to the last detection when it found every fault and
+      // could exit early, else to the window's end.
       const std::size_t sequential =
-          !sig_on && found == count ? last + 1 : budget;
+          (!sig_on && found == count ? last + 1 : end) - reset;
       std::size_t stepped = 0;
       for (std::size_t s = 0; s < segments; ++s)
         stepped += unit_run[s * num_batches + b].stepped;
@@ -361,7 +374,7 @@ FaultSimResult simulate(const gate::Netlist& nl,
       const std::size_t gates = unit_run[b].gates_per_cycle;
       st.batches += 1;
       st.cycles_simulated += sequential;
-      st.cycles_budgeted += budget;
+      st.cycles_budgeted += end - reset;
       st.segment_overhead_cycles += stepped - sequential;
       st.gates_evaluated += std::uint64_t(gates) * sequential;
       st.gates_full_sweep += full_sweep_gates * sequential;
@@ -377,22 +390,23 @@ FaultSimResult simulate(const gate::Netlist& nl,
           const std::size_t b = u % num_batches;
           const std::size_t base = b * fpb;
           const std::size_t count = std::min(fpb, indices.size() - base);
-          const std::size_t begin = budget * s / segments;
+          const std::size_t seg_begin =
+              begin + (end - begin) * s / segments;
           const detail::CycleWindow window{
-              begin - std::min(begin, settle.value_or(0)), begin,
-              budget * (s + 1) / segments};
+              reset_point(seg_begin), seg_begin,
+              begin + (end - begin) * (s + 1) / segments};
           unit_run[u] = pool[worker]->run_batch(
               faults, stimulus, {indices.data() + base, count}, window,
               trace, unit_detect.data() + u * fpb, opt.signature,
               sig_on ? signature_difference.data() : nullptr);
           if (segments_left[b].fetch_sub(1, std::memory_order_acq_rel) == 1)
-            finish_batch(worker_stats[worker], b);
+            finish_batch(batch_stats[b], b);
         });
 
-    // Worker-local stats merge after the join; the sums are over the
-    // set of batches that finished, so they are order- and thread-count-
-    // independent on complete runs.
-    for (const FaultSimStats& st : worker_stats) result.stats.merge(st);
+    // Per-batch stats merge after the join, in batch order, so even the
+    // floating-point cone-fraction sum is the same at every thread
+    // count. A batch that never finished books nothing.
+    for (const FaultSimStats& st : batch_stats) result.stats.merge(st);
 
     std::vector<std::size_t> survivors;
     for (const std::vector<std::size_t>& batch : batch_survivors)
@@ -404,19 +418,54 @@ FaultSimResult simulate(const gate::Netlist& nl,
     return opt.cancel != nullptr && opt.cancel->cancelled();
   };
 
-  // Stage 1: a short budget weeds out the easily detected majority so
-  // only genuinely hard faults pay for long batches. Stage 2 finishes
-  // the survivors on the full stimulus. Signature mode takes one
-  // full-budget pass instead: the signature is defined over the whole
-  // stimulus, so every batch must absorb every vector.
-  std::vector<std::size_t> all(faults.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  const std::size_t stage1 =
-      sig_on ? stimulus.size() : std::min<std::size_t>(128, stimulus.size());
-  const bool stage1_is_final = stage1 == stimulus.size();
-  auto survivors = run_pass(all, stage1, stage1_is_final);
-  if (!stage1_is_final && !survivors.empty() && !cancelled())
-    run_pass(survivors, stimulus.size(), /*final_pass=*/true);
+  // Site packing: every pass cuts its batches from the fault indices in
+  // (gate, site, stuck) order, and survivors keep it. Gate ids are
+  // topological and lowering emits an adder's cells together, so
+  // neighbours in this order share most of their fan-out cone. The key
+  // is a total order on distinct faults, so batch composition — and
+  // with it every stats counter — is a function of the fault set, not
+  // of the order the caller passed.
+  std::vector<std::size_t> pass(faults.size());
+  std::iota(pass.begin(), pass.end(), std::size_t{0});
+  std::stable_sort(pass.begin(), pass.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     const Fault& x = faults[a];
+                     const Fault& y = faults[b];
+                     return std::tie(x.gate, x.site, x.stuck) <
+                            std::tie(y.gate, y.site, y.stuck);
+                   });
+
+  // The pass plan. Signature mode takes one full-budget pass: the
+  // signature is defined over the whole stimulus, so every batch must
+  // absorb every vector. Word compare weeds out the easily detected
+  // majority over [0, 128) first, so only genuinely hard faults pay for
+  // long batches. On a netlist with a settle depth the survivors then
+  // climb a ladder of windows [b, 4b), each entered from reset D cycles
+  // early and run only over the faults still undetected: the next
+  // window is taken while the survivors span more than 4 wide batches;
+  // otherwise one pass finishes [b, N). A fault's first detection in
+  // [b, e) is its first detection overall, because every earlier
+  // detection already took it out of the pass. Without a settle depth
+  // the survivors rerun the whole stimulus from reset. The plan depends
+  // only on the budget, the settle depth and pass sizes — never on the
+  // thread count.
+  const std::size_t budget = stimulus.size();
+  constexpr std::size_t kWeedOut = 128;
+  constexpr std::size_t kWindowGrowth = 4;
+  constexpr std::size_t kLadderMinBatches = 4;
+  std::size_t begin = 0;
+  std::size_t end = sig_on ? budget : std::min(kWeedOut, budget);
+  while (true) {
+    const bool final_pass = end == budget;
+    auto survivors = run_pass(pass, begin, end, final_pass);
+    if (final_pass || survivors.empty() || cancelled()) break;
+    const bool climb =
+        settle.has_value() && end * kWindowGrowth < budget &&
+        survivors.size() > kLadderMinBatches * kernel.faults_per_batch();
+    begin = end;
+    end = climb ? end * kWindowGrowth : budget;
+    pass = std::move(survivors);
+  }
 
   for (const std::int32_t c : result.detect_cycle)
     if (c >= 0) ++result.detected;

@@ -3,11 +3,22 @@
 // Classic N-1-faults-per-word scheme: lane 0 is the good machine, the
 // remaining lanes of the simulation word (63, 255 or 511 depending on
 // the SIMD backend — common/simd.hpp) each carry one injected stuck-at
-// fault. Each batch runs the full stimulus (with each fault's own
-// register state evolving in its lane) until every fault in the batch
-// has produced an output difference or the vector budget is exhausted. Detection is observation at the filter's
-// output word with no response compaction — the paper's "no aliasing in
-// the response analyzer" assumption.
+// fault. Detection is observation at the filter's output word with no
+// response compaction — the paper's "no aliasing in the response
+// analyzer" assumption.
+//
+// A run is a short plan of passes over cycle windows. Each pass cuts
+// its batches from the faults it carries in (gate, site, stuck) order,
+// so a batch's faults share most of their fan-out cone. Each batch
+// runs its window (with each fault's own register state evolving in
+// its lane) until every fault in it has produced an output difference
+// or the window ends. Word compare first weeds out the easily detected
+// majority over vectors [0, 128); the survivors then climb a ladder of
+// windows [b, 4b) while they span more than 4 wide batches, each
+// entered from reset a settle depth early and carrying only the faults
+// still undetected, and one pass finishes [b, N). A netlist without a
+// settle depth reruns its survivors over [0, N) instead, and a
+// signature run is one pass over [0, N).
 //
 // One shared batch kernel serves every layer: the serial oracle
 // (fault/serial.hpp) is the kernel at one thread on the full-sweep
@@ -18,7 +29,7 @@
 //   * Compiled (default): PPSFP-style good-machine reuse. The netlist
 //     is compiled once (gate/schedule.hpp), the fault-free machine runs
 //     once per call recording a bit-packed good trace over the full
-//     stimulus (both stages read it), and each batch then evaluates
+//     stimulus (every pass reads it), and each batch then evaluates
 //     only the union of its faults' structural fan-out cones (closed
 //     through registers), reading out-of-cone operands from the
 //     trace. Results are bit-identical to the full sweep —
@@ -28,9 +39,11 @@
 //     the netlist's settle depth, so even a single batch of survivors
 //     spreads across workers.
 //   * FullSweep: every batch re-evaluates the whole netlist each clock
-//     (the pre-compilation engine). Retained as the differential
-//     reference for the compiled engine, and as the automatic fallback
-//     when the good trace would not fit in memory.
+//     (the pre-compilation engine). It runs the same passes, batches
+//     and windows but never splits a batch into time segments.
+//     Retained as the differential reference for the compiled engine,
+//     and as the automatic fallback when the good trace would not fit
+//     in memory.
 #pragma once
 
 #include <cstdint>
@@ -60,19 +73,24 @@ const char* fault_sim_engine_name(FaultSimEngine e);
 
 /// Engine observability: how much work the kernel actually did,
 /// aggregated over batches (and over slices, for campaigns). All
-/// counters are deterministic for a given (netlist, stimulus, faults,
-/// engine) — batch composition never depends on thread count.
+/// counters but the prep_* timings are deterministic for a given
+/// (netlist, stimulus, fault set, engine, SIMD backend) — batch
+/// composition depends neither on the thread count nor on the order of
+/// the faults.
 struct FaultSimStats {
   /// Engine that ran (never Auto in a result).
   FaultSimEngine engine = FaultSimEngine::Auto;
   std::uint64_t batches = 0;
-  /// Clock cycles the batches take as one run each from reset: the
-  /// budget, or up to the last detection when every fault of the batch
-  /// is found. Time segments leave it unchanged (what they add is
-  /// segment_overhead_cycles), so both engines report the same count.
+  /// Clock cycles the batches take as one unsplit run each over their
+  /// pass's window, from its reset point (the window's start less the
+  /// settle depth, or 0) to the window's end, or to the last detection
+  /// when every fault of the batch is found. Time segments leave it
+  /// unchanged (what they add is segment_overhead_cycles), so both
+  /// engines report the same count.
   std::uint64_t cycles_simulated = 0;
-  /// Clock cycles batches were budgeted for; the difference from
-  /// cycles_simulated is early exit (every fault in the batch detected).
+  /// Clock cycles batches were budgeted for: from each batch's reset
+  /// point to its window's end. The difference from cycles_simulated is
+  /// early exit (every fault in the batch detected).
   std::uint64_t cycles_budgeted = 0;
   /// Cycles time-segmented passes stepped beyond cycles_simulated: each
   /// segment's warm-up, plus the cycles a segment ran after its batch's
@@ -215,8 +233,9 @@ struct FaultSimOptions {
 
   /// Response compaction. When enabled the run takes a single
   /// full-budget pass (the signature is defined over the whole stimulus,
-  /// so neither the two-stage weed-out nor per-batch early exit may
-  /// shorten absorption) and FaultSimResult::signature_detect carries
+  /// so neither the weed-out and its survivor windows nor per-batch
+  /// early exit may shorten absorption) and
+  /// FaultSimResult::signature_detect carries
   /// the per-fault signature verdicts next to the word-compare ground
   /// truth in detect_cycle. Both verdict sets stay bit-identical across
   /// engines, SIMD widths and thread counts.
@@ -312,9 +331,11 @@ struct FaultSimResult {
 
 /// Simulate every fault against the stimulus (raw input words for the
 /// design's single primary input). Returns per-fault first-detection
-/// cycles. Deterministic for any FaultSimOptions::num_threads; batches
-/// of lanes-1 faults in the given order (the lane count follows the
-/// resolved SIMD backend). Each fault's detect cycle is a pure
+/// cycles, indexed like `faults`. Deterministic for any
+/// FaultSimOptions::num_threads; batches of lanes-1 faults packed by
+/// (gate, site, stuck) whatever order `faults` comes in (the lane count
+/// follows the resolved SIMD backend), so the work counters too depend
+/// on the fault set, not its order. Each fault's detect cycle is a pure
 /// function of (netlist, stimulus, fault) — batch composition and fault
 /// ordering never change it — which is what makes sliced/checkpointed
 /// campaigns (fault/campaign.hpp) bit-identical to one-shot runs.

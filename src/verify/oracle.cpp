@@ -194,8 +194,8 @@ Finding check_stats_invariants(const fault::FaultSimResult& r,
       s.good_trace_cycles == 0 && s.cycles_simulated > 0)
     return fail("compiled engine recorded no good trace");
   // One good-machine recording per call: a compiled run that compiled
-  // its own schedule records the full budget exactly once, and both
-  // stages read it.
+  // its own schedule records the full budget exactly once, and every
+  // pass reads it.
   if (s.engine == fault::FaultSimEngine::Compiled &&
       s.schedule_compilations == 1 && fault_count > 0 &&
       s.good_trace_cycles != vectors)

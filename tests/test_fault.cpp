@@ -1,10 +1,15 @@
 #include <algorithm>
+#include <cmath>
 #include <gtest/gtest.h>
+#include <numeric>
+#include <random>
 
+#include "common/env.hpp"
 #include "designs/registry.hpp"
 #include "fault/simulator.hpp"
 #include "gate/schedule.hpp"
 #include "rtl/fir_builder.hpp"
+#include "rtl/linear_model.hpp"
 #include "tpg/generators.hpp"
 
 namespace fdbist::fault {
@@ -99,6 +104,44 @@ TEST(Order, MsbFaultsLast) {
   EXPECT_GT(first, last);
 }
 
+// The universe order as first written: a stable sort whose comparator
+// recomputes both faults' scores on every comparison, from a fresh
+// linear analysis of the graph.
+std::vector<Fault> comparator_order(std::vector<Fault> faults,
+                                    const gate::Netlist& nl,
+                                    const rtl::Graph& g) {
+  const auto gains = rtl::variance_gains(rtl::analyze_linear(g));
+  auto score = [&](const Fault& f) {
+    const gate::GateOrigin& og = nl.origin(f.gate);
+    const rtl::Node& nd = g.node(og.node);
+    const double sigma = std::sqrt(gains[std::size_t(og.node)]) + 1e-12;
+    const double full_scale = nd.fmt.real_max() + nd.fmt.lsb();
+    return static_cast<double>(nd.fmt.width - 1 - og.bit) +
+           std::log2(sigma / full_scale);
+  };
+  std::stable_sort(faults.begin(), faults.end(),
+                   [&](const Fault& a, const Fault& b) {
+                     return score(a) > score(b);
+                   });
+  return faults;
+}
+
+// Fault indices key verdict digests and checkpoints, so the keyed sort
+// and the overload that reads FilterDesign::linear must reproduce the
+// comparator's order exactly.
+TEST(Order, KeyedSortMatchesTheComparatorOnEveryRegisteredDesign) {
+  for (const auto& entry : designs::design_registry()) {
+    const auto d = designs::make_design(entry.name);
+    const auto low = gate::lower(d.graph);
+    const auto faults = enumerate_adder_faults(low);
+    const auto want = comparator_order(faults, low.netlist, d.graph);
+    EXPECT_TRUE(order_for_simulation(faults, low.netlist, d.graph) == want)
+        << entry.name;
+    EXPECT_TRUE(order_for_simulation(faults, low.netlist, d) == want)
+        << entry.name;
+  }
+}
+
 TEST(Simulate, AllTinyAdderFaultsDetectedByExhaustiveStimulus) {
   TinyAdder t;
   const auto faults = enumerate_adder_faults(t.low);
@@ -190,6 +233,47 @@ TEST(Simulate, ResultInvariantUnderOrdering) {
   };
   for (std::size_t i = 0; i < faults.size(); i += 5)
     EXPECT_EQ(r1.detect_cycle[i], cycle_of(ordered, r2, faults[i]));
+
+  // A registered design's whole universe, shuffled: simulate_faults
+  // packs its batches by fault site, so batch composition — and with it
+  // every work counter, survivor windows included (Ramp at 1024 vectors
+  // climbs the window ladder) — is a function of the fault set.
+  const auto d = designs::make_design("LP");
+  const auto low = gate::lower(d.graph);
+  const auto universe =
+      order_for_simulation(enumerate_adder_faults(low), low.netlist, d);
+  const std::uint64_t seed = common::test_seed(20261018);
+  SCOPED_TRACE(common::seed_note(seed));
+  std::vector<std::size_t> perm(universe.size());
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  std::mt19937_64 rng(seed);
+  std::shuffle(perm.begin(), perm.end(), rng);
+  std::vector<Fault> shuffled;
+  for (const std::size_t i : perm) shuffled.push_back(universe[i]);
+  auto gen = tpg::make_generator(tpg::GeneratorKind::Ramp, 12);
+  const auto ramp = gen->generate_raw(1024);
+  const auto a = simulate_faults(low.netlist, ramp, universe);
+  const auto b = simulate_faults(low.netlist, ramp, shuffled);
+  EXPECT_EQ(a.detected, b.detected);
+  for (std::size_t k = 0; k < perm.size(); ++k) {
+    ASSERT_EQ(b.detect_cycle[k], a.detect_cycle[perm[k]]) << "fault " << k;
+    ASSERT_EQ(b.finalized[k], a.finalized[perm[k]]) << "fault " << k;
+  }
+  EXPECT_EQ(b.good_outputs, a.good_outputs);
+  const FaultSimStats& x = a.stats;
+  const FaultSimStats& y = b.stats;
+  EXPECT_EQ(y.engine, x.engine);
+  EXPECT_EQ(y.batches, x.batches);
+  EXPECT_EQ(y.cycles_simulated, x.cycles_simulated);
+  EXPECT_EQ(y.cycles_budgeted, x.cycles_budgeted);
+  EXPECT_EQ(y.segment_overhead_cycles, x.segment_overhead_cycles);
+  EXPECT_EQ(y.gates_evaluated, x.gates_evaluated);
+  EXPECT_EQ(y.gates_full_sweep, x.gates_full_sweep);
+  EXPECT_EQ(y.good_trace_cycles, x.good_trace_cycles);
+  EXPECT_DOUBLE_EQ(y.cone_fraction_sum, x.cone_fraction_sum);
+  EXPECT_EQ(y.lane_width, x.lane_width);
+  EXPECT_EQ(y.simd, x.simd);
+  EXPECT_EQ(y.schedule_compilations, x.schedule_compilations);
 }
 
 TEST(Simulate, MoreThan63FaultsSpanBatches) {

@@ -4,8 +4,10 @@
 // strictly increasing sequence regardless of worker interleaving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "fault/simulator.hpp"
@@ -73,12 +75,18 @@ FaultSimResult run_segmented(std::size_t threads) {
   return run_segmented(opt);
 }
 
-// Faults still undetected after the weed-out, in fault order: the
-// full-budget pass's batches, in batch order.
+// Faults still undetected after the weed-out, in the order
+// simulate_faults packs them — by (gate, site, stuck): the full-budget
+// pass's batches, in batch order.
 std::vector<std::size_t> stage1_survivors(const FaultSimResult& r) {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < r.detect_cycle.size(); ++i)
     if (r.detect_cycle[i] < 0 || r.detect_cycle[i] >= 128) out.push_back(i);
+  const auto& faults = fixture().faults;
+  std::stable_sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
+    return std::tie(faults[a].gate, faults[a].site, faults[a].stuck) <
+           std::tie(faults[b].gate, faults[b].site, faults[b].stuck);
+  });
   return out;
 }
 
@@ -196,7 +204,7 @@ TEST(FaultParallel, ProgressIsMonotoneAndComplete) {
 // cancel outstanding batches, join every worker, and propagate to the
 // caller — not hang the pool or leak worker state (the ASan job keeps
 // this honest). Thrown at several points in the campaign so both the
-// stage-1 sweep and the stage-2 survivor pass are exercised.
+// weed-out pass and the survivor pass are exercised.
 TEST(FaultParallel, ProgressExceptionJoinsWorkersAndPropagates) {
   struct ProgressBomb : std::runtime_error {
     using std::runtime_error::runtime_error;

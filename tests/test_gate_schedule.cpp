@@ -391,12 +391,17 @@ TEST(EngineEquivalence, EveryRegisteredFamilyAllThreadCounts) {
   }
 }
 
-// Time segments: a full-budget pass at least 32 settle depths long
-// splits every batch into segments that each warm up over the settle
-// depth. The faults are every stage-1 survivor (so the full-budget pass
-// is wide enough to need more than 64 lanes) plus a stride sample of
-// the rest; the stimulus is 32 settle depths, two segments. IIR4's
-// feedback has no settle depth, so it must not split.
+// Time segments: a final pass at least 32 settle depths long splits
+// every batch into segments that each warm up over the settle depth.
+// The faults are every stage-1 survivor (so the survivor passes are
+// wide enough to need more than 64 lanes, and climb the survivor
+// window ladder where they span more than 4 batches) plus a stride
+// sample of the rest.
+// The stimulus is the ladder's last start, 2048, plus 32 settle
+// depths, so whichever window finishes the plan — [128, N), [512, N)
+// or [2048, N) — spans at least 32 settle depths and splits into two
+// or more segments. IIR4's feedback has no settle depth, so it must
+// not split.
 void expect_segmented_engines_identical(const Netlist& nl,
                                         const std::vector<fault::Fault>& all,
                                         std::size_t width_in,
@@ -404,7 +409,7 @@ void expect_segmented_engines_identical(const Netlist& nl,
   SCOPED_TRACE(what);
   const auto depth = CompiledSchedule(nl).settle_depth();
   const std::size_t vectors =
-      std::max<std::size_t>(256, 32 * depth.value_or(0));
+      2048 + 32 * std::max<std::size_t>(depth.value_or(0), 1);
   auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, width_in);
   const auto stim = gen->generate_raw(vectors);
 
@@ -418,7 +423,7 @@ void expect_segmented_engines_identical(const Netlist& nl,
     if (weed.detect_cycle[i] < 0 || i % 211 == 0) faults.push_back(all[i]);
   }
   ASSERT_GT(survivors, 63u)
-      << "too few stage-1 survivors for a wide full-budget pass";
+      << "too few stage-1 survivors for a wide survivor pass";
 
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
@@ -473,8 +478,8 @@ TEST(EngineStats, ReportsWorkDone) {
   const auto r = fault::simulate_faults(low.netlist, stim, faults);
   const auto& s = r.stats;
   EXPECT_EQ(s.engine, fault::FaultSimEngine::Compiled);
-  // Stage 1 runs every fault once in (lanes-1)-wide batches; stage 2
-  // adds a workload-dependent number of survivor batches on top.
+  // The weed-out runs every fault once in (lanes-1)-wide batches; the
+  // survivor passes add a workload-dependent number of batches on top.
   ASSERT_GE(s.lane_width, 64u);
   EXPECT_GE(s.batches, (faults.size() + s.lane_width - 2) / (s.lane_width - 1));
   EXPECT_NE(s.simd, common::SimdBackend::Auto);

@@ -179,8 +179,8 @@ TEST(LaneLimit, AddFaultRejectsMasksBeyondActiveLanes) {
   EXPECT_THROW(sim.limit_lanes(65), precondition_error);
 }
 
-// Faults the two-stage engine carries into its full-budget pass: those
-// the 128-vector weed-out left undetected.
+// Faults the engine carries past the 128-vector weed-out: those it left
+// undetected.
 std::size_t full_budget_faults(const fault::FaultSimResult& r) {
   return std::size_t(std::count_if(
       r.detect_cycle.begin(), r.detect_cycle.end(),
