@@ -31,8 +31,9 @@
 // per-fault verdicts to --checkpoint, a killed run restarted with
 // --resume continues where it stopped (final results bit-identical to
 // an uninterrupted run), and --deadline-s stops workers gracefully at
-// batch boundaries, reporting coverage-so-far. Its slices share one
-// compiled schedule and good trace, prepared once per run.
+// batch boundaries, reporting coverage-so-far. It runs every fault it
+// has no verdict for in one fault-simulation call, the work `faultsim`
+// does, and saves its checkpoint when that call returns.
 //
 // `fuzz` runs the differential verification subsystem (src/verify/):
 // replay the corpus, then `--cases` fresh random cases through every

@@ -6,7 +6,6 @@
 
 #include "common/check.hpp"
 #include "fault/checkpoint.hpp"
-#include "fault/schedule_cache.hpp"
 
 namespace fdbist::fault {
 
@@ -14,6 +13,18 @@ namespace {
 
 bool file_exists(const std::string& path) {
   return ::access(path.c_str(), F_OK) == 0;
+}
+
+/// A result over the whole universe with no verdict yet.
+FaultSimResult universe_shell(std::size_t total, std::size_t vectors,
+                              bool sig_on) {
+  FaultSimResult r;
+  r.total_faults = total;
+  r.vectors = vectors;
+  r.detect_cycle.assign(total, -1);
+  r.finalized.assign(total, 0);
+  if (sig_on) r.signature_detect.assign(total, 0);
+  return r;
 }
 
 } // namespace
@@ -30,15 +41,10 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
   const std::size_t slice = opt.checkpoint_every;
   const std::size_t num_slices = (total + slice - 1) / slice;
   const bool persist = !opt.checkpoint_path.empty();
-
   const bool sig_on = opt.signature.enabled();
 
   CampaignResult res;
-  res.sim.total_faults = total;
-  res.sim.vectors = stimulus.size();
-  res.sim.detect_cycle.assign(total, -1);
-  res.sim.finalized.assign(total, 0);
-  if (sig_on) res.sim.signature_detect.assign(total, 0);
+  res.sim = universe_shell(total, stimulus.size(), sig_on);
 
   Checkpoint ck;
   ck.stimulus_len = stimulus.size();
@@ -47,13 +53,15 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
   ck.sig_width = static_cast<std::uint32_t>(opt.signature.width);
   ck.sig_taps = opt.signature.taps;
   ck.slice_finalized.assign(num_slices, 0);
-  ck.detect_cycle.assign(total, -1);
-  if (sig_on) ck.signature_detect.assign(total, 0);
   if (persist) {
     ck.netlist_fp = fingerprint_netlist(nl);
     ck.stimulus_fp = fingerprint_stimulus(stimulus);
     ck.faults_fp = fingerprint_faults(faults);
   }
+  auto finalized_slices = [&] {
+    return std::size_t(std::count(ck.slice_finalized.begin(),
+                                  ck.slice_finalized.end(), 1));
+  };
 
   if (persist && opt.resume && file_exists(opt.checkpoint_path)) {
     auto loaded = load_checkpoint(opt.checkpoint_path);
@@ -80,31 +88,16 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
     if (old.sig_width != ck.sig_width || old.sig_taps != ck.sig_taps)
       return refuse("signature configuration differs");
 
-    ck.slice_finalized = old.slice_finalized;
     // Reconstitute the checkpoint's finalized slices as one partial
-    // result and run it through the audited merge — the same path
-    // freshly computed slices take, so resume cannot drift from it.
-    FaultSimResult restored;
-    restored.total_faults = total;
-    restored.vectors = stimulus.size();
-    restored.detect_cycle.assign(total, -1);
-    restored.finalized.assign(total, 0);
-    if (sig_on) restored.signature_detect.assign(total, 0);
-    for (std::size_t s = 0; s < num_slices; ++s) {
-      if (!ck.slice_finalized[s]) continue;
-      const std::size_t lo = s * slice;
-      const std::size_t hi = std::min(total, lo + slice);
-      for (std::size_t i = lo; i < hi; ++i) {
-        ck.detect_cycle[i] = old.detect_cycle[i];
-        restored.detect_cycle[i] = old.detect_cycle[i];
-        restored.finalized[i] = 1;
-        if (sig_on) {
-          ck.signature_detect[i] = old.signature_detect[i];
-          restored.signature_detect[i] = old.signature_detect[i];
-        }
-      }
-      ++res.resumed_slices;
-    }
+    // result and run it through the audited merge — the same path the
+    // freshly simulated verdicts take, so resume cannot drift from it.
+    ck.slice_finalized = old.slice_finalized;
+    res.resumed_slices = finalized_slices();
+    FaultSimResult restored = universe_shell(total, stimulus.size(), sig_on);
+    restored.detect_cycle = old.detect_cycle;
+    if (sig_on) restored.signature_detect = old.signature_detect;
+    for (std::size_t i = 0; i < total; ++i)
+      restored.finalized[i] = ck.slice_finalized[i / slice];
     if (auto merged = res.sim.merge(restored, 0); !merged)
       return merged.error();
   }
@@ -114,68 +107,66 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
   common::CancelToken token(opt.cancel);
   if (opt.deadline_s > 0) token.set_deadline_after(opt.deadline_s);
 
-  std::size_t finalized_before = res.sim.finalized_count();
-
-  // Every slice runs the caller's FaultSimOptions, sharing one artifact
-  // and the local token, with progress rebased to the campaign's global
-  // count. The artifact is the caller's, or one built just before the
-  // first slice that runs, so the slices skip schedule compilation and
-  // trace recording entirely. A campaign with no slice left to run, or
-  // whose slices resolve to the FullSweep engine, builds none.
-  FaultSimOptions fopt = opt;
-  fopt.cancel = &token;
-  const bool build = opt.artifact == nullptr &&
-                     resolve_engine(nl, stimulus.size(), opt) ==
-                         FaultSimEngine::Compiled;
-  if (opt.progress)
-    fopt.progress = [&](std::size_t done, std::size_t) {
-      opt.progress(finalized_before + done, total);
-    };
-
-  for (std::size_t s = 0; s < num_slices; ++s) {
-    if (ck.slice_finalized[s]) continue;
-    if (token.cancelled()) {
-      res.stop_reason = token.reason();
-      break;
+  // One simulate_faults call over the faults of every slice the
+  // checkpoint has not finalized (on a fresh run, the universe itself)
+  // runs the one-shot pass plan: one weed-out, one survivor tail, one
+  // compile and good trace (or the caller's artifact). Slices are the
+  // unit the checkpoint records, not a unit of work.
+  std::vector<std::size_t> pending; // universe index of each run fault
+  for (std::size_t i = 0; i < total; ++i)
+    if (!ck.slice_finalized[i / slice]) pending.push_back(i);
+  if (!pending.empty() && !token.cancelled()) {
+    std::vector<Fault> gathered;
+    std::span<const Fault> run_faults = faults;
+    if (pending.size() != total) {
+      for (const std::size_t i : pending) gathered.push_back(faults[i]);
+      run_faults = gathered;
     }
-    if (build && fopt.artifact == nullptr)
-      fopt.artifact = build_artifact(nl, stimulus, &res.sim.stats);
-    const std::size_t lo = s * slice;
-    const std::size_t hi = std::min(total, lo + slice);
+    FaultSimOptions fopt = opt;
+    fopt.cancel = &token;
     const FaultSimResult part =
-        simulate_faults(nl, stimulus, faults.subspan(lo, hi - lo), fopt);
-    // The audited merge absorbs whatever verdicts the slice finalized
-    // (all of them, or a cancelled prefix) and folds in stats; the
-    // checkpoint mirrors only the finalized entries.
-    if (auto merged = res.sim.merge(part, lo); !merged)
+        simulate_faults(nl, stimulus, run_faults, fopt);
+    // Whatever the call finalized (everything, or what a cancelled run
+    // reached) goes back to its universe index through the audited
+    // merge, stats and good outputs included.
+    FaultSimResult scattered = universe_shell(total, stimulus.size(), sig_on);
+    scattered.good_outputs = part.good_outputs;
+    scattered.stats = part.stats;
+    for (std::size_t j = 0; j < pending.size(); ++j) {
+      if (!part.finalized[j]) continue;
+      const std::size_t i = pending[j];
+      scattered.detect_cycle[i] = part.detect_cycle[j];
+      scattered.finalized[i] = 1;
+      if (sig_on) scattered.signature_detect[i] = part.signature_detect[j];
+    }
+    if (auto merged = res.sim.merge(scattered, 0); !merged)
       return merged.error();
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (!part.finalized[i - lo]) continue;
-      ck.detect_cycle[i] = part.detect_cycle[i - lo];
-      if (sig_on) ck.signature_detect[i] = part.signature_detect[i - lo];
-    }
-    if (!part.complete) {
-      // Cancelled mid-slice: keep the partial verdicts in the returned
-      // result but do not finalize the slice — the checkpoint only ever
-      // records slices whose every fault has a verdict, which is what
-      // makes resume bit-identical.
-      res.stop_reason = token.reason();
-      break;
-    }
+  }
 
-    ck.slice_finalized[s] = 1;
-    ++res.completed_slices;
-    finalized_before += hi - lo;
-    if (persist) {
-      auto saved = save_checkpoint(opt.checkpoint_path, ck);
-      if (!saved) return saved.error();
-      ++res.checkpoints_written;
+  // A slice is finalized once every fault in it carries a verdict. The
+  // checkpoint records only such slices, which is what makes resume
+  // bit-identical; it is saved once, when this call finalized a slice.
+  ck.slice_finalized.assign(num_slices, 1);
+  for (std::size_t i = 0; i < total; ++i)
+    if (!res.sim.finalized[i]) ck.slice_finalized[i / slice] = 0;
+  res.completed_slices = finalized_slices() - res.resumed_slices;
+  if (persist && res.completed_slices > 0) {
+    ck.detect_cycle.assign(total, -1);
+    if (sig_on) ck.signature_detect.assign(total, 0);
+    for (std::size_t i = 0; i < total; ++i) {
+      if (!ck.slice_finalized[i / slice]) continue;
+      ck.detect_cycle[i] = res.sim.detect_cycle[i];
+      if (sig_on) ck.signature_detect[i] = res.sim.signature_detect[i];
     }
+    auto saved = save_checkpoint(opt.checkpoint_path, ck);
+    if (!saved) return saved.error();
+    ++res.checkpoints_written;
   }
 
   // merge() maintained `detected` incrementally; only the completeness
-  // flag is left to settle.
+  // flag and, for a run cut short, its reason are left to settle.
   res.sim.complete = res.sim.finalized_count() == total;
+  if (!res.sim.complete) res.stop_reason = token.reason();
   return res;
 }
 

@@ -7,13 +7,18 @@
 // resilience properties those sweeps need:
 //
 //   * Checkpointing. The fault universe is partitioned into fixed-size
-//     slices (checkpoint_every faults). Each finished slice's verdicts
-//     are final — a fault's detect cycle is a pure function of
-//     (netlist, stimulus, fault), independent of slicing — so the
-//     campaign persists them to a versioned checkpoint file
-//     (fault/checkpoint.hpp) and a resumed run skips straight to the
-//     first unfinished slice. Final results are bit-identical to an
-//     uninterrupted run, for any thread count.
+//     slices (checkpoint_every faults), the unit the checkpoint records
+//     and audits. One run_campaign call simulates the faults of every
+//     slice not yet finalized in a single simulate_faults call, with
+//     the one-shot pass plan. When that call returns (complete,
+//     cancelled or past its deadline), the campaign persists the
+//     verdicts of every slice whose faults all carry one to a versioned
+//     checkpoint file (fault/checkpoint.hpp). A fault's detect cycle is
+//     a pure function of (netlist, stimulus, fault), independent of
+//     which faults share its batches, so a resumed run simulates only
+//     the slices the file has not finalized, and its final results are
+//     bit-identical to an uninterrupted run for any thread count. A
+//     SIGKILL loses the work of the call in flight.
 //
 //   * Cancellation + deadline. A caller-owned CancelToken and/or a
 //     wall-clock budget stop workers at batch boundaries (lanes-1
@@ -40,19 +45,16 @@ namespace fdbist::fault {
 
 class ScheduleCache; // fault/schedule_cache.hpp
 
-/// A campaign's options: every FaultSimOptions field, applied to each
-/// slice, plus the campaign's own. Of the base fields only `signature`
-/// is part of the checkpoint audit — signature verdicts depend on the
-/// MISR polynomial, and the per-fault signature verdicts ride in the
-/// checkpoint next to detect_cycle. Verdicts are a pure function of
-/// (netlist, stimulus, fault), so a campaign may resume under another
-/// engine, SIMD width, thread count or artifact and stay bit-identical.
-/// `progress` is rebased to campaign-global counts (faults finalized
-/// across all slices including resumed ones, total faults); `cancel`
-/// and `artifact` are shared by every slice. Without an `artifact`,
-/// run_campaign builds one in memory just before the first slice it
-/// runs (when the slices' engine resolves to Compiled) and shares that,
-/// so a campaign compiles and records its good trace once.
+/// A campaign's options: every FaultSimOptions field, forwarded to the
+/// one simulate_faults call, plus the campaign's own. Of the base fields
+/// only `signature` is part of the checkpoint audit — signature verdicts
+/// depend on the MISR polynomial, and the per-fault signature verdicts
+/// ride in the checkpoint next to detect_cycle. Verdicts are a pure
+/// function of (netlist, stimulus, fault), so a campaign may resume
+/// under another engine, SIMD width, thread count or artifact and stay
+/// bit-identical. `progress` counts the call's own faults (finalized so
+/// far, faults this invocation simulates); `cancel` chains under the
+/// deadline; `artifact`, when set, is the call's preparation.
 struct CampaignOptions : FaultSimOptions {
   /// Design family the fault universe was built from
   /// (rtl::DesignFamily as u32). Part of the checkpoint audit: two
@@ -61,8 +63,10 @@ struct CampaignOptions : FaultSimOptions {
   /// line silently.
   std::uint32_t family = 0;
 
-  /// Faults per checkpoint slice; a checkpoint is written after each
-  /// slice is finalized. Smaller = finer-grained resume, more writes.
+  /// Faults per checkpoint slice. The checkpoint is written once per
+  /// invocation that finalizes a slice, and records only slices whose
+  /// every fault carries a verdict. Smaller = finer-grained resume after
+  /// a cancelled or deadlined call; it never changes the work done.
   std::size_t checkpoint_every = 4096;
 
   /// Checkpoint file path; empty disables checkpointing (the campaign
@@ -77,22 +81,21 @@ struct CampaignOptions : FaultSimOptions {
   /// Wall-clock budget in seconds for the whole call; 0 = unlimited.
   double deadline_s = 0;
 
-  /// Benchmark shim (fault/schedule_cache.hpp), ignored: run_campaign
-  /// builds its artifact in memory whether or not this is set. The
-  /// next benchmark change removes it.
+  /// Benchmark shim (fault/schedule_cache.hpp), ignored. The next
+  /// benchmark change removes it.
   ScheduleCache* schedule_cache = nullptr;
 };
 
 struct CampaignResult {
   /// Merged verdicts. complete == false iff the run stopped early.
-  /// sim.stats aggregates engine observability over the slices this
-  /// invocation ran (slices restored from a checkpoint did no work and
-  /// contribute nothing), plus the build of the campaign's artifact.
+  /// sim.stats is this invocation's one simulate_faults call (slices
+  /// restored from a checkpoint did no work and contribute nothing).
   FaultSimResult sim;
   /// Slices skipped because the loaded checkpoint had finalized them.
   std::size_t resumed_slices = 0;
   /// Slices finalized by this invocation.
   std::size_t completed_slices = 0;
+  /// 1 when this invocation finalized a slice and saved the checkpoint.
   std::size_t checkpoints_written = 0;
   /// Why the run stopped early (Cancelled or DeadlineExceeded);
   /// nullopt when the campaign ran to completion.

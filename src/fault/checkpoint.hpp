@@ -1,9 +1,10 @@
 // Versioned binary checkpoints for fault-simulation campaigns.
 //
 // A campaign (fault/campaign.hpp) partitions its fault universe into
-// fixed-size slices and finalizes them one at a time; the checkpoint
-// captures exactly that state — the per-fault detect_cycle array plus a
-// bitmap of finalized slices — together with fingerprints of everything
+// fixed-size slices and records a slice once all its faults carry a
+// verdict; the checkpoint captures exactly that state — the per-fault
+// detect_cycle array plus a bitmap of finalized slices — together with
+// fingerprints of everything
 // the verdicts depend on (netlist structure, stimulus words, fault
 // list), so a resumed run either continues bit-identically or is
 // refused with FingerprintMismatch.

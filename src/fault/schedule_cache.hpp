@@ -11,11 +11,12 @@
 // which faults a run simulates, so every fault universe, slice and
 // execution shape of the cell reuses it bit-identically.
 //
-// run_campaign builds one artifact before its first slice and hands it
-// to every slice, so a campaign prepares once. Artifacts live in memory
-// only: on the paper's cells a build takes 5-11 ms, and loading a
-// stored copy cost as much, because the file is mostly the trace
-// (DESIGN.md §14).
+// A caller that runs one cell several times may build an artifact once
+// and hand it to each call; run_campaign forwards a caller's artifact to
+// its one simulate_faults call and builds none itself. Artifacts live
+// in memory only: on the paper's cells a build takes 5-11 ms, and
+// loading a stored copy cost as much, because the file is mostly the
+// trace (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>
@@ -47,7 +48,7 @@ ArtifactKey make_artifact_key(const gate::Netlist& nl,
                               std::span<const std::int64_t> stimulus);
 
 /// The reusable preparation state. Immutable after build; shared
-/// read-only across slices and threads via
+/// read-only across calls and threads via
 /// shared_ptr<const CompiledArtifact>. Never copied or moved — the
 /// schedule holds a reference into this object's own netlist.
 struct CompiledArtifact {

@@ -23,8 +23,9 @@
 // One shared batch kernel serves every layer: the serial oracle
 // (fault/serial.hpp) is the kernel at one thread on the full-sweep
 // engine, the parallel engine shards the same batches across workers,
-// and campaigns (fault/campaign.hpp) slice the fault universe over
-// repeated kernel calls. Two interchangeable batch engines exist:
+// and a campaign (fault/campaign.hpp) makes one call over the faults
+// its checkpoint has not finalized. Two interchangeable batch engines
+// exist:
 //
 //   * Compiled (default): PPSFP-style good-machine reuse. The netlist
 //     is compiled once (gate/schedule.hpp), the fault-free machine runs
@@ -72,11 +73,10 @@ enum class FaultSimEngine : std::uint8_t {
 const char* fault_sim_engine_name(FaultSimEngine e);
 
 /// Engine observability: how much work the kernel actually did,
-/// aggregated over batches (and over slices, for campaigns). All
-/// counters but the prep_* timings are deterministic for a given
-/// (netlist, stimulus, fault set, engine, SIMD backend) — batch
-/// composition depends neither on the thread count nor on the order of
-/// the faults.
+/// aggregated over batches. All counters but the prep_* timings are
+/// deterministic for a given (netlist, stimulus, fault set, engine,
+/// SIMD backend) — batch composition depends neither on the thread
+/// count nor on the order of the faults.
 struct FaultSimStats {
   /// Engine that ran (never Auto in a result).
   FaultSimEngine engine = FaultSimEngine::Auto;
@@ -118,16 +118,16 @@ struct FaultSimStats {
   /// Preparation-time breakdown: what simulate_faults spent before the
   /// first batch ran. A run handed a prebuilt artifact reports zero
   /// compile/trace time — that is the whole point — and whoever built
-  /// the artifact books its build here instead (build_artifact's
-  /// `prep`, as run_campaign does).
+  /// the artifact may book its build here instead (build_artifact's
+  /// `prep`).
   std::uint64_t prep_compile_ns = 0; ///< CompiledSchedule construction
   std::uint64_t prep_trace_ns = 0;   ///< good-trace recording
   /// Always 0: kept only because the perfbench harness still reads it;
   /// the next benchmark change drops it.
   std::uint64_t prep_passes_ns = 0;
   /// Schedule compilations actually performed (0 when an artifact was
-  /// reused). A campaign split into S slices compiles once per design,
-  /// not once per slice — this counter is how tests verify that.
+  /// reused). A campaign of any slice count compiles once, in its one
+  /// simulate_faults call — this counter is how tests verify that.
   std::uint64_t schedule_compilations = 0;
 
   /// Mean fraction of the netlist a batch actually evaluates (1.0 for
@@ -148,8 +148,8 @@ struct FaultSimStats {
                : 1.0 - double(gates_evaluated) / double(gates_full_sweep);
   }
 
-  /// Accumulate another run's counters (campaign slices). Engines must
-  /// agree unless one side is empty.
+  /// Accumulate another run's counters (FaultSimResult::merge). Engines
+  /// must agree unless one side is empty.
   void merge(const FaultSimStats& o) {
     if (batches == 0) {
       engine = o.engine;
@@ -243,7 +243,7 @@ struct FaultSimOptions {
 
   /// Prebuilt preparation state (fault/schedule_cache.hpp): the
   /// netlist, compiled schedule and full-budget good trace, built once
-  /// in memory and shared across slices and threads. When set and the
+  /// in memory and shared across calls and threads. When set and the
   /// engine resolves to Compiled, simulate_faults skips its own
   /// compilation and trace recording entirely and simulates `faults`
   /// (any faults of the netlist) on the artifact's netlist. The
@@ -294,8 +294,8 @@ struct FaultSimResult {
 
   /// Merge a partial result covering faults [offset, offset +
   /// part.total_faults) of this result's universe — the one audited way
-  /// verdicts from campaign slices and checkpoint restores are
-  /// combined. Only `part`'s finalized entries are absorbed; `detected`
+  /// a campaign combines checkpoint restores with its own run's
+  /// verdicts. Only `part`'s finalized entries are absorbed; `detected`
   /// and `stats` are updated incrementally.
   ///
   /// The merge is associative and commutative over disjoint finalized
@@ -348,8 +348,7 @@ FaultSimResult simulate_faults(const gate::Netlist& nl,
 /// `nl`: an explicit engine as given; Auto resolves to Compiled unless
 /// the good trace plus every worker's per-net word at the resolved lane
 /// width would exceed the compiled engine's 512 MiB memory cap, and to
-/// FullSweep otherwise. Allocates nothing. run_campaign asks it before
-/// building the one artifact its slices share.
+/// FullSweep otherwise. Allocates nothing.
 FaultSimEngine resolve_engine(const gate::Netlist& nl, std::size_t cycles,
                               const FaultSimOptions& opt);
 

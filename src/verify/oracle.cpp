@@ -318,12 +318,13 @@ Finding check_filter_case(const FilterCase& c) {
                          "FullSweep despite a mutated netlist");
 
   // Row 5: a sliced campaign (the checkpoint/resume execution shape,
-  // in-memory) must reproduce the one-shot verdicts exactly. On the
-  // Compiled engine its slices all run off the one artifact it builds
-  // before the first slice: one schedule compilation and one good trace
-  // for the whole campaign, none per slice.
+  // in-memory) must reproduce the one-shot verdicts exactly, and do the
+  // one-shot Compiled run's work: its slices are the checkpoint's unit,
+  // not the kernel's, so it runs one simulate_faults call with one
+  // schedule compilation and one good trace.
   fault::CampaignOptions copt;
   copt.num_threads = 1;
+  copt.engine = fault::FaultSimEngine::Compiled;
   copt.checkpoint_every = 16; // several slices of a 40-fault sample
   auto camp = run_campaign(low.netlist, stim, faults, copt);
   if (!camp)
@@ -332,14 +333,25 @@ Finding check_filter_case(const FilterCase& c) {
   if (!camp->sim.complete)
     return Finding::fail("campaign: stopped early with no deadline/cancel");
   const fault::FaultSimStats& cs = camp->sim.stats;
-  if (fault::resolve_engine(low.netlist, stim.size(), copt) ==
-          fault::FaultSimEngine::Compiled &&
-      (cs.schedule_compilations != 1 || cs.good_trace_cycles != stim.size()))
+  const fault::FaultSimStats& os = alt.stats;
+  if (cs.schedule_compilations != 1 || cs.good_trace_cycles != stim.size())
     return Finding::fail(
         "campaign: prepared " + std::to_string(cs.schedule_compilations) +
         " schedules and traced " + std::to_string(cs.good_trace_cycles) +
         " cycles for a " + std::to_string(stim.size()) +
-        "-vector stimulus; its slices must share one artifact");
+        "-vector stimulus; a campaign prepares once");
+  if (cs.batches != os.batches || cs.cycles_simulated != os.cycles_simulated ||
+      cs.cycles_budgeted != os.cycles_budgeted ||
+      cs.segment_overhead_cycles != os.segment_overhead_cycles ||
+      cs.gates_evaluated != os.gates_evaluated ||
+      cs.gates_full_sweep != os.gates_full_sweep ||
+      cs.cone_fraction_sum != os.cone_fraction_sum)
+    return Finding::fail(
+        "campaign: ran " + std::to_string(cs.batches) + " batches over " +
+        std::to_string(cs.gates_evaluated) + " gate evaluations where the "
+        "one-shot run took " + std::to_string(os.batches) + " over " +
+        std::to_string(os.gates_evaluated) +
+        "; a campaign must run the one-shot pass plan");
   return diff_verdicts(ref, "one-shot", camp->sim, "sliced-campaign");
 }
 

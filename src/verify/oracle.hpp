@@ -10,7 +10,7 @@
 //               linear model (rtl/linear_model.hpp)      |y| <= L1 bound
 //               Compiled engine vs  FullSweep engine     detect cycles
 //               one-shot engine vs  sliced campaign      detect cycles,
-//                                                        one preparation
+//                                                        work counters
 //               FaultSimResult::stats                    self-consistency
 //
 // Every check is exact (bit-identity or a provable bound) — no

@@ -9,6 +9,7 @@
 #include "common/env.hpp"
 #include "common/xoshiro.hpp"
 #include "fault/campaign.hpp"
+#include "fault/checkpoint.hpp"
 #include "fault/fault.hpp"
 #include "fixedpoint/format.hpp"
 #include "gate/lower.hpp"
@@ -171,30 +172,35 @@ Finding check_mixed_engine_resume(const FilterCase& c,
   const auto ref =
       simulate_faults(lc.low.netlist, lc.stim, lc.faults, ref_opt);
 
-  // First leg: FullSweep engine, small slices, killed after the first
-  // slice has been checkpointed.
+  // First leg: a FullSweep campaign in quarter-universe slices, run to
+  // the end. Its checkpoint is then cut back to slice 0 alone: the file
+  // a build that checkpointed after every slice left when killed after
+  // its first one. A campaign saves once per call, when the call
+  // returns, so no cancel point yields that file deterministically.
   const std::size_t slice = std::max<std::size_t>(1, lc.faults.size() / 4);
-  common::CancelToken token;
   fault::CampaignOptions first;
   first.num_threads = 1;
   first.engine = fault::FaultSimEngine::FullSweep;
   first.checkpoint_every = slice;
   first.checkpoint_path = checkpoint_path;
-  first.cancel = &token;
-  first.progress = [&](std::size_t done, std::size_t) {
-    if (done >= slice) token.cancel();
-  };
   auto leg1 = run_campaign(lc.low.netlist, lc.stim, lc.faults, first);
   if (!leg1)
     return Finding::fail("mixed-resume: first leg error " +
                          leg1.error().to_string());
-  if (leg1->sim.complete)
-    // The kill landed after the campaign finished; nothing to resume,
-    // but the verdicts must still match the reference.
-    return leg1->sim.detect_cycle == ref.detect_cycle
-               ? Finding::ok()
-               : Finding::fail("mixed-resume: uninterrupted campaign "
-                               "diverged from one-shot verdicts");
+  if (!leg1->sim.complete || leg1->sim.detect_cycle != ref.detect_cycle)
+    return Finding::fail("mixed-resume: FullSweep campaign diverged from "
+                         "the one-shot verdicts");
+  auto ck = fault::load_checkpoint(checkpoint_path);
+  if (!ck)
+    return Finding::fail("mixed-resume: first leg checkpoint unreadable: " +
+                         ck.error().to_string());
+  for (std::size_t s = 1; s < ck->slice_count(); ++s)
+    ck->slice_finalized[s] = 0;
+  for (std::size_t i = slice; i < ck->fault_count(); ++i)
+    ck->detect_cycle[i] = -1;
+  if (auto saved = fault::save_checkpoint(checkpoint_path, *ck); !saved)
+    return Finding::fail("mixed-resume: rewriting the checkpoint failed: " +
+                         saved.error().to_string());
 
   // Second leg: resume the same checkpoint under the Compiled engine.
   fault::CampaignOptions second;

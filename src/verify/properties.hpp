@@ -54,11 +54,13 @@ Finding check_superposition(const FilterCase& c);
 /// verdict must be prefix-consistent.
 Finding check_prefix_dominance(const FilterCase& c);
 
-/// Kill/resume equality under mixed engines: run a campaign with
-/// engine A checkpointing to `checkpoint_path`, cancel it partway,
-/// resume the file with engine B, and require the merged verdicts to be
-/// bit-identical to a one-shot run. The caller owns the path (a temp
-/// file); it is overwritten and left behind on failure for post-mortem.
+/// Kill/resume equality under mixed engines: run a FullSweep campaign
+/// checkpointing to `checkpoint_path`, cut the checkpoint back to its
+/// first slice (the file a kill after that slice leaves), resume it on
+/// the Compiled engine, and require at least one restored slice and
+/// verdicts bit-identical to a one-shot run. The caller owns the path
+/// (a temp file); it is overwritten and left behind on failure for
+/// post-mortem.
 Finding check_mixed_engine_resume(const FilterCase& c,
                                   const std::string& checkpoint_path);
 

@@ -2,8 +2,8 @@
 // bit-identical to scratch compilation and do no preparation of its
 // own, any slice of the universe may reuse it, an artifact built for
 // another netlist or stimulus must be refused, and a campaign must
-// prepare once — one artifact shared by every slice, none when every
-// slice comes back from the checkpoint.
+// prepare once — one compile and one trace for all its slices, none
+// when every slice comes back from the checkpoint.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -176,8 +176,8 @@ protected:
 };
 
 TEST_F(ArtifactCache, CampaignCompilesOncePerDesign) {
-  // No cache and no caller's artifact: the campaign builds one artifact
-  // before its first slice and runs every slice off it.
+  // No caller's artifact: the campaign's one simulate_faults call
+  // compiles and records its trace once for every slice.
   const auto& f = fixture();
   const CampaignOptions opt = ten_slices();
   ASSERT_GE(slices(opt), 8u);

@@ -207,7 +207,8 @@ TEST_P(KitGolden, ReportSignatureMatchesFaultFreeSweep) {
     opt.artifact = fault::build_artifact(kit.lowered().netlist, stim);
     check(kit.evaluate(*gen, kVectors, opt), true, "evaluate artifact");
 
-    // Two slices, so the merged result adopts one slice's words.
+    // Two slices, one simulate_faults call: the merged result adopts
+    // that call's words.
     fault::CampaignOptions copt;
     copt.family = static_cast<std::uint32_t>(design.family);
     copt.checkpoint_every = kit.faults().size() / 2 + 1;

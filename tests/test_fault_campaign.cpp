@@ -117,19 +117,55 @@ TEST_F(CampaignTest, FixtureSpansSeveralSlices) {
       << "fixture too small to exercise slicing";
 }
 
+SignatureOptions test_signature(int width) {
+  SignatureOptions sig;
+  sig.width = width;
+  sig.taps = tpg::default_polynomial(width).low_terms;
+  return sig;
+}
+
+/// The kernel's work counters, which a campaign shares with a one-shot
+/// run over the same faults when it runs the one-shot pass plan.
+void expect_same_work(const FaultSimStats& got, const FaultSimStats& want) {
+  EXPECT_EQ(got.batches, want.batches);
+  EXPECT_EQ(got.cycles_simulated, want.cycles_simulated);
+  EXPECT_EQ(got.cycles_budgeted, want.cycles_budgeted);
+  EXPECT_EQ(got.segment_overhead_cycles, want.segment_overhead_cycles);
+  EXPECT_EQ(got.gates_evaluated, want.gates_evaluated);
+  EXPECT_EQ(got.gates_full_sweep, want.gates_full_sweep);
+  EXPECT_EQ(got.cone_fraction_sum, want.cone_fraction_sum);
+}
+
 TEST_F(CampaignTest, CompleteCampaignMatchesPlainEngine) {
+  // A campaign is one simulate_faults call over its universe: verdicts
+  // and work counters equal the one-shot run's, and the one checkpoint
+  // it saves has every slice finalized with the one-shot verdicts.
+  const std::size_t slices = (fixture().faults.size() + 63) / 64;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    CampaignOptions opt;
-    opt.num_threads = threads;
-    opt.checkpoint_every = 64;
-    opt.checkpoint_path = path();
-    auto r = run_campaign(fixture().low.netlist, fixture().stim,
-                          fixture().faults, opt);
-    ASSERT_TRUE(r) << r.error().to_string();
-    expect_bit_identical(r->sim);
-    EXPECT_EQ(r->completed_slices, (fixture().faults.size() + 63) / 64);
-    EXPECT_EQ(r->checkpoints_written, r->completed_slices);
-    EXPECT_FALSE(r->stop_reason.has_value());
+    for (const int sig_width : {0, 10}) {
+      CampaignOptions opt;
+      opt.num_threads = threads;
+      if (sig_width != 0) opt.signature = test_signature(sig_width);
+      opt.checkpoint_every = 64;
+      opt.checkpoint_path = path();
+      auto r = run_campaign(fixture().low.netlist, fixture().stim,
+                            fixture().faults, opt);
+      ASSERT_TRUE(r) << r.error().to_string();
+      expect_bit_identical(r->sim);
+      EXPECT_FALSE(r->stop_reason.has_value());
+      const FaultSimResult one_shot = simulate_faults(
+          fixture().low.netlist, fixture().stim, fixture().faults, opt);
+      EXPECT_EQ(r->sim.signature_detect, one_shot.signature_detect);
+      expect_same_work(r->sim.stats, one_shot.stats);
+
+      EXPECT_EQ(r->completed_slices, slices);
+      EXPECT_EQ(r->checkpoints_written, 1u);
+      auto saved = load_checkpoint(opt.checkpoint_path);
+      ASSERT_TRUE(saved) << saved.error().to_string();
+      EXPECT_EQ(saved->slice_finalized, std::vector<std::uint8_t>(slices, 1));
+      EXPECT_EQ(saved->detect_cycle, one_shot.detect_cycle);
+      EXPECT_EQ(saved->signature_detect, one_shot.signature_detect);
+    }
   }
 }
 
@@ -307,6 +343,68 @@ TEST_F(CampaignTest, EngineOptionIsForwardedToEachSlice) {
     else
       EXPECT_LT(r->sim.stats.gates_evaluated, r->sim.stats.gates_full_sweep);
     expect_bit_identical(r->sim);
+  }
+}
+
+// A checkpoint may hold any set of finalized slices: a prefix, which
+// builds that ran a campaign slice by slice and saved after every slice
+// left when killed, or a scattered set, which a cancelled campaign call
+// leaves when only some slices had every fault detected. Both must
+// resume, running exactly the faults of the slices not finalized.
+TEST_F(CampaignTest, ResumesCheckpointsSavedAfterEverySlice) {
+  const Fixture& f = fixture();
+  const std::size_t n = f.faults.size();
+  const std::size_t slices = (n + 63) / 64;
+  const FaultSimResult oracle = uninterrupted();
+  std::vector<std::uint8_t> prefix(slices, 0);
+  std::vector<std::uint8_t> alternate(slices, 0);
+  for (std::size_t s = 0; s < slices; ++s) {
+    prefix[s] = s < slices / 2;
+    alternate[s] = s % 2 == 0;
+  }
+  for (const auto* flags : {&prefix, &alternate}) {
+    Checkpoint ck;
+    ck.netlist_fp = fingerprint_netlist(f.low.netlist);
+    ck.stimulus_fp = fingerprint_stimulus(f.stim);
+    ck.faults_fp = fingerprint_faults(f.faults);
+    ck.stimulus_len = f.stim.size();
+    ck.slice_size = 64;
+    ck.slice_finalized = *flags;
+    ck.detect_cycle.assign(n, -1);
+    std::vector<Fault> unfinished;
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((*flags)[i / 64])
+        ck.detect_cycle[i] = oracle.detect_cycle[i];
+      else
+        unfinished.push_back(f.faults[i]);
+    }
+    const auto restored =
+        std::size_t(std::count(flags->begin(), flags->end(), 1));
+    ASSERT_GT(restored, 0u);
+    ASSERT_FALSE(unfinished.empty());
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::string file = path(
+          ((flags == &prefix ? "prefix_" : "alternate_") +
+           std::to_string(threads))
+              .c_str());
+      ASSERT_TRUE(save_checkpoint(file, ck));
+      CampaignOptions opt;
+      opt.num_threads = threads;
+      opt.checkpoint_every = 64;
+      opt.checkpoint_path = file;
+      opt.resume = true;
+      auto r = run_campaign(f.low.netlist, f.stim, f.faults, opt);
+      ASSERT_TRUE(r) << r.error().to_string();
+      expect_bit_identical(r->sim);
+      EXPECT_EQ(r->resumed_slices, restored);
+      EXPECT_EQ(r->completed_slices, slices - restored);
+      FaultSimOptions rest;
+      rest.num_threads = threads;
+      EXPECT_EQ(r->sim.stats.batches,
+                simulate_faults(f.low.netlist, f.stim, unfinished, rest)
+                    .stats.batches);
+    }
   }
 }
 
@@ -490,13 +588,6 @@ TEST_F(CampaignTest, ForeignCheckpointsAreRefusedWithFingerprintMismatch) {
     ASSERT_FALSE(refused);
     EXPECT_EQ(refused.error().code, ErrorCode::FingerprintMismatch);
   }
-}
-
-SignatureOptions test_signature(int width) {
-  SignatureOptions sig;
-  sig.width = width;
-  sig.taps = tpg::default_polynomial(width).low_terms;
-  return sig;
 }
 
 TEST_F(CampaignTest, SignatureCampaignMatchesOneShotThroughKillAndResume) {
