@@ -54,8 +54,7 @@ void append_json_run(std::string& out, const JsonRun& r, std::size_t faults) {
       "\"good_trace_cycles\": %llu,\n"
       "       \"mean_cone_fraction\": %.4f, \"mean_early_exit_cycles\": "
       "%.1f, \"gate_eval_savings\": %.4f,\n"
-      "       \"prep_compile_ns\": %llu, \"prep_trace_ns\": %llu,\n"
-      "       \"schedule_compilations\": %llu}}",
+      "       \"prep_compile_ns\": %llu, \"prep_trace_ns\": %llu}}",
       r.label.c_str(), fault_sim_engine_name(s.engine),
       common::simd_backend_name(s.simd), s.lane_width, r.threads, r.seconds,
       double(kVectors) / r.seconds, double(faults) / r.seconds,
@@ -69,8 +68,7 @@ void append_json_run(std::string& out, const JsonRun& r, std::size_t faults) {
       s.mean_cone_fraction(), s.mean_early_exit_cycles(),
       s.gate_eval_savings(),
       static_cast<unsigned long long>(s.prep_compile_ns),
-      static_cast<unsigned long long>(s.prep_trace_ns),
-      static_cast<unsigned long long>(s.schedule_compilations));
+      static_cast<unsigned long long>(s.prep_trace_ns));
   out += buf;
 }
 

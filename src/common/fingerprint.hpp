@@ -1,9 +1,8 @@
 // Shared FNV-1a hashing.
 //
-// The fingerprints (fault/checkpoint.hpp), which also key compiled
-// artifacts (fault/schedule_cache.hpp), and the binary-file trailer
-// (common/binfile.hpp) share these hash constants, so no two of them
-// can drift apart.
+// The checkpoint fingerprints (fault/checkpoint.hpp) and the
+// binary-file trailer (common/binfile.hpp) share these hash constants,
+// so the two cannot drift apart.
 #pragma once
 
 #include <cstddef>

@@ -110,8 +110,8 @@ Expected<CampaignResult> run_campaign(const gate::Netlist& nl,
   // One simulate_faults call over the faults of every slice the
   // checkpoint has not finalized (on a fresh run, the universe itself)
   // runs the one-shot pass plan: one weed-out, one survivor tail, one
-  // compile and good trace (or the caller's artifact). Slices are the
-  // unit the checkpoint records, not a unit of work.
+  // compile and good trace. Slices are the unit the checkpoint records,
+  // not a unit of work.
   std::vector<std::size_t> pending; // universe index of each run fault
   for (std::size_t i = 0; i < total; ++i)
     if (!ck.slice_finalized[i / slice]) pending.push_back(i);

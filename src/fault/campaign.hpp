@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -43,7 +44,8 @@
 
 namespace fdbist::fault {
 
-class ScheduleCache; // fault/schedule_cache.hpp
+class ScheduleCache;     // fault/schedule_cache.hpp
+struct CompiledArtifact; // fault/schedule_cache.hpp
 
 /// A campaign's options: every FaultSimOptions field, forwarded to the
 /// one simulate_faults call, plus the campaign's own. Of the base fields
@@ -51,10 +53,10 @@ class ScheduleCache; // fault/schedule_cache.hpp
 /// depend on the MISR polynomial, and the per-fault signature verdicts
 /// ride in the checkpoint next to detect_cycle. Verdicts are a pure
 /// function of (netlist, stimulus, fault), so a campaign may resume
-/// under another engine, SIMD width, thread count or artifact and stay
+/// under another engine, SIMD width or thread count and stay
 /// bit-identical. `progress` counts the call's own faults (finalized so
 /// far, faults this invocation simulates); `cancel` chains under the
-/// deadline; `artifact`, when set, is the call's preparation.
+/// deadline.
 struct CampaignOptions : FaultSimOptions {
   /// Design family the fault universe was built from
   /// (rtl::DesignFamily as u32). Part of the checkpoint audit: two
@@ -81,9 +83,10 @@ struct CampaignOptions : FaultSimOptions {
   /// Wall-clock budget in seconds for the whole call; 0 = unlimited.
   double deadline_s = 0;
 
-  /// Benchmark shim (fault/schedule_cache.hpp), ignored. The next
-  /// benchmark change removes it.
+  /// Benchmark shims (fault/schedule_cache.hpp), ignored. The next
+  /// benchmark change removes both.
   ScheduleCache* schedule_cache = nullptr;
+  std::shared_ptr<const CompiledArtifact> artifact;
 };
 
 struct CampaignResult {

@@ -12,9 +12,7 @@
 #include "common/bits.hpp"
 #include "common/check.hpp"
 #include "common/parallel.hpp"
-#include "fault/checkpoint.hpp"
 #include "fault/kernel.hpp"
-#include "fault/schedule_cache.hpp"
 #include "gate/schedule.hpp"
 #include "gate/sim.hpp"
 
@@ -209,60 +207,29 @@ FaultSimResult simulate(const gate::Netlist& nl,
 
   const common::SimdBackend simd = detail::resolve_simd_backend(opt.simd);
   const detail::BatchKernel& kernel = detail::batch_kernel(simd);
-  const detail::BatchKernel& narrow =
-      detail::batch_kernel(common::SimdBackend::Scalar);
+  const std::size_t fpb = kernel.faults_per_batch();
   const std::size_t threads = common::resolve_threads(opt.num_threads);
 
   const FaultSimEngine engine = resolve_engine(nl, stimulus.size(), opt);
 
-  // Preparation: a compiled schedule and (Compiled engine) a good
-  // trace. A prebuilt CompiledArtifact (FaultSimOptions::artifact)
-  // carries both, so this run skips compilation and trace recording
-  // entirely; otherwise the run compiles `nl` and records one
-  // full-budget trace. FullSweep ignores the artifact.
-  const CompiledArtifact* art =
-      engine == FaultSimEngine::Compiled ? opt.artifact.get() : nullptr;
-  std::optional<gate::CompiledSchedule> owned_sched;
-  const gate::CompiledSchedule* sched_ptr = nullptr;
-  if (art != nullptr) {
-    // A mismatched artifact is an API-misuse bug (its key holds these
-    // exact fingerprints), so REQUIRE rather than silently falling
-    // back: a silent recompile here would mask the bug forever.
-    FDBIST_REQUIRE(art->key.netlist_fp == fingerprint_netlist(nl),
-                   "artifact was built for a different netlist");
-    FDBIST_REQUIRE(art->key.stimulus_fp == fingerprint_stimulus(stimulus),
-                   "artifact was built for a different stimulus");
-    FDBIST_REQUIRE(art->schedule.has_value(),
-                   "artifact carries no compiled schedule");
-    sched_ptr = &*art->schedule;
-  } else {
-    // Compile once; shared read-only by every worker of every pass.
-    const std::uint64_t c0 = now_ns();
-    owned_sched.emplace(nl);
-    result.stats.prep_compile_ns += now_ns() - c0;
-    result.stats.schedule_compilations = 1;
-    sched_ptr = &*owned_sched;
-  }
-  const gate::CompiledSchedule& sched = *sched_ptr;
+  // Preparation: compile `nl` once, shared read-only by every worker
+  // of every pass, and (Compiled engine) record one full-budget good
+  // trace. Batch kernels read the rows of their windows, so the one
+  // trace serves every pass.
+  const std::uint64_t c0 = now_ns();
+  const gate::CompiledSchedule sched(nl);
+  result.stats.prep_compile_ns += now_ns() - c0;
   const std::uint64_t full_sweep_gates = nl.logic_gate_count();
 
-  // The compiled engine's good trace: the artifact's, or one full-budget
-  // recording per call. Batch kernels read the rows of their windows,
-  // so the one trace serves every pass.
   std::optional<gate::GoodTrace> recorded;
-  const gate::GoodTrace* trace = nullptr;
   if (engine == FaultSimEngine::Compiled && !faults.empty()) {
-    if (art != nullptr) {
-      trace = &art->trace;
-    } else {
-      const std::uint64_t t0 = now_ns();
-      recorded = gate::record_good_trace(sched, stimulus, stimulus.size());
-      result.stats.prep_trace_ns += now_ns() - t0;
-      result.stats.good_trace_cycles += stimulus.size();
-      trace = &*recorded;
-    }
-    result.good_outputs = read_output_words(*trace, nl.outputs().front());
+    const std::uint64_t t0 = now_ns();
+    recorded = gate::record_good_trace(sched, stimulus, stimulus.size());
+    result.stats.prep_trace_ns += now_ns() - t0;
+    result.stats.good_trace_cycles += stimulus.size();
+    result.good_outputs = read_output_words(*recorded, nl.outputs().front());
   }
+  const gate::GoodTrace* trace = recorded ? &*recorded : nullptr;
 
   // Progress counts *finalized* faults — detected, or survived the full
   // stimulus — so the reported sequence climbs monotonically to the
@@ -302,9 +269,6 @@ FaultSimResult simulate(const gate::Netlist& nl,
   // detects in [b, e). An unsplit pass is the one-segment case. Units
   // are numbered segment-major: u = segment * num_batches + batch.
   //
-  // A pass that fits one 64-lane batch runs on the 64-lane kernel: a
-  // wider word would carry its empty lanes through every gate.
-  //
   // Cancellation stops workers at unit boundaries: a batch whose
   // segments did not all run leaves its faults unfinalized (and out of
   // the survivor list, so a later pass never touches them either).
@@ -319,9 +283,6 @@ FaultSimResult simulate(const gate::Netlist& nl,
   };
   auto run_pass = [&](const std::vector<std::size_t>& indices,
                       std::size_t begin, std::size_t end, bool final_pass) {
-    const detail::BatchKernel& k =
-        indices.size() <= narrow.faults_per_batch() ? narrow : kernel;
-    const std::size_t fpb = k.faults_per_batch();
     const std::size_t num_batches = (indices.size() + fpb - 1) / fpb;
     const std::size_t segments =
         trace != nullptr && !sig_on ? segment_count(end - begin, settle) : 1;
@@ -331,7 +292,7 @@ FaultSimResult simulate(const gate::Netlist& nl,
     std::vector<std::unique_ptr<detail::BatchWorker>> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w)
-      pool.push_back(k.make_worker(sched));
+      pool.push_back(kernel.make_worker(sched));
 
     std::vector<std::int32_t> unit_detect(units * fpb);
     std::vector<detail::BatchRun> unit_run(units);
@@ -461,7 +422,7 @@ FaultSimResult simulate(const gate::Netlist& nl,
     if (final_pass || survivors.empty() || cancelled()) break;
     const bool climb =
         settle.has_value() && end * kWindowGrowth < budget &&
-        survivors.size() > kLadderMinBatches * kernel.faults_per_batch();
+        survivors.size() > kLadderMinBatches * fpb;
     begin = end;
     end = climb ? end * kWindowGrowth : budget;
     pass = std::move(survivors);

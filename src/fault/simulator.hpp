@@ -2,10 +2,10 @@
 //
 // Classic N-1-faults-per-word scheme: lane 0 is the good machine, the
 // remaining lanes of the simulation word (63, 255 or 511 depending on
-// the SIMD backend — common/simd.hpp) each carry one injected stuck-at
-// fault. Detection is observation at the filter's output word with no
-// response compaction — the paper's "no aliasing in the response
-// analyzer" assumption.
+// the SIMD backend the call resolves — common/simd.hpp) each carry one
+// injected stuck-at fault, in every pass of the call. Detection is
+// observation at the filter's output word with no response compaction
+// — the paper's "no aliasing in the response analyzer" assumption.
 //
 // A run is a short plan of passes over cycle windows. Each pass cuts
 // its batches from the faults it carries in (gate, site, stuck) order,
@@ -27,10 +27,10 @@
 // its checkpoint has not finalized. Two interchangeable batch engines
 // exist:
 //
-//   * Compiled (default): PPSFP-style good-machine reuse. The netlist
-//     is compiled once (gate/schedule.hpp), the fault-free machine runs
-//     once per call recording a bit-packed good trace over the full
-//     stimulus (every pass reads it), and each batch then evaluates
+//   * Compiled (default): PPSFP-style good-machine reuse. Each call
+//     compiles the netlist (gate/schedule.hpp) and runs the fault-free
+//     machine once, recording a bit-packed good trace over the full
+//     stimulus (every pass reads it); each batch then evaluates
 //     only the union of its faults' structural fan-out cones (closed
 //     through registers), reading out-of-cone operands from the
 //     trace. Results are bit-identical to the full sweep —
@@ -49,7 +49,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -59,8 +58,6 @@
 #include "fault/fault.hpp"
 
 namespace fdbist::fault {
-
-struct CompiledArtifact; // fault/schedule_cache.hpp
 
 /// Which batch engine simulate_faults uses. Verdicts are bit-identical
 /// across engines; only the work per batch differs.
@@ -104,31 +101,22 @@ struct FaultSimStats {
   /// same simulated cycles (= logic gates x cycles_simulated).
   std::uint64_t gates_full_sweep = 0;
   /// Fault-free cycles spent recording good traces (compiled engine):
-  /// one full-budget recording per simulate_faults call that compiled
-  /// its own schedule (none when it ran off an artifact) or per
-  /// artifact build booked here.
+  /// one full-budget recording per simulate_faults call with faults.
   std::uint64_t good_trace_cycles = 0;
   /// Sum over batches of |cone gates| / |logic gates|.
   double cone_fraction_sum = 0;
   /// Simulation word width in lanes (64 scalar, 256 AVX2, 512 AVX-512)
-  /// of the backend the call resolved. Never Auto in a result. A pass
-  /// of at most 63 faults runs on 64 lanes whatever the backend.
+  /// of the backend the call resolved, which runs every pass. Never
+  /// Auto in a result.
   std::size_t lane_width = 0;
   common::SimdBackend simd = common::SimdBackend::Auto;
   /// Preparation-time breakdown: what simulate_faults spent before the
-  /// first batch ran. A run handed a prebuilt artifact reports zero
-  /// compile/trace time — that is the whole point — and whoever built
-  /// the artifact may book its build here instead (build_artifact's
-  /// `prep`).
+  /// first batch ran.
   std::uint64_t prep_compile_ns = 0; ///< CompiledSchedule construction
   std::uint64_t prep_trace_ns = 0;   ///< good-trace recording
   /// Always 0: kept only because the perfbench harness still reads it;
   /// the next benchmark change drops it.
   std::uint64_t prep_passes_ns = 0;
-  /// Schedule compilations actually performed (0 when an artifact was
-  /// reused). A campaign of any slice count compiles once, in its one
-  /// simulate_faults call — this counter is how tests verify that.
-  std::uint64_t schedule_compilations = 0;
 
   /// Mean fraction of the netlist a batch actually evaluates (1.0 for
   /// the full-sweep engine).
@@ -166,7 +154,6 @@ struct FaultSimStats {
     cone_fraction_sum += o.cone_fraction_sum;
     prep_compile_ns += o.prep_compile_ns;
     prep_trace_ns += o.prep_trace_ns;
-    schedule_compilations += o.schedule_compilations;
   }
 };
 
@@ -240,19 +227,6 @@ struct FaultSimOptions {
   /// truth in detect_cycle. Both verdict sets stay bit-identical across
   /// engines, SIMD widths and thread counts.
   SignatureOptions signature;
-
-  /// Prebuilt preparation state (fault/schedule_cache.hpp): the
-  /// netlist, compiled schedule and full-budget good trace, built once
-  /// in memory and shared across calls and threads. When set and the
-  /// engine resolves to Compiled, simulate_faults skips its own
-  /// compilation and trace recording entirely and simulates `faults`
-  /// (any faults of the netlist) on the artifact's netlist. The
-  /// artifact MUST have been built for this exact (netlist, stimulus) —
-  /// enforced by fingerprint REQUIREs, since a mismatched handle is an
-  /// API-misuse bug, not an environmental failure. Ignored by
-  /// FullSweep. Verdicts are bit-identical with or without the
-  /// artifact.
-  std::shared_ptr<const CompiledArtifact> artifact;
 };
 
 struct FaultSimResult {

@@ -26,10 +26,10 @@
 //                   its own and merged in a shuffled order, yields
 //                   verdicts bit-identical to a one-shot run
 //
-// A campaign's shared CompiledArtifact needs no property of its own:
+// A campaign's one simulate_faults call needs no property of its own:
 // the oracle's sliced-campaign row (verify/oracle.hpp) compares its
-// verdicts with the one-shot reference on every filter case and asserts
-// that the campaign prepared once.
+// verdicts and work with the one-shot reference on every filter case
+// and asserts that it recorded one full-budget good trace.
 //
 // All return verify::Finding; property violations are fuzz findings
 // exactly like oracle discrepancies and go through the same

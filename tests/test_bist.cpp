@@ -7,7 +7,6 @@
 #include "bist/kit.hpp"
 #include "bist/misr.hpp"
 #include "designs/registry.hpp"
-#include "fault/schedule_cache.hpp"
 #include "tpg/generators.hpp"
 
 namespace fdbist::bist {
@@ -174,10 +173,10 @@ protected:
 
 // The report's golden signature must equal an independent fault-free
 // sweep (golden_signature) for every Table 4 TPG, through every route
-// that fills it: read from the compiled engine's good trace (scratch,
-// caller-supplied artifact, fresh campaign with and without a
-// checkpoint) or recomputed when the run recorded none (FullSweep, a
-// campaign resumed from a complete checkpoint).
+// that fills it: read from the compiled engine's good trace (evaluate,
+// fresh campaign with and without a checkpoint) or recomputed when the
+// run recorded none (FullSweep, a campaign resumed from a complete
+// checkpoint).
 TEST_P(KitGolden, ReportSignatureMatchesFaultFreeSweep) {
   constexpr std::size_t kVectors = 256;
   const auto design = designs::make_design(GetParam());
@@ -203,9 +202,6 @@ TEST_P(KitGolden, ReportSignatureMatchesFaultFreeSweep) {
     check(kit.evaluate(*gen, kVectors, opt), true, "evaluate Auto");
     opt.engine = fault::FaultSimEngine::FullSweep;
     check(kit.evaluate(*gen, kVectors, opt), false, "evaluate FullSweep");
-    opt.engine = fault::FaultSimEngine::Auto;
-    opt.artifact = fault::build_artifact(kit.lowered().netlist, stim);
-    check(kit.evaluate(*gen, kVectors, opt), true, "evaluate artifact");
 
     // Two slices, one simulate_faults call: the merged result adopts
     // that call's words.

@@ -273,7 +273,6 @@ TEST(Simulate, ResultInvariantUnderOrdering) {
   EXPECT_DOUBLE_EQ(y.cone_fraction_sum, x.cone_fraction_sum);
   EXPECT_EQ(y.lane_width, x.lane_width);
   EXPECT_EQ(y.simd, x.simd);
-  EXPECT_EQ(y.schedule_compilations, x.schedule_compilations);
 }
 
 TEST(Simulate, MoreThan63FaultsSpanBatches) {

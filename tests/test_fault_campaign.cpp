@@ -2,8 +2,10 @@
 // bit-identical to an uninterrupted run (for any thread count and any
 // interruption point), unusable checkpoints must be refused with typed
 // errors, and cancellation/deadlines must yield valid partial results
-// without hanging the pool. The merge audits that combine slices are
-// checked here too.
+// without hanging the pool. A campaign prepares once — one compile and
+// one good trace for all its slices, none when the checkpoint restores
+// every slice — and the benchmark shims leave it alone. The merge
+// audits that combine slices are checked here too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +27,7 @@
 #include "common/fingerprint.hpp"
 #include "fault/campaign.hpp"
 #include "fault/checkpoint.hpp"
+#include "fault/schedule_cache.hpp"
 #include "gate/lower.hpp"
 #include "rtl/fir_builder.hpp"
 #include "tpg/generators.hpp"
@@ -425,6 +428,87 @@ TEST_F(CampaignTest, ResumeOfCompletedCampaignIsIdenticalAndRunsNothing) {
   EXPECT_EQ(again->completed_slices, 0u);
   EXPECT_EQ(again->checkpoints_written, 0u);
   expect_bit_identical(again->sim);
+}
+
+/// About 10 slices over the fixture's universe, one thread.
+CampaignOptions ten_slices() {
+  CampaignOptions opt;
+  opt.num_threads = 1;
+  opt.checkpoint_every = (fixture().faults.size() + 9) / 10;
+  return opt;
+}
+
+std::size_t slices_of(const CampaignOptions& opt) {
+  return (fixture().faults.size() + opt.checkpoint_every - 1) /
+         opt.checkpoint_every;
+}
+
+TEST_F(CampaignTest, CampaignCompilesOncePerDesign) {
+  // The campaign's one simulate_faults call compiles and records its
+  // good trace once for every slice.
+  const CampaignOptions opt = ten_slices();
+  ASSERT_GE(slices_of(opt), 8u);
+  auto r = run_campaign(fixture().low.netlist, fixture().stim,
+                        fixture().faults, opt);
+  ASSERT_TRUE(r) << r.error().to_string();
+  EXPECT_EQ(r->completed_slices, slices_of(opt));
+  EXPECT_EQ(r->sim.stats.good_trace_cycles, fixture().stim.size());
+  expect_bit_identical(r->sim);
+}
+
+TEST_F(CampaignTest, FullyResumedCampaignBuildsNothing) {
+  // Every slice comes back from the checkpoint, so no slice runs and
+  // the campaign has nothing to prepare for.
+  CampaignOptions opt = ten_slices();
+  opt.checkpoint_path = path();
+  ASSERT_TRUE(run_campaign(fixture().low.netlist, fixture().stim,
+                           fixture().faults, opt));
+
+  opt.resume = true;
+  auto r = run_campaign(fixture().low.netlist, fixture().stim,
+                        fixture().faults, opt);
+  ASSERT_TRUE(r) << r.error().to_string();
+  EXPECT_EQ(r->resumed_slices, slices_of(opt));
+  EXPECT_EQ(r->completed_slices, 0u);
+  EXPECT_EQ(r->sim.stats.good_trace_cycles, 0u);
+  EXPECT_EQ(r->sim.stats.batches, 0u);
+  expect_bit_identical(r->sim);
+}
+
+TEST_F(CampaignTest, BenchmarkShimsAreInert) {
+  // perfbench's own calls into the shim block of
+  // fault/schedule_cache.hpp: acquire prepares nothing, names no file,
+  // and a campaign handed the cache and its handle runs exactly as one
+  // given neither.
+  const Fixture& f = fixture();
+  ScheduleCache cache(ScheduleCache::Config{path("cache")});
+  ArtifactCacheStats stats;
+  const auto art = cache.acquire(f.low.netlist, f.stim, f.faults,
+                                 gate::PassOptions{}, stats);
+  ASSERT_NE(art, nullptr);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.disk_hits, 0u);
+  EXPECT_TRUE(cache.entry_path(art->key).empty());
+
+  CampaignOptions plain;
+  plain.num_threads = 2;
+  plain.checkpoint_every = 64;
+  plain.checkpoint_path = path("plain.ckpt");
+  CampaignOptions shimmed = plain;
+  shimmed.checkpoint_path = path("shimmed.ckpt");
+  shimmed.schedule_cache = &cache;
+  shimmed.artifact = art;
+  auto want = run_campaign(f.low.netlist, f.stim, f.faults, plain);
+  auto got = run_campaign(f.low.netlist, f.stim, f.faults, shimmed);
+  ASSERT_TRUE(want) << want.error().to_string();
+  ASSERT_TRUE(got) << got.error().to_string();
+  EXPECT_EQ(got->sim.detect_cycle, want->sim.detect_cycle);
+  EXPECT_EQ(got->sim.detected, want->sim.detected);
+  EXPECT_EQ(got->completed_slices, want->completed_slices);
+  EXPECT_EQ(got->checkpoints_written, want->checkpoints_written);
+  expect_same_work(got->sim.stats, want->sim.stats);
+  EXPECT_EQ(got->sim.stats.good_trace_cycles,
+            want->sim.stats.good_trace_cycles);
 }
 
 TEST_F(CampaignTest, MissingCheckpointWithResumeIsAFreshStart) {

@@ -21,10 +21,9 @@
 namespace fdbist::fault {
 namespace {
 
-// The batches of a pass of n faults at a run's lane width: a pass that
-// fits one 64-lane batch runs on 64 lanes.
+// The batches of a pass of n faults at a run's lane width.
 std::size_t batches_of(std::size_t n, std::size_t lane_width) {
-  const std::size_t fpb = n <= 63 ? 63 : lane_width - 1;
+  const std::size_t fpb = lane_width - 1;
   return (n + fpb - 1) / fpb;
 }
 

@@ -205,8 +205,8 @@ TEST(CrossBackend, VerdictsBitIdentical) {
   const auto ref = fault::simulate_faults(low.netlist, stim, faults, base);
   EXPECT_EQ(ref.stats.lane_width, 64u);
   EXPECT_EQ(ref.stats.simd, SimdBackend::Scalar);
-  // The full-budget pass must need more than one 64-lane batch, or
-  // every backend would run it on the 64-lane kernel.
+  // The full-budget pass must need more than one 64-lane batch, so the
+  // scalar reference cuts it into other batches than the wide backends.
   ASSERT_GT(full_budget_faults(ref), 63u);
 
   for (const SimdBackend b :
@@ -235,10 +235,10 @@ TEST(CrossBackend, VerdictsBitIdentical) {
   EXPECT_EQ(full.detect_cycle, ref.detect_cycle);
 }
 
-// A full-budget pass of at most 63 faults runs on the 64-lane kernel
-// whatever the backend. Its verdicts must match every backend's run
-// and what each wide kernel computes for that same batch, driven
-// directly on both engines.
+// A full-budget pass of at most 63 faults is one batch at every width.
+// Its verdicts must match every backend's run and what each wide
+// kernel computes for that same batch, driven directly on both
+// engines.
 TEST(CrossBackend, SmallFinalPassMatchesTheWideKernels) {
   const auto low =
       lowered_fir({0.22, -0.31, 0.085, -0.05, 0.03, 0.017}, "xbackend");
