@@ -7,8 +7,7 @@
 //                            [--signature W]
 //   fdbist_cli [--threads N] campaign <design> <generator> <vectors>
 //                            [--signature W] [--checkpoint FILE]
-//                            [--checkpoint-every N] [--resume]
-//                            [--deadline-s S]
+//                            [--resume] [--deadline-s S]
 //   fdbist_cli [--threads N] spectra  <generator> [samples]
 //   fdbist_cli [--threads N] export   <design> <verilog|dot>
 //   fdbist_cli fuzz [--seed N] [--cases N] [--corpus DIR]
@@ -27,18 +26,19 @@
 // hardware thread, the default; 1 = single-threaded legacy path).
 // Results are bit-identical for every N.
 //
-// `campaign` is `faultsim` with resilience: it periodically persists
-// per-fault verdicts to --checkpoint, a killed run restarted with
-// --resume continues where it stopped (final results bit-identical to
-// an uninterrupted run), and --deadline-s stops workers gracefully at
+// `campaign` is `faultsim` with resilience: it persists per-fault
+// verdicts to --checkpoint, a killed run restarted with --resume
+// continues where it stopped (final results bit-identical to an
+// uninterrupted run), and --deadline-s stops workers gracefully at
 // batch boundaries, reporting coverage-so-far. It runs every fault it
 // has no verdict for in one fault-simulation call, the work `faultsim`
-// does, and saves its checkpoint when that call returns.
+// does, and when that call returns it saves every verdict reached, a
+// deadline-cut call's included.
 //
 // `fuzz` runs the differential verification subsystem (src/verify/):
 // replay the corpus, then `--cases` fresh random cases through every
 // redundant evaluation path (RTL vs gate sim, Compiled vs FullSweep
-// fault engines, sliced campaigns, property checkers). Failures are
+// fault engines, campaigns, property checkers). Failures are
 // delta-debugged to minimal reproducers and written to --corpus.
 // --mutate K injects a deliberate kernel mutation into every case (the
 // oracle self-test: the run MUST end with findings and exit 4).
@@ -100,8 +100,7 @@ int usage() {
                "<vectors>\n"
                "                           [--signature W] "
                "[--checkpoint FILE]\n"
-               "                           [--checkpoint-every N] [--resume] "
-               "[--deadline-s S]\n"
+               "                           [--resume] [--deadline-s S]\n"
                "  fdbist_cli [--threads N] spectra  <generator> [samples]\n"
                "  fdbist_cli [--threads N] export   <design> "
                "<verilog|dot>\n"
@@ -363,7 +362,6 @@ int cmd_campaign(int argc, char** argv) {
 
   fault::CampaignOptions copt;
   copt.num_threads = g_threads;
-  copt.checkpoint_every = 1024;
   for (int i = 4; i < argc; ++i) {
     if (std::strcmp(argv[i], "--signature") == 0 && i + 1 < argc) {
       const auto sig = arg_signature(argv[++i]);
@@ -371,12 +369,6 @@ int cmd_campaign(int argc, char** argv) {
       copt.signature = *sig;
     } else if (std::strcmp(argv[i], "--checkpoint") == 0 && i + 1 < argc) {
       copt.checkpoint_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 &&
-               i + 1 < argc) {
-      const auto every =
-          arg_size(argv[++i], "--checkpoint-every", 1, kMaxVectors);
-      if (!every) return usage();
-      copt.checkpoint_every = *every;
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       copt.resume = true;
     } else if (std::strcmp(argv[i], "--deadline-s") == 0 && i + 1 < argc) {
@@ -416,12 +408,12 @@ int cmd_campaign(int argc, char** argv) {
     std::fprintf(stderr, "fdbist_cli: %s\n", res.error().to_string().c_str());
     return 1;
   }
-  if (res->resumed_slices > 0)
+  if (res->resumed_faults > 0)
     std::fprintf(stderr,
-                 "resumed from %s: %zu slices already finalized, %zu run "
+                 "resumed from %s: %zu faults already finalized, %zu run "
                  "now\n",
-                 copt.checkpoint_path.c_str(), res->resumed_slices,
-                 res->completed_slices);
+                 copt.checkpoint_path.c_str(), res->resumed_faults,
+                 res->sim.total_faults - res->resumed_faults);
 
   const fault::FaultSimResult& r = res->sim;
   if (!r.complete) return print_partial(r, *res->stop_reason);

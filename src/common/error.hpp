@@ -30,7 +30,6 @@ enum class ErrorCode {
   Cancelled,           ///< cancellation token fired
   DeadlineExceeded,    ///< deadline elapsed before completion
   InvalidArgument,     ///< malformed user input (CLI args, env vars)
-  MergeOverlap,        ///< partial results claim the same fault twice
 };
 
 inline const char* error_code_name(ErrorCode c) {
@@ -41,7 +40,6 @@ inline const char* error_code_name(ErrorCode c) {
   case ErrorCode::Cancelled: return "cancelled";
   case ErrorCode::DeadlineExceeded: return "deadline-exceeded";
   case ErrorCode::InvalidArgument: return "invalid-argument";
-  case ErrorCode::MergeOverlap: return "merge-overlap";
   }
   return "unknown";
 }

@@ -35,7 +35,7 @@ namespace fdbist::common {
 /// happens-before edge comes from thread creation).
 ///
 /// Tokens chain: a child constructed with a parent reports cancelled()
-/// when either fires, which lets a scoped deadline (one campaign slice)
+/// when either fires, which lets a scoped deadline (one campaign call)
 /// nest under a caller-owned kill switch without mutating the caller's
 /// token.
 class CancelToken {

@@ -6,19 +6,18 @@
 // campaign layer wraps fault::simulate_faults with the three
 // resilience properties those sweeps need:
 //
-//   * Checkpointing. The fault universe is partitioned into fixed-size
-//     slices (checkpoint_every faults), the unit the checkpoint records
-//     and audits. One run_campaign call simulates the faults of every
-//     slice not yet finalized in a single simulate_faults call, with
-//     the one-shot pass plan. When that call returns (complete,
-//     cancelled or past its deadline), the campaign persists the
-//     verdicts of every slice whose faults all carry one to a versioned
-//     checkpoint file (fault/checkpoint.hpp). A fault's detect cycle is
-//     a pure function of (netlist, stimulus, fault), independent of
-//     which faults share its batches, so a resumed run simulates only
-//     the slices the file has not finalized, and its final results are
-//     bit-identical to an uninterrupted run for any thread count. A
-//     SIGKILL loses the work of the call in flight.
+//   * Checkpointing. The campaign records one verdict flag per fault.
+//     One run_campaign call simulates every fault its checkpoint has
+//     not finalized in a single simulate_faults call, with the one-shot
+//     pass plan. When that call returns (complete, cancelled or past
+//     its deadline) having finalized any fault, the campaign persists
+//     every verdict it holds to a versioned checkpoint file
+//     (fault/checkpoint.hpp). A fault's detect cycle is a pure function
+//     of (netlist, stimulus, fault), independent of which faults share
+//     its batches, so a resumed run simulates only the faults the file
+//     has not finalized, and its final results are bit-identical to an
+//     uninterrupted run for any thread count. A SIGKILL loses the work
+//     of the call in flight.
 //
 //   * Cancellation + deadline. A caller-owned CancelToken and/or a
 //     wall-clock budget stop workers at batch boundaries (lanes-1
@@ -30,7 +29,8 @@
 //     surface as Expected errors with machine-checkable codes — Io,
 //     CorruptCheckpoint, FingerprintMismatch — instead of crashes. A
 //     checkpoint written by a different design, stimulus, fault list,
-//     or slice geometry is refused, not silently mixed in.
+//     family or signature configuration is refused, not silently mixed
+//     in.
 #pragma once
 
 #include <cstdint>
@@ -65,12 +65,6 @@ struct CampaignOptions : FaultSimOptions {
   /// line silently.
   std::uint32_t family = 0;
 
-  /// Faults per checkpoint slice. The checkpoint is written once per
-  /// invocation that finalizes a slice, and records only slices whose
-  /// every fault carries a verdict. Smaller = finer-grained resume after
-  /// a cancelled or deadlined call; it never changes the work done.
-  std::size_t checkpoint_every = 4096;
-
   /// Checkpoint file path; empty disables checkpointing (the campaign
   /// still supports cancellation and deadlines).
   std::string checkpoint_path;
@@ -83,22 +77,25 @@ struct CampaignOptions : FaultSimOptions {
   /// Wall-clock budget in seconds for the whole call; 0 = unlimited.
   double deadline_s = 0;
 
-  /// Benchmark shims (fault/schedule_cache.hpp), ignored. The next
-  /// benchmark change removes both.
+  /// Benchmark shims, ignored: the schedule cache and its artifact
+  /// (fault/schedule_cache.hpp) and the old checkpoint slice size. The
+  /// next benchmark change removes all three.
   ScheduleCache* schedule_cache = nullptr;
   std::shared_ptr<const CompiledArtifact> artifact;
+  std::size_t checkpoint_every = 0;
 };
 
 struct CampaignResult {
-  /// Merged verdicts. complete == false iff the run stopped early.
-  /// sim.stats is this invocation's one simulate_faults call (slices
-  /// restored from a checkpoint did no work and contribute nothing).
+  /// Verdicts over the whole universe. complete == false iff the run
+  /// stopped early. sim.stats is this invocation's one simulate_faults
+  /// call (faults restored from a checkpoint did no work and contribute
+  /// nothing).
   FaultSimResult sim;
-  /// Slices skipped because the loaded checkpoint had finalized them.
-  std::size_t resumed_slices = 0;
-  /// Slices finalized by this invocation.
+  /// Faults skipped because the loaded checkpoint had finalized them.
+  std::size_t resumed_faults = 0;
+  /// Benchmark shim: always 0. The next benchmark change removes it.
   std::size_t completed_slices = 0;
-  /// 1 when this invocation finalized a slice and saved the checkpoint.
+  /// 1 when this invocation finalized a fault and saved the checkpoint.
   std::size_t checkpoints_written = 0;
   /// Why the run stopped early (Cancelled or DeadlineExceeded);
   /// nullopt when the campaign ran to completion.

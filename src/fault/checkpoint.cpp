@@ -67,17 +67,15 @@ std::uint64_t fingerprint_faults(std::span<const Fault> faults) {
 }
 
 Expected<void> save_checkpoint(const std::string& path, const Checkpoint& ck) {
-  FDBIST_REQUIRE(ck.slice_size > 0, "checkpoint slice size must be positive");
-  FDBIST_REQUIRE(ck.slice_count() ==
-                     (ck.fault_count() + ck.slice_size - 1) / ck.slice_size,
-                 "slice bitmap does not cover the fault universe");
+  FDBIST_REQUIRE(ck.finalized.size() == ck.fault_count(),
+                 "finalized flags must cover every fault");
   FDBIST_REQUIRE(ck.signature_detect.size() ==
                      (ck.sig_width == 0 ? 0 : ck.fault_count()),
                  "signature array must be empty or cover every fault");
 
-  std::vector<std::uint8_t> bitmap((ck.slice_count() + 7) / 8, 0);
-  for (std::size_t s = 0; s < ck.slice_count(); ++s)
-    if (ck.slice_finalized[s]) bitmap[s / 8] |= std::uint8_t(1u << (s % 8));
+  std::vector<std::uint8_t> bitmap((ck.fault_count() + 7) / 8, 0);
+  for (std::size_t i = 0; i < ck.fault_count(); ++i)
+    if (ck.finalized[i]) bitmap[i / 8] |= std::uint8_t(1u << (i % 8));
 
   common::ByteWriter w = common::start_file(kMagic, kCheckpointVersion);
   w.put_u64(ck.netlist_fp);
@@ -85,8 +83,8 @@ Expected<void> save_checkpoint(const std::string& path, const Checkpoint& ck) {
   w.put_u64(ck.faults_fp);
   w.put_u64(ck.fault_count());
   w.put_u64(ck.stimulus_len);
-  w.put_u64(ck.slice_size);
-  w.put_u64(ck.slice_count());
+  w.put_u64(1);                // slice size: one flag per fault
+  w.put_u64(ck.fault_count()); // slice count
   w.put_u32(ck.family);
   w.put_u32(ck.sig_width);
   w.put_u32(ck.sig_taps);
@@ -118,14 +116,14 @@ Expected<Checkpoint> load_checkpoint(const std::string& path) {
   ck.faults_fp = r.take_u64();
   const std::uint64_t fault_count = r.take_u64();
   ck.stimulus_len = r.take_u64();
-  ck.slice_size = r.take_u64();
+  const std::uint64_t slice_size = r.take_u64();
   const std::uint64_t slice_count = r.take_u64();
   ck.family = r.take_u32();
   ck.sig_width = r.take_u32();
   ck.sig_taps = r.take_u32();
   (void)r.take_u32(); // reserved
   if (r.failed()) return corrupt("truncated header");
-  if (ck.slice_size == 0 || slice_count != ceil_div(fault_count, ck.slice_size))
+  if (slice_size == 0 || slice_count != ceil_div(fault_count, slice_size))
     return corrupt("inconsistent slice geometry");
 
   std::vector<std::uint8_t> bitmap;
@@ -139,9 +137,13 @@ Expected<Checkpoint> load_checkpoint(const std::string& path) {
     return corrupt("oversized file (" + std::to_string(r.remaining()) +
                    " trailing bytes)");
 
-  ck.slice_finalized.resize(std::size_t(slice_count));
-  for (std::size_t s = 0; s < ck.slice_finalized.size(); ++s)
-    ck.slice_finalized[s] = (bitmap[s / 8] >> (s % 8)) & 1u;
+  // Each fault takes its slice's flag: slices are single faults in this
+  // writer's files and coarser in older builds'.
+  ck.finalized.resize(ck.detect_cycle.size());
+  for (std::size_t i = 0; i < ck.finalized.size(); ++i) {
+    const std::uint64_t s = i / slice_size;
+    ck.finalized[i] = (bitmap[std::size_t(s / 8)] >> (s % 8)) & 1u;
+  }
   return ck;
 }
 

@@ -52,7 +52,7 @@ int bits_below_msb(const Fault& f, const gate::Netlist& nl,
 /// position below the adder MSB with the node's white-noise signal
 /// variance (paper Eqn 1); faults are stable-sorted by it, each scored
 /// once. The order fixes fault indices — in reports, verdict digests
-/// and campaign slice membership — but never a verdict, and not how
+/// and checkpoint positions — but never a verdict, and not how
 /// simulate_faults batches a given set of faults: it packs its batches
 /// by fault site whatever order it is given.
 std::vector<Fault> order_for_simulation(std::vector<Fault> faults,

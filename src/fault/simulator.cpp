@@ -59,56 +59,6 @@ std::size_t FaultSimResult::aliased() const {
   return n;
 }
 
-Expected<void> FaultSimResult::merge(const FaultSimResult& part,
-                                     std::size_t offset) {
-  if (offset > total_faults || part.total_faults > total_faults - offset)
-    return Error{ErrorCode::InvalidArgument,
-                 "merge window [" + std::to_string(offset) + ", " +
-                     std::to_string(offset + part.total_faults) +
-                     ") exceeds the " + std::to_string(total_faults) +
-                     "-fault universe"};
-  if (part.vectors != vectors)
-    return Error{ErrorCode::InvalidArgument,
-                 "merge of a " + std::to_string(part.vectors) +
-                     "-vector partial into a " + std::to_string(vectors) +
-                     "-vector result"};
-  FDBIST_REQUIRE(detect_cycle.size() == total_faults &&
-                     finalized.size() == total_faults &&
-                     part.detect_cycle.size() == part.total_faults &&
-                     part.finalized.size() == part.total_faults,
-                 "merge on a result with unsized verdict arrays");
-  if (signature_detect.empty() != part.signature_detect.empty())
-    return Error{ErrorCode::InvalidArgument,
-                 signature_detect.empty()
-                     ? "merge of a signature-compacted partial into a "
-                       "word-compare result"
-                     : "merge of a word-compare partial into a "
-                       "signature-compacted result"};
-  FDBIST_REQUIRE(part.signature_detect.empty() ||
-                     (signature_detect.size() == total_faults &&
-                      part.signature_detect.size() == part.total_faults),
-                 "merge on a result with unsized signature arrays");
-
-  // Audit before mutating: an overlap must leave this result untouched.
-  for (std::size_t i = 0; i < part.total_faults; ++i)
-    if (part.finalized[i] && finalized[offset + i])
-      return Error{ErrorCode::MergeOverlap,
-                   "fault " + std::to_string(offset + i) +
-                       " already carries a verdict (slices overlap)"};
-
-  for (std::size_t i = 0; i < part.total_faults; ++i) {
-    if (!part.finalized[i]) continue;
-    detect_cycle[offset + i] = part.detect_cycle[i];
-    finalized[offset + i] = 1;
-    if (!part.signature_detect.empty())
-      signature_detect[offset + i] = part.signature_detect[i];
-    if (part.detect_cycle[i] >= 0) ++detected;
-  }
-  if (good_outputs.empty()) good_outputs = part.good_outputs;
-  stats.merge(part.stats);
-  return {};
-}
-
 namespace {
 
 /// Trace plus widened worker state above this size force the FullSweep

@@ -52,7 +52,6 @@
 #include <span>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "fault/fault.hpp"
@@ -136,8 +135,8 @@ struct FaultSimStats {
                : 1.0 - double(gates_evaluated) / double(gates_full_sweep);
   }
 
-  /// Accumulate another run's counters (FaultSimResult::merge). Engines
-  /// must agree unless one side is empty.
+  /// Accumulate another run's counters. Engines must agree unless one
+  /// side is empty.
   void merge(const FaultSimStats& o) {
     if (batches == 0) {
       engine = o.engine;
@@ -249,7 +248,7 @@ struct FaultSimResult {
   /// Fault-free value of the observed output word (the netlist's first
   /// output group) each cycle, read from the good trace the compiled
   /// engine ran against. Empty when the run had no trace (FullSweep, or
-  /// no faults); merge() adopts the first non-empty copy. BistKit reads
+  /// no faults); a campaign carries its one call's copy. BistKit reads
   /// its golden signature from it instead of simulating again.
   std::vector<std::int64_t> good_outputs;
   /// False iff the run was cut short by the cancellation token — some
@@ -265,24 +264,6 @@ struct FaultSimResult {
     for (const std::uint8_t f : finalized) n += f;
     return n;
   }
-
-  /// Merge a partial result covering faults [offset, offset +
-  /// part.total_faults) of this result's universe — the one audited way
-  /// a campaign combines checkpoint restores with its own run's
-  /// verdicts. Only `part`'s finalized entries are absorbed; `detected`
-  /// and `stats` are updated incrementally.
-  ///
-  /// The merge is associative and commutative over disjoint finalized
-  /// sets: any arrival order of the same partials yields bit-identical
-  /// state. Audits enforced (Expected error, this result unmodified):
-  ///   MergeOverlap     a fault both sides already finalized — even in
-  ///                    agreement, a double-claimed fault means slice
-  ///                    accounting went wrong somewhere
-  ///   InvalidArgument  window out of bounds, vector-count mismatch, or
-  ///                    one side ran with signature compaction and the
-  ///                    other without (the verdict sets are not
-  ///                    comparable)
-  Expected<void> merge(const FaultSimResult& part, std::size_t offset);
 
   std::size_t missed() const { return total_faults - detected; }
   /// Signature-mode accessors (zero when the run did not compact).
@@ -311,7 +292,7 @@ struct FaultSimResult {
 /// follows the resolved SIMD backend), so the work counters too depend
 /// on the fault set, not its order. Each fault's detect cycle is a pure
 /// function of (netlist, stimulus, fault) — batch composition and fault
-/// ordering never change it — which is what makes sliced/checkpointed
+/// ordering never change it — which is what makes checkpointed
 /// campaigns (fault/campaign.hpp) bit-identical to one-shot runs.
 FaultSimResult simulate_faults(const gate::Netlist& nl,
                                std::span<const std::int64_t> stimulus,

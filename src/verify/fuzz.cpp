@@ -47,7 +47,7 @@ Finding check_one(const CorpusCase& c, const std::string& scratch_dir,
     if (f) return f;
   }
   if ((property_mask & 4u) != 0)
-    if (auto f = check_sliced_merge(c.filter)) return f;
+    if (auto f = check_slice_verdicts(c.filter)) return f;
   if ((property_mask & 8u) != 0)
     if (auto f = check_signature_compaction(c.filter)) return f;
   return Finding::ok();

@@ -13,7 +13,7 @@
 //      properties on rotating strides of the case index i, one bit
 //      each in a property mask —
 //        bit 1  mixed-engine resume         i % 32 == 3
-//        bit 2  sliced-vs-one-shot merge    i % 16 == 7
+//        bit 2  slice-vs-one-shot verdicts  i % 16 == 7
 //        bit 3  in-kernel signature vs
 //               word-compare ground truth   i % 4 == 1
 //      Bits 0 and 4 are retired. Corpus replays run every bit. The

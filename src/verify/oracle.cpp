@@ -315,15 +315,14 @@ Finding check_filter_case(const FilterCase& c) {
     return Finding::fail("mutation escaped: Compiled engine agreed with "
                          "FullSweep despite a mutated netlist");
 
-  // Row 5: a sliced campaign (the checkpoint/resume execution shape,
+  // Row 5: a campaign (the checkpoint/resume execution shape,
   // in-memory) must reproduce the one-shot verdicts exactly, and do the
-  // one-shot Compiled run's work: its slices are the checkpoint's unit,
-  // not the kernel's, so it runs one simulate_faults call, which records
-  // one full-budget good trace (a second call would double the count).
+  // one-shot Compiled run's work: it runs one simulate_faults call,
+  // which records one full-budget good trace (a second call would
+  // double the count).
   fault::CampaignOptions copt;
   copt.num_threads = 1;
   copt.engine = fault::FaultSimEngine::Compiled;
-  copt.checkpoint_every = 16; // several slices of a 40-fault sample
   auto camp = run_campaign(low.netlist, stim, faults, copt);
   if (!camp)
     return Finding::fail("campaign: unexpected error " +
@@ -349,7 +348,7 @@ Finding check_filter_case(const FilterCase& c) {
         "one-shot run took " + std::to_string(os.batches) + " over " +
         std::to_string(os.gates_evaluated) +
         "; a campaign must run the one-shot pass plan");
-  return diff_verdicts(ref, "one-shot", camp->sim, "sliced-campaign");
+  return diff_verdicts(ref, "one-shot", camp->sim, "campaign");
 }
 
 } // namespace fdbist::verify

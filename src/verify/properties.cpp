@@ -1,13 +1,10 @@
 #include "verify/properties.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <span>
 #include <string>
 
-#include "common/env.hpp"
-#include "common/xoshiro.hpp"
 #include "fault/campaign.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/fault.hpp"
@@ -36,20 +33,6 @@ LoweredCase prepare(const FilterCase& c) {
   lc.faults = select_faults(c.fault_indices, universe);
   return lc;
 }
-
-/// A seed derived from the case spec alone, so a replayed or minimized
-/// case draws the same random choices.
-std::uint64_t spec_seed(const FilterCase& c) {
-  std::uint64_t h = common::mix_seed(c.vectors);
-  for (const double v : c.coefs)
-    h = common::mix_seed(h ^ std::bit_cast<std::uint64_t>(v));
-  for (const std::uint32_t i : c.fault_indices) h = common::mix_seed(h ^ i);
-  return h;
-}
-
-} // namespace
-
-namespace {
 
 /// Lane-wise arithmetic over a decimator's packed input word. The
 /// packed word is not a single two's-complement number as far as the
@@ -172,16 +155,13 @@ Finding check_mixed_engine_resume(const FilterCase& c,
   const auto ref =
       simulate_faults(lc.low.netlist, lc.stim, lc.faults, ref_opt);
 
-  // First leg: a FullSweep campaign in quarter-universe slices, run to
-  // the end. Its checkpoint is then cut back to slice 0 alone: the file
-  // a build that checkpointed after every slice left when killed after
-  // its first one. A campaign saves once per call, when the call
-  // returns, so no cancel point yields that file deterministically.
-  const std::size_t slice = std::max<std::size_t>(1, lc.faults.size() / 4);
+  // First leg: a FullSweep campaign, run to the end. Its checkpoint is
+  // then cut back to the first quarter of the faults: the file a call
+  // cut short after finalizing them leaves, made deterministic.
+  const std::size_t kept = std::max<std::size_t>(1, lc.faults.size() / 4);
   fault::CampaignOptions first;
   first.num_threads = 1;
   first.engine = fault::FaultSimEngine::FullSweep;
-  first.checkpoint_every = slice;
   first.checkpoint_path = checkpoint_path;
   auto leg1 = run_campaign(lc.low.netlist, lc.stim, lc.faults, first);
   if (!leg1)
@@ -194,10 +174,10 @@ Finding check_mixed_engine_resume(const FilterCase& c,
   if (!ck)
     return Finding::fail("mixed-resume: first leg checkpoint unreadable: " +
                          ck.error().to_string());
-  for (std::size_t s = 1; s < ck->slice_count(); ++s)
-    ck->slice_finalized[s] = 0;
-  for (std::size_t i = slice; i < ck->fault_count(); ++i)
+  for (std::size_t i = kept; i < ck->fault_count(); ++i) {
+    ck->finalized[i] = 0;
     ck->detect_cycle[i] = -1;
+  }
   if (auto saved = fault::save_checkpoint(checkpoint_path, *ck); !saved)
     return Finding::fail("mixed-resume: rewriting the checkpoint failed: " +
                          saved.error().to_string());
@@ -206,7 +186,6 @@ Finding check_mixed_engine_resume(const FilterCase& c,
   fault::CampaignOptions second;
   second.num_threads = 1;
   second.engine = fault::FaultSimEngine::Compiled;
-  second.checkpoint_every = slice;
   second.checkpoint_path = checkpoint_path;
   second.resume = true;
   auto leg2 = run_campaign(lc.low.netlist, lc.stim, lc.faults, second);
@@ -215,8 +194,10 @@ Finding check_mixed_engine_resume(const FilterCase& c,
                          leg2.error().to_string());
   if (!leg2->sim.complete)
     return Finding::fail("mixed-resume: resume leg stopped early");
-  if (leg2->resumed_slices == 0)
-    return Finding::fail("mixed-resume: resume leg restored no slices");
+  if (leg2->resumed_faults != kept)
+    return Finding::fail("mixed-resume: resume leg restored " +
+                         std::to_string(leg2->resumed_faults) + " faults, " +
+                         "the checkpoint holds " + std::to_string(kept));
   if (leg2->sim.detect_cycle != ref.detect_cycle ||
       leg2->sim.detected != ref.detected)
     return Finding::fail(
@@ -287,7 +268,7 @@ Finding check_signature_compaction(const FilterCase& c, int sig_width) {
   return Finding::ok();
 }
 
-Finding check_sliced_merge(const FilterCase& c) {
+Finding check_slice_verdicts(const FilterCase& c) {
   const LoweredCase lc = prepare(c);
   const std::size_t n = lc.faults.size();
   if (n < 4) return Finding::ok();
@@ -296,40 +277,24 @@ Finding check_sliced_merge(const FilterCase& c) {
   opt.num_threads = 1;
   const auto ref = simulate_faults(lc.low.netlist, lc.stim, lc.faults, opt);
 
-  // A case-derived slice size that leaves a ragged last slice on every
-  // sample larger than six faults.
+  // Thirds of 1 + n/3 faults leave a ragged last one on every sample
+  // larger than six faults.
   const std::size_t slice = 1 + n / 3;
-  std::vector<std::size_t> offsets;
-  for (std::size_t lo = 0; lo < n; lo += slice) offsets.push_back(lo);
-  // Merge is order-independent over disjoint slices: arrive shuffled.
-  Xoshiro256 rng(spec_seed(c));
-  for (std::size_t i = offsets.size(); i > 1; --i)
-    std::swap(offsets[i - 1], offsets[rng.below(i)]);
-
-  fault::FaultSimResult merged;
-  merged.total_faults = n;
-  merged.vectors = lc.stim.size();
-  merged.detect_cycle.assign(n, -1);
-  merged.finalized.assign(n, 0);
   const std::span<const fault::Fault> faults(lc.faults);
-  for (const std::size_t lo : offsets) {
-    const auto part = simulate_faults(
-        lc.low.netlist, lc.stim, faults.subspan(lo, std::min(slice, n - lo)),
-        opt);
-    if (auto ok = merged.merge(part, lo); !ok)
-      return Finding::fail("sliced-merge: slice at fault " +
-                           std::to_string(lo) + " refused (" +
-                           ok.error().to_string() + ")");
+  for (std::size_t lo = 0; lo < n; lo += slice) {
+    const std::size_t count = std::min(slice, n - lo);
+    const auto part = simulate_faults(lc.low.netlist, lc.stim,
+                                      faults.subspan(lo, count), opt);
+    for (std::size_t j = 0; j < count; ++j)
+      if (!part.finalized[j] ||
+          part.detect_cycle[j] != ref.detect_cycle[lo + j])
+        return Finding::fail(
+            "slice-verdicts: fault " + std::to_string(lo + j) +
+            " simulated with faults [" + std::to_string(lo) + ", " +
+            std::to_string(lo + count) + ") reads " +
+            std::to_string(part.detect_cycle[j]) + ", one-shot " +
+            std::to_string(ref.detect_cycle[lo + j]));
   }
-  if (merged.finalized_count() != n)
-    return Finding::fail("sliced-merge: " +
-                         std::to_string(n - merged.finalized_count()) +
-                         " faults have no verdict after the last merge");
-  if (merged.detect_cycle != ref.detect_cycle ||
-      merged.detected != ref.detected)
-    return Finding::fail(
-        "sliced-merge: merged slice verdicts differ from the one-shot "
-        "reference");
   return Finding::ok();
 }
 

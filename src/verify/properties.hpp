@@ -22,14 +22,15 @@
 //   compaction      word-compare cycles alone, agree across engines,
 //                   imply word-compare detection, and alias within a
 //                   generous multiple of the 2^-width expectation
-//   sliced merge    the fault sample cut into slices, each simulated on
-//                   its own and merged in a shuffled order, yields
-//                   verdicts bit-identical to a one-shot run
+//   slice verdicts  each third of the fault sample, simulated on its
+//                   own, gives every fault in it its one-shot verdict
+//                   (what a resume that runs only the unfinalized
+//                   faults relies on)
 //
 // A campaign's one simulate_faults call needs no property of its own:
-// the oracle's sliced-campaign row (verify/oracle.hpp) compares its
-// verdicts and work with the one-shot reference on every filter case
-// and asserts that it recorded one full-budget good trace.
+// the oracle's campaign row (verify/oracle.hpp) compares its verdicts
+// and work with the one-shot reference on every filter case and
+// asserts that it recorded one full-budget good trace.
 //
 // All return verify::Finding; property violations are fuzz findings
 // exactly like oracle discrepancies and go through the same
@@ -55,12 +56,12 @@ Finding check_superposition(const FilterCase& c);
 Finding check_prefix_dominance(const FilterCase& c);
 
 /// Kill/resume equality under mixed engines: run a FullSweep campaign
-/// checkpointing to `checkpoint_path`, cut the checkpoint back to its
-/// first slice (the file a kill after that slice leaves), resume it on
-/// the Compiled engine, and require at least one restored slice and
-/// verdicts bit-identical to a one-shot run. The caller owns the path
-/// (a temp file); it is overwritten and left behind on failure for
-/// post-mortem.
+/// checkpointing to `checkpoint_path`, cut the checkpoint back to the
+/// first quarter of the faults (the file a call cut short after those
+/// leaves), resume it on the Compiled engine, and require exactly that
+/// many restored faults and verdicts bit-identical to a one-shot run.
+/// The caller owns the path (a temp file); it is overwritten and left
+/// behind on failure for post-mortem.
 Finding check_mixed_engine_resume(const FilterCase& c,
                                   const std::string& checkpoint_path);
 
@@ -73,11 +74,10 @@ Finding check_mixed_engine_resume(const FilterCase& c,
 /// the 2 + 64 * detected * 2^-width envelope.
 Finding check_signature_compaction(const FilterCase& c, int sig_width = 16);
 
-/// Sliced-vs-one-shot equality: cut the case's fault sample into slices
-/// of 1 + n/3 faults, simulate each slice at one thread, merge them into
-/// an empty result (FaultSimResult::merge) in a case-seeded shuffled
-/// order, and require every fault finalized with verdicts bit-identical
-/// to a one-shot simulate_faults.
-Finding check_sliced_merge(const FilterCase& c);
+/// Slice-vs-one-shot equality: cut the case's fault sample into thirds
+/// of 1 + n/3 faults, simulate each alone at one thread, and require
+/// every fault in it finalized with the verdict of a one-shot
+/// simulate_faults over the whole sample.
+Finding check_slice_verdicts(const FilterCase& c);
 
 } // namespace fdbist::verify

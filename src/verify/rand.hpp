@@ -54,8 +54,8 @@ struct RtlCase {
 /// A filter-level differential case: a small multiplierless design run
 /// through the full stack. The oracle cross-checks RTL vs gate outputs,
 /// the linear-model amplitude bound, and the Compiled vs FullSweep
-/// fault-simulation engines (verdicts, stats invariants, and sliced
-/// campaign equality).
+/// fault-simulation engines (verdicts, stats invariants, and campaign
+/// equality).
 ///
 /// `family` selects the design family and fixes how `coefs` is read:
 ///   0 (FIR)        tap coefficients, as before

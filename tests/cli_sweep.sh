@@ -2,9 +2,9 @@
 # Drives fdbist_cli over every registered design, the way a user does.
 #
 # For each design that `fdbist_cli designs` lists and each generator,
-# `faultsim D G 64` and `campaign D G 64 --checkpoint-every 256` must
-# exit 0 with byte-identical stdout. For each design, `analyze` and both
-# `export` formats must exit 0. Inputs the library would refuse with a
+# `faultsim D G 64` and `campaign D G 64` must exit 0 with
+# byte-identical stdout. For each design, `analyze` and both `export`
+# formats must exit 0. Inputs the library would refuse with a
 # precondition (a filter too long for the 16-bit output, a spectrum
 # shorter than one Welch segment) must exit 2 with a plain message.
 #
@@ -41,8 +41,7 @@ fi
 for d in $designs; do
   for g in $GENERATORS; do
     run faultsim faultsim "$d" "$g" $VECTORS || fail "faultsim $d $g exit $?"
-    run campaign campaign "$d" "$g" $VECTORS --checkpoint-every 256 ||
-      fail "campaign $d $g exit $?"
+    run campaign campaign "$d" "$g" $VECTORS || fail "campaign $d $g exit $?"
     cmp -s "$workdir/faultsim.out" "$workdir/campaign.out" ||
       fail "campaign $d $g stdout differs from faultsim"
   done

@@ -203,11 +203,10 @@ TEST_P(KitGolden, ReportSignatureMatchesFaultFreeSweep) {
     opt.engine = fault::FaultSimEngine::FullSweep;
     check(kit.evaluate(*gen, kVectors, opt), false, "evaluate FullSweep");
 
-    // Two slices, one simulate_faults call: the merged result adopts
-    // that call's words.
+    // One simulate_faults call: the campaign's result carries that
+    // call's words.
     fault::CampaignOptions copt;
     copt.family = static_cast<std::uint32_t>(design.family);
-    copt.checkpoint_every = kit.faults().size() / 2 + 1;
     copt.checkpoint_path = (dir_ / "campaign.ckpt").string();
     std::filesystem::remove(copt.checkpoint_path);
     auto fresh = kit.evaluate_campaign(*gen, kVectors, copt);

@@ -2,21 +2,18 @@
 // bit-identical to an uninterrupted run (for any thread count and any
 // interruption point), unusable checkpoints must be refused with typed
 // errors, and cancellation/deadlines must yield valid partial results
-// without hanging the pool. A campaign prepares once — one compile and
-// one good trace for all its slices, none when the checkpoint restores
-// every slice — and the benchmark shims leave it alone. The merge
-// audits that combine slices are checked here too.
+// without hanging the pool. A checkpoint records every verdict a call
+// reached, and the files of older builds, which recorded coarser
+// slices, still load. A campaign prepares once — one compile and one
+// good trace, none when the checkpoint restores every fault — and the
+// benchmark shims leave it alone.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <limits>
-#include <numeric>
-#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,6 +21,7 @@
 #include <signal.h>
 
 #include "common/atomic_file.hpp"
+#include "common/binfile.hpp"
 #include "common/fingerprint.hpp"
 #include "fault/campaign.hpp"
 #include "fault/checkpoint.hpp"
@@ -43,8 +41,8 @@ struct Fixture {
   std::vector<std::int64_t> stim;
 };
 
-// Small enough for fast tests, big enough that a campaign with
-// checkpoint_every=64 spans several slices.
+// Small enough for fast tests, big enough that a campaign cancelled
+// after a batch or two still has faults left to run.
 const Fixture& fixture() {
   static const Fixture f = [] {
     auto d = rtl::build_fir(
@@ -115,11 +113,6 @@ void expect_bit_identical(const FaultSimResult& r) {
     ASSERT_EQ(r.detect_cycle[i], oracle.detect_cycle[i]) << "fault " << i;
 }
 
-TEST_F(CampaignTest, FixtureSpansSeveralSlices) {
-  ASSERT_GT(fixture().faults.size(), std::size_t{4} * 64)
-      << "fixture too small to exercise slicing";
-}
-
 SignatureOptions test_signature(int width) {
   SignatureOptions sig;
   sig.width = width;
@@ -142,14 +135,12 @@ void expect_same_work(const FaultSimStats& got, const FaultSimStats& want) {
 TEST_F(CampaignTest, CompleteCampaignMatchesPlainEngine) {
   // A campaign is one simulate_faults call over its universe: verdicts
   // and work counters equal the one-shot run's, and the one checkpoint
-  // it saves has every slice finalized with the one-shot verdicts.
-  const std::size_t slices = (fixture().faults.size() + 63) / 64;
+  // it saves has every fault finalized with the one-shot verdicts.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const int sig_width : {0, 10}) {
       CampaignOptions opt;
       opt.num_threads = threads;
       if (sig_width != 0) opt.signature = test_signature(sig_width);
-      opt.checkpoint_every = 64;
       opt.checkpoint_path = path();
       auto r = run_campaign(fixture().low.netlist, fixture().stim,
                             fixture().faults, opt);
@@ -161,11 +152,10 @@ TEST_F(CampaignTest, CompleteCampaignMatchesPlainEngine) {
       EXPECT_EQ(r->sim.signature_detect, one_shot.signature_detect);
       expect_same_work(r->sim.stats, one_shot.stats);
 
-      EXPECT_EQ(r->completed_slices, slices);
       EXPECT_EQ(r->checkpoints_written, 1u);
       auto saved = load_checkpoint(opt.checkpoint_path);
       ASSERT_TRUE(saved) << saved.error().to_string();
-      EXPECT_EQ(saved->slice_finalized, std::vector<std::uint8_t>(slices, 1));
+      EXPECT_EQ(saved->finalized, one_shot.finalized);
       EXPECT_EQ(saved->detect_cycle, one_shot.detect_cycle);
       EXPECT_EQ(saved->signature_detect, one_shot.signature_detect);
     }
@@ -178,8 +168,7 @@ Checkpoint tagged_checkpoint(std::int32_t tag) {
   ck.stimulus_fp = 2;
   ck.faults_fp = 3;
   ck.stimulus_len = 16;
-  ck.slice_size = 4;
-  ck.slice_finalized = {1, 1};
+  ck.finalized.assign(8, 1);
   ck.detect_cycle.assign(8, tag);
   return ck;
 }
@@ -190,9 +179,9 @@ TEST_F(CampaignTest, CheckpointRoundTrips) {
   ck.stimulus_fp = 0x2222;
   ck.faults_fp = 0x3333;
   ck.stimulus_len = 256;
-  ck.slice_size = 10;
-  ck.slice_finalized = {1, 0, 1};
+  ck.finalized.assign(25, 0);
   ck.detect_cycle.assign(25, -1);
+  ck.finalized[3] = ck.finalized[9] = ck.finalized[24] = 1;
   ck.detect_cycle[3] = 17;
   ck.detect_cycle[24] = 123456;
 
@@ -204,38 +193,96 @@ TEST_F(CampaignTest, CheckpointRoundTrips) {
   EXPECT_EQ(loaded->stimulus_fp, ck.stimulus_fp);
   EXPECT_EQ(loaded->faults_fp, ck.faults_fp);
   EXPECT_EQ(loaded->stimulus_len, ck.stimulus_len);
-  EXPECT_EQ(loaded->slice_size, ck.slice_size);
-  EXPECT_EQ(loaded->slice_finalized, ck.slice_finalized);
+  EXPECT_EQ(loaded->finalized, ck.finalized);
   EXPECT_EQ(loaded->detect_cycle, ck.detect_cycle);
 }
 
-TEST_F(CampaignTest, CheckpointBytesArePinned) {
-  // FDBC v2 is a stable format: a checkpoint written by an older build
-  // must resume under this one. The sizes and whole-file FNV-1a digests
-  // below were measured on the writer that predates the shared codec
-  // (common/binfile.hpp), so any change to the layout moves them.
+/// The signature checkpoint the pinned-bytes tests write: the first
+/// four of its eight faults carry verdicts.
+Checkpoint signature_checkpoint() {
   Checkpoint sig = tagged_checkpoint(11);
   sig.family = 2;
   sig.sig_width = 10;
   sig.sig_taps = 0x9;
-  sig.slice_finalized = {1, 0};
+  sig.finalized = {1, 1, 1, 1, 0, 0, 0, 0};
   sig.detect_cycle = {0, 5, -1, 7, -1, -1, -1, -1};
   sig.signature_detect = {1, 1, 0, 0, 0, 0, 0, 0};
+  return sig;
+}
+
+std::uint64_t digest(std::span<const std::uint8_t> bytes) {
+  return common::fnv1a(common::kFnvSeed, bytes.data(), bytes.size());
+}
+
+void write_bytes(const std::string& file,
+                 std::span<const std::uint8_t> bytes) {
+  std::ofstream out(file, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            std::streamsize(bytes.size()));
+}
+
+TEST_F(CampaignTest, CheckpointBytesArePinned) {
+  // FDBC v2 is a stable format: a checkpoint written by this build must
+  // resume under a later one. The writer records one flag per fault
+  // (slice size 1); older builds' slice files keep their own pins in
+  // SliceCheckpointsOfOlderBuildsLoad.
   const struct {
     Checkpoint ck;
     std::size_t size;
     std::uint64_t fnv;
-  } cases[] = {{tagged_checkpoint(11), 121, 0xf1a7e4ce909ee8abULL},
-               {sig, 129, 0xab3145361467f19bULL}};
+  } cases[] = {{tagged_checkpoint(11), 121, 0xcabfad354944c71eULL},
+               {signature_checkpoint(), 129, 0x5f7a42eee1e1f9dbULL}};
   for (const auto& c : cases) {
     ASSERT_TRUE(save_checkpoint(path(), c.ck));
-    std::ifstream in(path(), std::ios::binary);
-    const std::vector<char> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
+    const auto bytes = common::read_file(path());
+    ASSERT_TRUE(bytes) << bytes.error().to_string();
+    EXPECT_EQ(bytes->size(), c.size);
+    EXPECT_EQ(digest(*bytes), c.fnv) << "sig_width " << c.ck.sig_width;
+  }
+}
+
+TEST_F(CampaignTest, SliceCheckpointsOfOlderBuildsLoad) {
+  // Older builds wrote one flag per slice of a fixed number of faults.
+  // These are their bytes for 4-fault slices, pinned by the sizes and
+  // digests their writer was held to, and each fault loads its slice's
+  // flag, so checkpoints of campaigns in progress still resume.
+  const auto slice_file = [](const Checkpoint& ck, std::uint8_t slice_bits) {
+    constexpr char kMagic[4] = {'F', 'D', 'B', 'C'};
+    common::ByteWriter w = common::start_file(kMagic, kCheckpointVersion);
+    w.put_u64(ck.netlist_fp);
+    w.put_u64(ck.stimulus_fp);
+    w.put_u64(ck.faults_fp);
+    w.put_u64(ck.fault_count());
+    w.put_u64(ck.stimulus_len);
+    w.put_u64(4); // slice size
+    w.put_u64(2); // slice count
+    w.put_u32(ck.family);
+    w.put_u32(ck.sig_width);
+    w.put_u32(ck.sig_taps);
+    w.put_u32(0); // reserved
+    w.put_u8(slice_bits);
+    w.put_array(ck.detect_cycle);
+    w.put_array(ck.signature_detect);
+    common::seal_file(w);
+    return w.take();
+  };
+  const struct {
+    Checkpoint ck;
+    std::uint8_t slice_bits;
+    std::size_t size;
+    std::uint64_t fnv;
+  } cases[] = {{tagged_checkpoint(11), 0b11, 121, 0xf1a7e4ce909ee8abULL},
+               {signature_checkpoint(), 0b01, 129, 0xab3145361467f19bULL}};
+  for (const auto& c : cases) {
+    const auto bytes = slice_file(c.ck, c.slice_bits);
     EXPECT_EQ(bytes.size(), c.size);
-    EXPECT_EQ(common::fnv1a(common::kFnvSeed, bytes.data(), bytes.size()),
-              c.fnv)
-        << "sig_width " << c.ck.sig_width;
+    EXPECT_EQ(digest(bytes), c.fnv) << "sig_width " << c.ck.sig_width;
+    write_bytes(path(), bytes);
+    auto loaded = load_checkpoint(path());
+    ASSERT_TRUE(loaded) << loaded.error().to_string();
+    EXPECT_EQ(loaded->finalized, c.ck.finalized);
+    EXPECT_EQ(loaded->detect_cycle, c.ck.detect_cycle);
+    EXPECT_EQ(loaded->signature_detect, c.ck.signature_detect);
   }
 }
 
@@ -254,7 +301,6 @@ TEST_F(CampaignTest, ResumeEqualsUninterruptedAtEveryCutPoint) {
       common::CancelToken token;
       CampaignOptions opt;
       opt.num_threads = threads;
-      opt.checkpoint_every = 64;
       opt.checkpoint_path = file;
       opt.cancel = &token;
       std::size_t calls = 0;
@@ -270,14 +316,13 @@ TEST_F(CampaignTest, ResumeEqualsUninterruptedAtEveryCutPoint) {
 
       CampaignOptions resume_opt;
       resume_opt.num_threads = threads;
-      resume_opt.checkpoint_every = 64;
       resume_opt.checkpoint_path = file;
       resume_opt.resume = true;
       auto resumed = run_campaign(fixture().low.netlist, fixture().stim,
                                   fixture().faults, resume_opt);
       ASSERT_TRUE(resumed) << resumed.error().to_string();
-      EXPECT_EQ(resumed->resumed_slices, first->completed_slices)
-          << "resume must pick up exactly the finalized slices";
+      EXPECT_EQ(resumed->resumed_faults, first->sim.finalized_count())
+          << "resume must pick up every verdict the cut call reached";
       expect_bit_identical(resumed->sim);
     }
   }
@@ -287,7 +332,7 @@ TEST_F(CampaignTest, ResumeEqualsUninterruptedAtEveryCutPoint) {
 // FaultSimEngine must be resumable under the other. Verdicts are pure
 // functions of (netlist, stimulus, fault) — the engine is deliberately
 // excluded from the checkpoint fingerprint — so every cross-engine
-// combination must merge to the bit-identical uninterrupted result.
+// combination must resume to the bit-identical uninterrupted result.
 TEST_F(CampaignTest, ResumeUnderADifferentEngineIsBitIdentical) {
   using Engine = FaultSimEngine;
   for (const auto& [first_engine, resume_engine] :
@@ -303,7 +348,6 @@ TEST_F(CampaignTest, ResumeUnderADifferentEngineIsBitIdentical) {
     CampaignOptions opt;
     opt.num_threads = 1;
     opt.engine = first_engine;
-    opt.checkpoint_every = 64;
     opt.checkpoint_path = file;
     opt.cancel = &token;
     std::size_t calls = 0;
@@ -319,13 +363,12 @@ TEST_F(CampaignTest, ResumeUnderADifferentEngineIsBitIdentical) {
     CampaignOptions resume_opt;
     resume_opt.num_threads = 2;
     resume_opt.engine = resume_engine;
-    resume_opt.checkpoint_every = 64;
     resume_opt.checkpoint_path = file;
     resume_opt.resume = true;
     auto resumed = run_campaign(fixture().low.netlist, fixture().stim,
                                 fixture().faults, resume_opt);
     ASSERT_TRUE(resumed) << resumed.error().to_string();
-    EXPECT_EQ(resumed->resumed_slices, first->completed_slices);
+    EXPECT_EQ(resumed->resumed_faults, first->sim.finalized_count());
     expect_bit_identical(resumed->sim);
   }
 }
@@ -336,7 +379,6 @@ TEST_F(CampaignTest, EngineOptionIsForwardedToEachSlice) {
     CampaignOptions opt;
     opt.num_threads = 1;
     opt.engine = engine;
-    opt.checkpoint_every = 64;
     auto r = run_campaign(fixture().low.netlist, fixture().stim,
                           fixture().faults, opt);
     ASSERT_TRUE(r) << r.error().to_string();
@@ -349,21 +391,19 @@ TEST_F(CampaignTest, EngineOptionIsForwardedToEachSlice) {
   }
 }
 
-// A checkpoint may hold any set of finalized slices: a prefix, which
+// A checkpoint may hold any set of finalized faults: a prefix, which
 // builds that ran a campaign slice by slice and saved after every slice
 // left when killed, or a scattered set, which a cancelled campaign call
-// leaves when only some slices had every fault detected. Both must
-// resume, running exactly the faults of the slices not finalized.
+// leaves. Both must resume, running exactly the faults not finalized.
 TEST_F(CampaignTest, ResumesCheckpointsSavedAfterEverySlice) {
   const Fixture& f = fixture();
   const std::size_t n = f.faults.size();
-  const std::size_t slices = (n + 63) / 64;
   const FaultSimResult oracle = uninterrupted();
-  std::vector<std::uint8_t> prefix(slices, 0);
-  std::vector<std::uint8_t> alternate(slices, 0);
-  for (std::size_t s = 0; s < slices; ++s) {
-    prefix[s] = s < slices / 2;
-    alternate[s] = s % 2 == 0;
+  std::vector<std::uint8_t> prefix(n, 0);
+  std::vector<std::uint8_t> alternate(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    prefix[i] = i < n / 2;
+    alternate[i] = i % 2 == 0;
   }
   for (const auto* flags : {&prefix, &alternate}) {
     Checkpoint ck;
@@ -371,20 +411,16 @@ TEST_F(CampaignTest, ResumesCheckpointsSavedAfterEverySlice) {
     ck.stimulus_fp = fingerprint_stimulus(f.stim);
     ck.faults_fp = fingerprint_faults(f.faults);
     ck.stimulus_len = f.stim.size();
-    ck.slice_size = 64;
-    ck.slice_finalized = *flags;
+    ck.finalized = *flags;
     ck.detect_cycle.assign(n, -1);
     std::vector<Fault> unfinished;
     for (std::size_t i = 0; i < n; ++i) {
-      if ((*flags)[i / 64])
+      if ((*flags)[i])
         ck.detect_cycle[i] = oracle.detect_cycle[i];
       else
         unfinished.push_back(f.faults[i]);
     }
-    const auto restored =
-        std::size_t(std::count(flags->begin(), flags->end(), 1));
-    ASSERT_GT(restored, 0u);
-    ASSERT_FALSE(unfinished.empty());
+    const std::size_t restored = n - unfinished.size();
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       const std::string file = path(
@@ -394,27 +430,68 @@ TEST_F(CampaignTest, ResumesCheckpointsSavedAfterEverySlice) {
       ASSERT_TRUE(save_checkpoint(file, ck));
       CampaignOptions opt;
       opt.num_threads = threads;
-      opt.checkpoint_every = 64;
       opt.checkpoint_path = file;
       opt.resume = true;
       auto r = run_campaign(f.low.netlist, f.stim, f.faults, opt);
       ASSERT_TRUE(r) << r.error().to_string();
       expect_bit_identical(r->sim);
-      EXPECT_EQ(r->resumed_slices, restored);
-      EXPECT_EQ(r->completed_slices, slices - restored);
+      EXPECT_EQ(r->resumed_faults, restored);
       FaultSimOptions rest;
       rest.num_threads = threads;
-      EXPECT_EQ(r->sim.stats.batches,
-                simulate_faults(f.low.netlist, f.stim, unfinished, rest)
-                    .stats.batches);
+      expect_same_work(
+          r->sim.stats,
+          simulate_faults(f.low.netlist, f.stim, unfinished, rest).stats);
     }
   }
+}
+
+TEST_F(CampaignTest, CancelledCampaignCheckpointsEveryFinalizedFault) {
+  // A call cut short records every verdict it reached, not only whole
+  // groups of them, and the resume runs exactly the faults left: its
+  // work is a one-shot run's over them.
+  common::CancelToken token;
+  CampaignOptions opt;
+  opt.num_threads = 1;
+  opt.checkpoint_path = path();
+  opt.cancel = &token;
+  std::size_t calls = 0;
+  opt.progress = [&](std::size_t, std::size_t) {
+    if (++calls >= 2) token.cancel();
+  };
+  auto first = run_campaign(fixture().low.netlist, fixture().stim,
+                            fixture().faults, opt);
+  ASSERT_TRUE(first) << first.error().to_string();
+  ASSERT_FALSE(first->sim.complete);
+  ASSERT_GT(first->sim.finalized_count(), 0u);
+  EXPECT_EQ(first->checkpoints_written, 1u);
+  auto saved = load_checkpoint(opt.checkpoint_path);
+  ASSERT_TRUE(saved) << saved.error().to_string();
+  EXPECT_EQ(saved->finalized, first->sim.finalized);
+  EXPECT_EQ(saved->detect_cycle, first->sim.detect_cycle);
+
+  std::vector<Fault> unfinished;
+  for (std::size_t i = 0; i < fixture().faults.size(); ++i)
+    if (!first->sim.finalized[i]) unfinished.push_back(fixture().faults[i]);
+  CampaignOptions resume_opt;
+  resume_opt.num_threads = 1;
+  resume_opt.checkpoint_path = path();
+  resume_opt.resume = true;
+  auto resumed = run_campaign(fixture().low.netlist, fixture().stim,
+                              fixture().faults, resume_opt);
+  ASSERT_TRUE(resumed) << resumed.error().to_string();
+  expect_bit_identical(resumed->sim);
+  EXPECT_EQ(resumed->resumed_faults, first->sim.finalized_count());
+  FaultSimOptions rest;
+  rest.num_threads = 1;
+  expect_same_work(resumed->sim.stats,
+                   simulate_faults(fixture().low.netlist, fixture().stim,
+                                   unfinished, rest)
+                       .stats);
 }
 
 TEST_F(CampaignTest, ResumeOfCompletedCampaignIsIdenticalAndRunsNothing) {
   CampaignOptions opt;
   opt.num_threads = 2;
-  opt.checkpoint_every = 64;
   opt.checkpoint_path = path();
   auto first = run_campaign(fixture().low.netlist, fixture().stim,
                             fixture().faults, opt);
@@ -425,41 +502,28 @@ TEST_F(CampaignTest, ResumeOfCompletedCampaignIsIdenticalAndRunsNothing) {
   auto again = run_campaign(fixture().low.netlist, fixture().stim,
                             fixture().faults, opt);
   ASSERT_TRUE(again);
-  EXPECT_EQ(again->completed_slices, 0u);
+  EXPECT_EQ(again->resumed_faults, fixture().faults.size());
   EXPECT_EQ(again->checkpoints_written, 0u);
   expect_bit_identical(again->sim);
 }
 
-/// About 10 slices over the fixture's universe, one thread.
-CampaignOptions ten_slices() {
-  CampaignOptions opt;
-  opt.num_threads = 1;
-  opt.checkpoint_every = (fixture().faults.size() + 9) / 10;
-  return opt;
-}
-
-std::size_t slices_of(const CampaignOptions& opt) {
-  return (fixture().faults.size() + opt.checkpoint_every - 1) /
-         opt.checkpoint_every;
-}
-
 TEST_F(CampaignTest, CampaignCompilesOncePerDesign) {
   // The campaign's one simulate_faults call compiles and records its
-  // good trace once for every slice.
-  const CampaignOptions opt = ten_slices();
-  ASSERT_GE(slices_of(opt), 8u);
+  // good trace once for every fault.
+  CampaignOptions opt;
+  opt.num_threads = 1;
   auto r = run_campaign(fixture().low.netlist, fixture().stim,
                         fixture().faults, opt);
   ASSERT_TRUE(r) << r.error().to_string();
-  EXPECT_EQ(r->completed_slices, slices_of(opt));
   EXPECT_EQ(r->sim.stats.good_trace_cycles, fixture().stim.size());
   expect_bit_identical(r->sim);
 }
 
 TEST_F(CampaignTest, FullyResumedCampaignBuildsNothing) {
-  // Every slice comes back from the checkpoint, so no slice runs and
-  // the campaign has nothing to prepare for.
-  CampaignOptions opt = ten_slices();
+  // Every fault comes back from the checkpoint, so nothing runs and the
+  // campaign has nothing to prepare for.
+  CampaignOptions opt;
+  opt.num_threads = 1;
   opt.checkpoint_path = path();
   ASSERT_TRUE(run_campaign(fixture().low.netlist, fixture().stim,
                            fixture().faults, opt));
@@ -468,8 +532,7 @@ TEST_F(CampaignTest, FullyResumedCampaignBuildsNothing) {
   auto r = run_campaign(fixture().low.netlist, fixture().stim,
                         fixture().faults, opt);
   ASSERT_TRUE(r) << r.error().to_string();
-  EXPECT_EQ(r->resumed_slices, slices_of(opt));
-  EXPECT_EQ(r->completed_slices, 0u);
+  EXPECT_EQ(r->resumed_faults, fixture().faults.size());
   EXPECT_EQ(r->sim.stats.good_trace_cycles, 0u);
   EXPECT_EQ(r->sim.stats.batches, 0u);
   expect_bit_identical(r->sim);
@@ -478,8 +541,9 @@ TEST_F(CampaignTest, FullyResumedCampaignBuildsNothing) {
 TEST_F(CampaignTest, BenchmarkShimsAreInert) {
   // perfbench's own calls into the shim block of
   // fault/schedule_cache.hpp: acquire prepares nothing, names no file,
-  // and a campaign handed the cache and its handle runs exactly as one
-  // given neither.
+  // and a campaign handed the cache, its handle and a checkpoint slice
+  // size runs exactly as one given none of them, and completes no
+  // slice.
   const Fixture& f = fixture();
   ScheduleCache cache(ScheduleCache::Config{path("cache")});
   ArtifactCacheStats stats;
@@ -492,19 +556,20 @@ TEST_F(CampaignTest, BenchmarkShimsAreInert) {
 
   CampaignOptions plain;
   plain.num_threads = 2;
-  plain.checkpoint_every = 64;
   plain.checkpoint_path = path("plain.ckpt");
   CampaignOptions shimmed = plain;
   shimmed.checkpoint_path = path("shimmed.ckpt");
   shimmed.schedule_cache = &cache;
   shimmed.artifact = art;
+  shimmed.checkpoint_every = 64;
   auto want = run_campaign(f.low.netlist, f.stim, f.faults, plain);
   auto got = run_campaign(f.low.netlist, f.stim, f.faults, shimmed);
   ASSERT_TRUE(want) << want.error().to_string();
   ASSERT_TRUE(got) << got.error().to_string();
   EXPECT_EQ(got->sim.detect_cycle, want->sim.detect_cycle);
   EXPECT_EQ(got->sim.detected, want->sim.detected);
-  EXPECT_EQ(got->completed_slices, want->completed_slices);
+  EXPECT_EQ(got->completed_slices, 0u);
+  EXPECT_EQ(want->completed_slices, 0u);
   EXPECT_EQ(got->checkpoints_written, want->checkpoints_written);
   expect_same_work(got->sim.stats, want->sim.stats);
   EXPECT_EQ(got->sim.stats.good_trace_cycles,
@@ -513,19 +578,17 @@ TEST_F(CampaignTest, BenchmarkShimsAreInert) {
 
 TEST_F(CampaignTest, MissingCheckpointWithResumeIsAFreshStart) {
   CampaignOptions opt;
-  opt.checkpoint_every = 64;
   opt.checkpoint_path = path("never_written.ckpt");
   opt.resume = true;
   auto r = run_campaign(fixture().low.netlist, fixture().stim,
                         fixture().faults, opt);
   ASSERT_TRUE(r) << r.error().to_string();
-  EXPECT_EQ(r->resumed_slices, 0u);
+  EXPECT_EQ(r->resumed_faults, 0u);
   expect_bit_identical(r->sim);
 }
 
 Expected<CampaignResult> resume_from(const std::string& file) {
   CampaignOptions opt;
-  opt.checkpoint_every = 64;
   opt.checkpoint_path = file;
   opt.resume = true;
   return run_campaign(fixture().low.netlist, fixture().stim,
@@ -535,7 +598,6 @@ Expected<CampaignResult> resume_from(const std::string& file) {
 /// Write a complete valid checkpoint for the fixture and return its path.
 std::string write_valid_checkpoint(const std::string& file) {
   CampaignOptions opt;
-  opt.checkpoint_every = 64;
   opt.checkpoint_path = file;
   auto r = run_campaign(fixture().low.netlist, fixture().stim,
                         fixture().faults, opt);
@@ -615,14 +677,10 @@ TEST_F(CampaignTest, OverflowingFaultCountIsCorrupt) {
   for (int i = 0; i < 4; ++i) put(0, 4); // family, sig width/taps, reserved
   put(1, 1);                             // bitmap: the one slice is final
   put(0, 4);                             // one detect_cycle entry
-  put(common::fnv1a(common::kFnvSeed, bytes.data(), bytes.size()), 8);
+  put(digest(bytes), 8);
   ASSERT_EQ(bytes.size(), 93u);
   const std::string file = path();
-  {
-    std::ofstream out(file, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              std::streamsize(bytes.size()));
-  }
+  write_bytes(file, bytes);
 
   auto loaded = load_checkpoint(file);
   ASSERT_FALSE(loaded);
@@ -636,7 +694,6 @@ TEST_F(CampaignTest, ForeignCheckpointsAreRefusedWithFingerprintMismatch) {
   // Checkpoint written by a different *design*.
   {
     CampaignOptions opt;
-    opt.checkpoint_every = 64;
     opt.checkpoint_path = path("foreign_design.ckpt");
     auto r = run_campaign(other_fixture().low.netlist, other_fixture().stim,
                           other_fixture().faults, opt);
@@ -648,7 +705,6 @@ TEST_F(CampaignTest, ForeignCheckpointsAreRefusedWithFingerprintMismatch) {
   // Same design, different *stimulus*.
   {
     CampaignOptions opt;
-    opt.checkpoint_every = 64;
     opt.checkpoint_path = path("foreign_stim.ckpt");
     auto gen = tpg::make_generator(tpg::GeneratorKind::Ramp, 12);
     const auto other_stim = gen->generate_raw(256);
@@ -659,18 +715,6 @@ TEST_F(CampaignTest, ForeignCheckpointsAreRefusedWithFingerprintMismatch) {
     ASSERT_FALSE(refused);
     EXPECT_EQ(refused.error().code, ErrorCode::FingerprintMismatch);
     EXPECT_NE(refused.error().message.find("stimulus"), std::string::npos);
-  }
-  // Same campaign, different slice geometry.
-  {
-    const auto file = write_valid_checkpoint(path("geometry.ckpt"));
-    CampaignOptions opt;
-    opt.checkpoint_every = 32; // was written with 64
-    opt.checkpoint_path = file;
-    opt.resume = true;
-    auto refused = run_campaign(fixture().low.netlist, fixture().stim,
-                                fixture().faults, opt);
-    ASSERT_FALSE(refused);
-    EXPECT_EQ(refused.error().code, ErrorCode::FingerprintMismatch);
   }
 }
 
@@ -691,7 +735,6 @@ TEST_F(CampaignTest, SignatureCampaignMatchesOneShotThroughKillAndResume) {
   CampaignOptions opt;
   opt.num_threads = 1;
   opt.signature = sig;
-  opt.checkpoint_every = 64;
   opt.checkpoint_path = path();
   opt.cancel = &token;
   std::size_t calls = 0;
@@ -706,7 +749,6 @@ TEST_F(CampaignTest, SignatureCampaignMatchesOneShotThroughKillAndResume) {
   CampaignOptions resume_opt;
   resume_opt.num_threads = 2;
   resume_opt.signature = sig;
-  resume_opt.checkpoint_every = 64;
   resume_opt.checkpoint_path = path();
   resume_opt.resume = true;
   auto resumed = run_campaign(fixture().low.netlist, fixture().stim,
@@ -725,7 +767,6 @@ TEST_F(CampaignTest, ForeignFamilyTagIsRefusedOnResume) {
   // the structural fingerprints cannot tell such twins apart.
   CampaignOptions opt;
   opt.family = 1;
-  opt.checkpoint_every = 64;
   opt.checkpoint_path = path();
   ASSERT_TRUE(run_campaign(fixture().low.netlist, fixture().stim,
                            fixture().faults, opt));
@@ -743,7 +784,6 @@ TEST_F(CampaignTest, ForeignFamilyTagIsRefusedOnResume) {
 TEST_F(CampaignTest, ForeignSignatureConfigurationIsRefusedOnResume) {
   CampaignOptions opt;
   opt.signature = test_signature(10);
-  opt.checkpoint_every = 64;
   opt.checkpoint_path = path();
   ASSERT_TRUE(run_campaign(fixture().low.netlist, fixture().stim,
                            fixture().faults, opt));
@@ -770,7 +810,6 @@ TEST_F(CampaignTest, ForeignSignatureConfigurationIsRefusedOnResume) {
 TEST_F(CampaignTest, DeadlineYieldsPartialResultAndReason) {
   CampaignOptions opt;
   opt.num_threads = 4;
-  opt.checkpoint_every = 64;
   opt.deadline_s = 1e-9; // expires immediately; workers must still join
   auto r = run_campaign(fixture().low.netlist, fixture().stim,
                         fixture().faults, opt);
@@ -789,14 +828,13 @@ TEST_F(CampaignTest, PreCancelledCampaignRunsNothing) {
   common::CancelToken token;
   token.cancel();
   CampaignOptions opt;
-  opt.checkpoint_every = 64;
   opt.checkpoint_path = path();
   opt.cancel = &token;
   auto r = run_campaign(fixture().low.netlist, fixture().stim,
                         fixture().faults, opt);
   ASSERT_TRUE(r) << r.error().to_string();
   EXPECT_EQ(r->stop_reason, ErrorCode::Cancelled);
-  EXPECT_EQ(r->completed_slices, 0u);
+  EXPECT_EQ(r->checkpoints_written, 0u);
   EXPECT_FALSE(r->sim.complete);
   EXPECT_FALSE(std::filesystem::exists(opt.checkpoint_path))
       << "a pre-cancelled campaign must not write a checkpoint";
@@ -891,187 +929,7 @@ TEST_F(CampaignDeathTest, CrashAfterRenameIsDurable) {
   ASSERT_TRUE(loaded) << "a renamed checkpoint is committed: "
                       << loaded.error().to_string();
   EXPECT_EQ(loaded->detect_cycle, ck.detect_cycle);
-  EXPECT_EQ(loaded->slice_finalized, ck.slice_finalized);
-}
-
-// ---------------------------------------------------------------------------
-// FaultSimResult::merge audits: the one path campaign slices and
-// checkpoint restores take into a result.
-
-/// One-shot single-threaded verdicts over the fixture, cut into windows
-/// by the merge tests.
-const FaultSimResult& reference() {
-  static const FaultSimResult r = uninterrupted();
-  return r;
-}
-
-/// An unmerged result shell over the fixture universe.
-FaultSimResult empty_like(const FaultSimResult& ref) {
-  FaultSimResult r;
-  r.total_faults = ref.total_faults;
-  r.vectors = ref.vectors;
-  r.detect_cycle.assign(ref.total_faults, -1);
-  r.finalized.assign(ref.total_faults, 0);
-  r.complete = false;
-  return r;
-}
-
-/// A fully finalized partial covering [lo, lo+count) of `ref`.
-FaultSimResult window(const FaultSimResult& ref, std::size_t lo,
-                      std::size_t count) {
-  FaultSimResult p;
-  p.total_faults = count;
-  p.vectors = ref.vectors;
-  p.detect_cycle.assign(ref.detect_cycle.begin() + long(lo),
-                        ref.detect_cycle.begin() + long(lo + count));
-  p.finalized.assign(count, 1);
-  for (const std::int32_t c : p.detect_cycle)
-    if (c >= 0) ++p.detected;
-  return p;
-}
-
-struct Slice {
-  std::size_t lo;
-  std::size_t count;
-};
-
-std::vector<Slice> random_partition(std::mt19937_64& rng, std::size_t n) {
-  std::vector<Slice> out;
-  std::size_t lo = 0;
-  while (lo < n) {
-    std::uniform_int_distribution<std::size_t> d(
-        1, std::max<std::size_t>(1, (n - lo + 3) / 4));
-    const std::size_t c = std::min(n - lo, d(rng));
-    out.push_back({lo, c});
-    lo += c;
-  }
-  return out;
-}
-
-TEST(ResultMerge, MergeIsAssociativeAndCommutativeOverDisjointWindows) {
-  const FaultSimResult& ref = reference();
-  const std::size_t n = ref.total_faults;
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    std::mt19937_64 rng(seed);
-    const auto parts = random_partition(rng, n);
-    ASSERT_GT(parts.size(), 2u);
-
-    std::vector<std::size_t> order(parts.size());
-    std::iota(order.begin(), order.end(), 0u);
-
-    FaultSimResult first;
-    for (int round = 0; round < 2; ++round) {
-      std::shuffle(order.begin(), order.end(), rng);
-      FaultSimResult base = empty_like(ref);
-      for (const std::size_t k : order) {
-        auto m = base.merge(window(ref, parts[k].lo, parts[k].count),
-                            parts[k].lo);
-        ASSERT_TRUE(m) << m.error().to_string();
-      }
-      ASSERT_EQ(base.finalized_count(), n);
-      EXPECT_EQ(base.detected, ref.detected);
-      EXPECT_EQ(base.detect_cycle, ref.detect_cycle);
-      EXPECT_EQ(base.finalized, ref.finalized);
-      if (round == 0)
-        first = base;
-      else
-        EXPECT_EQ(first.detect_cycle, base.detect_cycle)
-            << "arrival order changed the merged state (seed " << seed
-            << ")";
-    }
-  }
-}
-
-TEST(ResultMerge, MergeRejectsOverlapEvenWhenVerdictsAgree) {
-  const FaultSimResult& ref = reference();
-  FaultSimResult base = empty_like(ref);
-  ASSERT_TRUE(base.merge(window(ref, 0, 10), 0));
-  const auto detected_before = base.detected;
-  const auto cycles_before = base.detect_cycle;
-
-  auto same = base.merge(window(ref, 0, 10), 0);
-  ASSERT_FALSE(same) << "identical double-merge must still be an overlap";
-  EXPECT_EQ(same.error().code, ErrorCode::MergeOverlap);
-
-  auto shifted = base.merge(window(ref, 5, 10), 5);
-  ASSERT_FALSE(shifted);
-  EXPECT_EQ(shifted.error().code, ErrorCode::MergeOverlap);
-
-  EXPECT_EQ(base.detected, detected_before) << "failed merge mutated state";
-  EXPECT_EQ(base.detect_cycle, cycles_before);
-}
-
-TEST(ResultMerge, MergeRejectsBadWindowsAndVectorMismatch) {
-  const FaultSimResult& ref = reference();
-  const std::size_t n = ref.total_faults;
-  FaultSimResult base = empty_like(ref);
-
-  auto past_end = base.merge(window(ref, n - 5, 5), n - 4);
-  ASSERT_FALSE(past_end);
-  EXPECT_EQ(past_end.error().code, ErrorCode::InvalidArgument);
-
-  auto off_oob = base.merge(window(ref, 0, 1), n + 1);
-  ASSERT_FALSE(off_oob);
-  EXPECT_EQ(off_oob.error().code, ErrorCode::InvalidArgument);
-
-  FaultSimResult short_stim = window(ref, 0, 5);
-  short_stim.vectors = ref.vectors - 1;
-  auto vecs = base.merge(short_stim, 0);
-  ASSERT_FALSE(vecs);
-  EXPECT_EQ(vecs.error().code, ErrorCode::InvalidArgument);
-}
-
-TEST(ResultMerge, MergeRejectsSignaturePresenceMismatch) {
-  // One side compacted responses, the other did not: the verdict sets
-  // are not comparable and the merge must refuse, both ways round.
-  const FaultSimResult& ref = reference();
-  {
-    FaultSimResult base = empty_like(ref);
-    FaultSimResult part = window(ref, 0, 10);
-    part.signature_detect.assign(10, 1);
-    auto r = base.merge(part, 0);
-    ASSERT_FALSE(r);
-    EXPECT_EQ(r.error().code, ErrorCode::InvalidArgument);
-  }
-  {
-    FaultSimResult base = empty_like(ref);
-    base.signature_detect.assign(base.total_faults, 0);
-    auto r = base.merge(window(ref, 0, 10), 0);
-    ASSERT_FALSE(r);
-    EXPECT_EQ(r.error().code, ErrorCode::InvalidArgument);
-  }
-  // Matching compacted sides merge and carry the verdicts across.
-  {
-    FaultSimResult base = empty_like(ref);
-    base.signature_detect.assign(base.total_faults, 0);
-    FaultSimResult part = window(ref, 5, 10);
-    part.signature_detect.assign(10, 0);
-    part.signature_detect[3] = 1;
-    ASSERT_TRUE(base.merge(part, 5));
-    EXPECT_EQ(base.signature_detect[8], 1);
-  }
-}
-
-TEST(ResultMerge, MergeAbsorbsOnlyFinalizedEntries) {
-  const FaultSimResult& ref = reference();
-  FaultSimResult base = empty_like(ref);
-
-  FaultSimResult evens = window(ref, 0, 10);
-  FaultSimResult odds = window(ref, 0, 10);
-  for (std::size_t i = 0; i < 10; ++i) {
-    (i % 2 == 0 ? odds : evens).finalized[i] = 0;
-    (i % 2 == 0 ? odds : evens).detect_cycle[i] = -1;
-  }
-  ASSERT_TRUE(base.merge(evens, 0));
-  EXPECT_EQ(base.finalized[1], 0) << "unfinalized entries must not land";
-  EXPECT_EQ(base.detect_cycle[1], -1);
-
-  // The complementary half-finalized partial is NOT an overlap.
-  ASSERT_TRUE(base.merge(odds, 0));
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(base.finalized[i], 1) << i;
-    EXPECT_EQ(base.detect_cycle[i], ref.detect_cycle[i]) << i;
-  }
+  EXPECT_EQ(loaded->finalized, ck.finalized);
 }
 
 } // namespace

@@ -90,9 +90,9 @@ TEST(VerifyProperties, SignatureCompactionHoldsForEveryFamily) {
 
 TEST(VerifyProperties, FilterOracleHoldsForEveryFamily) {
   // The whole oracle matrix, pinned per family so a decimator-only or
-  // IIR-only regression cannot hide behind the rotation. Its sliced
-  // campaign row runs every slice in one simulate_faults call and
-  // asserts that the campaign recorded one full-budget good trace.
+  // IIR-only regression cannot hide behind the rotation. Its campaign
+  // row runs the sample in one simulate_faults call and asserts that
+  // the campaign recorded one full-budget good trace.
   for (std::int32_t family = 0; family <= 2; ++family) {
     for (std::uint64_t i = 0; i < 3; ++i) {
       const std::uint64_t seed = common::test_seed(910 + 10 * family + i);
