@@ -8,8 +8,12 @@ benchmark in each, and runs every workload that both sides' BENCHMARK.json
 lists in alternating pairs on this host. For each workload and end-to-end
 metric it prints every pair's two values, each side's median and
 quartiles, their ratio and the metric's bound, and it fails when HEAD's
-median is worse than BASE's by more than bound x BASE's median. Commit the
-change first: HEAD is compared, not the working tree.
+median is worse than BASE's by more than bound x BASE's median. It also
+prints what a claimed gain is judged by: how many pairs HEAD won (ties
+count for neither side) and whether the two medians differ by more than
+BASE's interquartile range. Those lines are information; they never
+change the exit status. Commit the change first: HEAD is compared, not
+the working tree.
 
 Exit codes: 0 pass, 1 a regression or a failed run, 2 a usage error (an
 unknown revision, a worktree that cannot be made, no BENCHMARK.json).
@@ -111,6 +115,15 @@ def judge(workload, metric, base, change):
               (side, " ".join("%9.4f" % v for v in values), med, q1, q3))
     print("  ratio %.3f, limit %.3f: %s" %
           (ratio, limit, "ok" if ok else "REGRESSION"))
+    # The gain rule: a claimed gain needs the change to win at least nine
+    # tenths of the pairs and the medians to differ by more than the
+    # base's own spread.
+    won = sum(1 for b, c in zip(base, change) if (c < b if lower else c > b))
+    gap, iqr = abs(cmed - bmed), bq3 - bq1
+    print("  change won %d/%d pairs (ties count for neither); medians "
+          "differ by %.4f, %s base IQR %.4f" %
+          (won, len(base), gap, "more than" if gap > iqr else "not more than",
+           iqr))
     return ok
 
 

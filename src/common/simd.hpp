@@ -60,9 +60,32 @@ struct alignas(Words * sizeof(std::uint64_t)) simd_word {
     return r;
   }
 
-  /// All lanes = bit (the broadcast the clock loop lives on).
+  /// Every limb = x.
+  static FDBIST_ALWAYS_INLINE simd_word splat(std::uint64_t x) {
+#if defined(__AVX512F__)
+    if constexpr (Words == 8) {
+      simd_word r;
+      _mm512_storeu_si512(r.w, _mm512_set1_epi64(static_cast<long long>(x)));
+      return r;
+    }
+#endif
+#if defined(__AVX2__)
+    if constexpr (Words == 4) {
+      simd_word r;
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(r.w),
+                          _mm256_set1_epi64x(static_cast<long long>(x)));
+      return r;
+    }
+#endif
+    simd_word r;
+    for (int i = 0; i < Words; ++i) r.w[i] = x;
+    return r;
+  }
+
+  /// All lanes = bit (the broadcast the clock loop lives on). Branch
+  /// free: trace bits are data, not a predictable pattern.
   static FDBIST_ALWAYS_INLINE simd_word fill(bool bit) {
-    return bit ? ones() : zero();
+    return splat(std::uint64_t{0} - std::uint64_t{bit});
   }
 
   /// Exactly one lane set.

@@ -17,6 +17,14 @@
 // a binary that must still run on machines without AVX-512: no COMDAT
 // the linker could resolve to an ISA-tainted copy is emitted there.
 //
+// The compiled engine sweeps a batch's fault cone through a ConeProgram
+// (below): the cone renumbered into one dense slot array and compiled
+// to straight-line steps, in which each ripple-carry run of fault-free
+// full-adder cells is one step that keeps the carry in a register. The
+// program is built per batch, in the baseline TU; the ISA TUs only run
+// it. The FullSweep reference steps gate::WordSimT over the whole
+// netlist.
+//
 // Backend resolution (per simulate_faults call): an explicit non-Auto
 // request wins, then the FDBIST_SIMD environment override, then the
 // widest backend that is both compiled in and supported by the CPU.
@@ -55,6 +63,92 @@ struct BatchRun {
   std::size_t stepped = 0;
   /// Logic gates evaluated per cycle (the cone, or the whole netlist).
   std::size_t gates_per_cycle = 0;
+};
+
+/// One batch's fault cone as straight-line code over a dense slot
+/// array of simulation words. Slots, in order: the cone's boundary nets
+/// (cone.boundary order, filled from the good trace each cycle), its
+/// in-cone register outputs (cone.regs order), one slot per cone gate
+/// (cone.gates order), and one all-ones slot. The steps run in order;
+/// each covers a range of one instruction array:
+///   * Gates: fault-free single gates, evaluated branch-free as
+///     dst = ((a & b) & mask[op & 1]) ^ ((a ^ b) & mask[op >> 1]) with
+///     mask = {0, ~0}: op 1 is AND, 2 XOR, 3 OR, and NOT is XOR with
+///     the all-ones slot;
+///   * Runs: maximal chains of in-cone full-adder cells
+///     (gate::CompiledSchedule::AdderCell) linked carry to carry, none
+///     of whose gates carries a fault of the batch. Per cell a run
+///     loads a and b, stores the sum and keeps the carry in a register;
+///     only the last carry-out is stored. A run sits where its last
+///     cell does, which the schedule's carry links make safe;
+///   * Faulty: gates carrying a fault of the batch, evaluated like
+///     Gates between the executor's pin masks (gate::WordSimT::add_fault):
+///     the input masks applied to the operands, the output mask to the
+///     result.
+/// Partial cells (an adder's LSB and MSB), cells lowering shares
+/// between adders, cells only partly in the cone and OperandNot gates
+/// are single gates. build() checks once, not per cycle, that every
+/// slot a step reads lies inside the slot array and is written before
+/// it is read.
+class ConeProgram {
+public:
+  enum class StepKind : std::uint8_t { Gates, Runs, Faulty };
+  struct Step {
+    StepKind kind;
+    std::uint32_t begin; ///< first instruction of the step's array
+    std::uint32_t end;
+  };
+  struct Gate {
+    std::int32_t dst, a, b;
+    std::uint32_t op; ///< bit 0: AND term, bit 1: XOR term
+  };
+  struct Cell {
+    std::int32_t a, b, sum;
+  };
+  struct Run {
+    std::int32_t carry_in, carry_out;
+    std::uint32_t first, count; ///< cells[first, first + count)
+  };
+  struct Faulty {
+    std::int32_t dst, a, b;
+    std::uint32_t op;
+    gate::NetId gate; ///< the gate whose pin masks apply
+  };
+  struct Move {
+    std::int32_t dst, src;
+  };
+
+  /// Compile `cone` (collected for the fault gates `sites`). Entries of
+  /// `sig_ids` name output nets (or gate::kNoNet) and are renumbered
+  /// to slots.
+  void build(const gate::CompiledSchedule& sched,
+             const gate::CompiledSchedule::Cone& cone,
+             std::span<const gate::NetId> sites,
+             std::span<std::int32_t> sig_ids);
+
+  std::size_t slots = 0;
+  std::int32_t ones = -1;
+  std::vector<Step> steps;
+  std::vector<Gate> gates;
+  std::vector<Cell> cells;
+  std::vector<Run> runs;
+  std::vector<Faulty> faulty;
+  /// The clock edge, run after the cycle's outputs are read: copy
+  /// `src` to `dst` in order. Each in-cone register's output slot takes
+  /// its D slot, and a register output that another register reads as
+  /// its D is overwritten only after that read.
+  std::vector<Move> latch;
+  /// Slots of the in-cone observed outputs.
+  std::vector<std::int32_t> outputs;
+
+private:
+  std::vector<std::int32_t> slot_of_;  ///< net -> slot during build
+  std::vector<std::uint8_t> faulty_;   ///< net -> carries a batch fault
+  std::vector<std::uint8_t> defined_;  ///< slot -> written so far
+  std::vector<std::int32_t> chain_;   ///< a run's cells, last cell first
+  std::vector<std::int32_t> d_slot_;   ///< register -> its D slot
+  std::vector<std::int32_t> reads_;    ///< register -> register its D is, or -1
+  std::vector<std::int32_t> readers_;  ///< register -> registers reading it
 };
 
 /// Per-worker batch executor. One instance per worker thread; the

@@ -63,6 +63,76 @@ CompiledSchedule::CompiledSchedule(const Netlist& nl) : nl_(nl), n_(nl.size()) {
   for (const auto& group : nl_.outputs())
     for (const NetId o : group) is_output_[std::size_t(o)] = 1;
   compute_settle_depth();
+  find_adder_cells();
+}
+
+void CompiledSchedule::find_adder_cells() {
+  cell_of_.assign(n_, -1);
+  // Gate g reads exactly {x, y}, in either order.
+  auto reads = [&](NetId g, NetId x, NetId y) {
+    const auto i = std::size_t(g);
+    return (a_[i] == x && b_[i] == y) || (a_[i] == y && b_[i] == x);
+  };
+  // Net `id` is not observed and feeds exactly `readers` (ascending),
+  // which rules out register D pins too: they are fan-out edges.
+  auto feeds_only = [&](NetId id, std::initializer_list<NetId> readers) {
+    const auto f = fanout(id);
+    return !is_observed_output(id) &&
+           std::equal(f.begin(), f.end(), readers.begin(), readers.end());
+  };
+  for (std::size_t i = 0; i + 4 < n_; ++i) {
+    if (op_[i] != GateOp::Xor || op_[i + 1] != GateOp::Xor ||
+        op_[i + 2] != GateOp::And || op_[i + 3] != GateOp::And ||
+        op_[i + 4] != GateOp::Or)
+      continue;
+    const auto x1 = static_cast<NetId>(i);
+    const NetId s = x1 + 1, a1 = x1 + 2, a2 = x1 + 3, cout = x1 + 4;
+    const NetId c = a_[i + 1] == x1 ? b_[i + 1] : a_[i + 1];
+    if (c == x1 || !reads(s, x1, c) || !reads(a1, a_[i], b_[i]) ||
+        !reads(a2, x1, c) || !reads(cout, a1, a2))
+      continue;
+    if (!feeds_only(x1, {s, a2}) || !feeds_only(a1, {cout}) ||
+        !feeds_only(a2, {cout}))
+      continue;
+    const auto k = static_cast<std::int32_t>(cells_.size());
+    cells_.push_back({x1, a_[i], b_[i], c, -1});
+    std::fill_n(cell_of_.begin() + std::ptrdiff_t(i), 5, k);
+    i += 4;
+  }
+
+  // Carry links: cell j's carry-in is cell k's cout and feeds nothing
+  // else. x1 ids grow along a link, so the links form simple chains.
+  std::vector<std::uint8_t> linked(cells_.size(), 0);
+  for (std::size_t j = 0; j < cells_.size(); ++j) {
+    const AdderCell& cell = cells_[j];
+    const std::int32_t k = cell_of(cell.c);
+    if (k < 0 || cells_[std::size_t(k)].carry_out() != cell.c ||
+        !feeds_only(cell.c, {cell.sum(), cell.x1 + 3}))
+      continue;
+    cells_[std::size_t(k)].next = static_cast<std::int32_t>(j);
+    linked[j] = 1;
+  }
+  // A chain is evaluated where its last cell sits, so every sum it
+  // stores must be read only by gates after that cell. Walk each chain
+  // from its head and cut the link that would break this.
+  auto first_gate_reader = [&](NetId id) {
+    for (const NetId r : fanout(id))
+      if (op_[std::size_t(r)] != GateOp::RegOut) return r;
+    return static_cast<NetId>(n_);
+  };
+  for (std::size_t head = 0; head < cells_.size(); ++head) {
+    if (linked[head]) continue;
+    NetId reader = first_gate_reader(cells_[head].sum());
+    for (std::size_t k = head; cells_[k].next >= 0;) {
+      const auto j = std::size_t(cells_[k].next);
+      if (reader <= cells_[j].x1) {
+        cells_[k].next = -1;
+        reader = static_cast<NetId>(n_);
+      }
+      reader = std::min(reader, first_gate_reader(cells_[j].sum()));
+      k = j;
+    }
+  }
 }
 
 void CompiledSchedule::compute_settle_depth() {

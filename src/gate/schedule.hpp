@@ -13,9 +13,13 @@
 //   * Cone extraction: the transitive structural fan-out cone of a set
 //     of fault sites. A batch of faults can only perturb the union of
 //     its cones; everything outside the union is guaranteed to hold the
-//     good-machine value in every lane, so a cone-restricted executor
-//     (gate::WordSim::step_cone) evaluates only in-cone gates and reads
-//     the rest from a recorded good trace.
+//     good-machine value in every lane, so the fault kernel's per-batch
+//     cone program (fault/kernel.hpp) evaluates only in-cone gates and
+//     reads the rest from a recorded good trace.
+//   * Full-adder cells: every five-gate ripple-carry cell whose inner
+//     gates are private to it, and the carry links that chain cells
+//     into ripple-carry runs. The cone program evaluates a run of
+//     fault-free cells with the carry held in a register.
 //   * Settle depth: how many cycles the netlist takes to forget its
 //     start state, or none when registers form a cycle.
 //
@@ -113,6 +117,35 @@ public:
   /// (feedback never forgets); 0 for a netlist without registers.
   std::optional<std::size_t> settle_depth() const { return settle_depth_; }
 
+  /// A full-adder cell: five consecutive logic gates
+  ///   x1 = a ^ b, s = x1 ^ c, a1 = a & b, a2 = x1 & c, cout = a1 | a2
+  /// (gate ids x1 .. x1 + 4, operands in either order) whose x1, a1 and
+  /// a2 are read only inside the cell and are not observed outputs, so
+  /// the cell is fully described by (a, b, c) -> (s, cout). Cells that
+  /// lowering's structural hashing shares with another adder fail that
+  /// rule and stay plain gates.
+  struct AdderCell {
+    NetId x1 = kNoNet;
+    NetId a = kNoNet;
+    NetId b = kNoNet;
+    NetId c = kNoNet;
+    /// The cell whose carry-in is this cell's cout, when that cout is
+    /// read by nothing but the next cell's s and a2 and every earlier
+    /// sum of the chain is read only after the next cell (so a whole
+    /// chain can be evaluated at the position of its last cell); -1
+    /// otherwise.
+    std::int32_t next = -1;
+
+    NetId sum() const { return x1 + 1; }
+    NetId carry_out() const { return x1 + 4; }
+  };
+
+  /// Every full-adder cell, ascending x1.
+  std::span<const AdderCell> adder_cells() const { return cells_; }
+
+  /// Index into adder_cells() of the cell holding gate `id`, or -1.
+  std::int32_t cell_of(NetId id) const { return cell_of_[std::size_t(id)]; }
+
   /// The union of structural fan-out cones of a batch of fault sites,
   /// decomposed into exactly what the cone-restricted executor needs.
   struct Cone {
@@ -161,6 +194,8 @@ public:
 private:
   /// One topological (Kahn) walk over the CSR.
   void compute_settle_depth();
+  /// One scan for the five-gate pattern, then the carry links.
+  void find_adder_cells();
 
   const Netlist& nl_;
   std::size_t n_ = 0;
@@ -173,6 +208,8 @@ private:
   std::vector<NetId> fan_;              ///< CSR adjacency
   std::vector<std::int32_t> reg_of_;    ///< Q net -> register index, else -1
   std::vector<std::uint8_t> is_output_;
+  std::vector<AdderCell> cells_;
+  std::vector<std::int32_t> cell_of_; ///< net -> cell index, else -1
 };
 
 } // namespace fdbist::gate

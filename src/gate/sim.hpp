@@ -9,12 +9,14 @@
 //
 // WordSimT<W> is a thin executor over a CompiledSchedule
 // (gate/schedule.hpp): the schedule owns the immutable compiled form of
-// the netlist (SoA gate arrays, fan-out CSR, cone extraction) and is
-// shared read-only across simulator instances; the executor owns only
-// mutable per-machine state (net values, register state, the injected
-// fault plan). Two sweeps are offered: step_broadcast evaluates the
-// full netlist, and step_cone evaluates only a batch's fault cone,
-// reading out-of-cone operands from a recorded good-machine trace.
+// the netlist (SoA gate arrays, fan-out CSR, cone extraction, adder
+// cells) and is shared read-only across simulator instances; the
+// executor owns only mutable per-machine state (net values, register
+// state, the injected fault plan). Its sweep, step_broadcast, evaluates
+// the full netlist. The fault kernel's cone sweep runs a per-batch cone
+// program instead (fault/kernel.hpp), which takes its fault plan from
+// here: add_fault validates and stores the pin masks, and fault_plan
+// hands them out.
 //
 // Wide instantiations (W wider than one limb) are confined to the
 // per-ISA kernel TUs in src/fault/ — see the header comment in
@@ -178,51 +180,6 @@ public:
     step_broadcast({&input_raw, 1});
   }
 
-  /// Cone-restricted clock: evaluate only `cone.gates`, pre-filling the
-  /// cone boundary from `good_row` (one GoodTrace row — the fault-free
-  /// values of every net during this cycle) and latching only
-  /// `cone.regs`. Requires that every injected fault's gate is inside
-  /// the cone and that no fault masks lane 0; under those conditions
-  /// in-cone values are bit-identical to a full step_broadcast sweep.
-  void step_cone(const CompiledSchedule::Cone& cone,
-                 const std::uint64_t* good_row) {
-    // Out-of-cone operands hold the good value in every lane.
-    W* vals = values_.data();
-    for (const NetId bnet : cone.boundary)
-      vals[std::size_t(bnet)] = GoodTrace::broadcast_as<W>(good_row, bnet);
-
-    // Present per-lane state of the in-cone registers.
-    const auto& regs = nl_.registers();
-    for (const std::int32_t r : cone.regs)
-      vals[std::size_t(regs[std::size_t(r)].q)] = reg_state_[std::size_t(r)];
-
-    // Evaluate only the cone, in topological (ascending id) order.
-    const GateOp* ops = sched_.ops();
-    const NetId* as = sched_.operand_a();
-    const NetId* bs = sched_.operand_b();
-    const std::int32_t* slot = fault_slot_.data();
-    for (const NetId g : cone.gates) {
-      const auto i = std::size_t(g);
-      W v;
-      switch (ops[i]) {
-      case GateOp::Not: v = ~vals[as[i]]; break;
-      case GateOp::And: v = vals[as[i]] & vals[bs[i]]; break;
-      case GateOp::Or: v = vals[as[i]] | vals[bs[i]]; break;
-      case GateOp::Xor: v = vals[as[i]] ^ vals[bs[i]]; break;
-      default: v = W::zero(); break; // cones contain only logic gates
-      }
-      if (slot[i] >= 0) [[unlikely]]
-        v = eval_faulty(i);
-      vals[i] = v;
-    }
-
-    // Latch only the in-cone registers (out-of-cone state stays good
-    // and is never read by in-cone gates).
-    for (const std::int32_t r : cone.regs)
-      reg_state_[std::size_t(r)] =
-          values_[std::size_t(regs[std::size_t(r)].d)];
-  }
-
   /// Lanes whose observed outputs differ from lane 0 this cycle (bit 0
   /// of the result is always 0).
   W output_mismatch_wide() const {
@@ -236,20 +193,11 @@ public:
     return diff;
   }
 
-  /// Cone-restricted mismatch: lanes whose in-cone observed outputs
-  /// differ from the recorded good machine. Out-of-cone outputs cannot
-  /// differ by construction, so this equals output_mismatch_wide()
-  /// after a matching step_cone.
-  W cone_output_mismatch_wide(const CompiledSchedule::Cone& cone,
-                              const std::uint64_t* good_row) const {
-    W diff = W::zero();
-    for (const NetId o : cone.outputs)
-      diff |= values_[std::size_t(o)] ^ GoodTrace::broadcast_as<W>(good_row, o);
-    return diff;
-  }
-
   /// Word value of a net.
   const W& net_wide(NetId id) const { return values_[std::size_t(id)]; }
+
+  /// Every net's word, indexed by NetId.
+  const W* values() const { return values_.data(); }
 
   /// Assemble the signed value seen by `lane` on a bit group (LSB
   /// first).
@@ -265,7 +213,6 @@ public:
   const Netlist& netlist() const { return nl_; }
   const CompiledSchedule& schedule() const { return sched_; }
 
-private:
   /// Dense per-gate fault plan: set/clear words per pin, applied inline
   /// in the clock loop with no hash lookup. The disjoint-lane rule in
   /// add_fault makes set/clear accumulation order-independent.
@@ -275,8 +222,14 @@ private:
     W set_o = W::zero(), clr_o = W::zero();
   };
 
+  /// The pin masks of a gate that carries an injected fault.
+  const PinMasks& fault_plan(NetId gid) const {
+    return plans_[std::size_t(fault_slot_[std::size_t(gid)])];
+  }
+
+private:
   W eval_faulty(std::size_t i) const {
-    const PinMasks& p = plans_[std::size_t(fault_slot_[i])];
+    const PinMasks& p = fault_plan(static_cast<NetId>(i));
     const NetId na = sched_.operand_a()[i];
     const NetId nb = sched_.operand_b()[i];
     W va = na != kNoNet ? values_[std::size_t(na)] : W::zero();
@@ -320,11 +273,6 @@ public:
 
   std::uint64_t output_mismatch() const {
     return output_mismatch_wide().word(0);
-  }
-
-  std::uint64_t cone_output_mismatch(const CompiledSchedule::Cone& cone,
-                                     const std::uint64_t* good_row) const {
-    return cone_output_mismatch_wide(cone, good_row).word(0);
   }
 
   std::uint64_t net(NetId id) const { return net_wide(id).word(0); }

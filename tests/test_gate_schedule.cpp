@@ -24,6 +24,7 @@
 #include "gate/sim.hpp"
 #include "rtl/fir_builder.hpp"
 #include "tpg/generators.hpp"
+#include "tpg/lfsr.hpp"
 
 namespace fdbist::gate {
 namespace {
@@ -147,6 +148,100 @@ TEST(CompiledSchedule, ConesCloseThroughRegisters) {
   }
   EXPECT_TRUE(saw_register_closure)
       << "fixture has no fault site reaching a register";
+}
+
+// A 4-bit ripple-carry adder as lowering emits it: the LSB cell's carry-in
+// is folded (x1 is the sum, a1 the carry), the MSB cell has no carry-out,
+// and the two middle cells are the full five-gate pattern. `shared_x1`
+// adds a gate reading that middle cell's x1; `observed_a1` makes that
+// middle cell's a1 an observed output.
+struct Ripple4 {
+  Netlist nl;
+  NetId x1[4] = {};
+};
+
+Ripple4 ripple4(int shared_x1 = -1, int observed_a1 = -1) {
+  Ripple4 r;
+  Netlist& nl = r.nl;
+  std::vector<NetId> a(4), b(4);
+  for (NetId& n : a) n = nl.add_gate(GateOp::Input);
+  for (NetId& n : b) n = nl.add_gate(GateOp::Input);
+  std::vector<NetId> sum(4);
+  std::vector<NetId> a1(4, kNoNet);
+  r.x1[0] = nl.add_gate(GateOp::Xor, a[0], b[0]);
+  sum[0] = r.x1[0];
+  NetId carry = nl.add_gate(GateOp::And, a[0], b[0]);
+  for (int i = 1; i < 4; ++i) {
+    r.x1[i] = nl.add_gate(GateOp::Xor, a[i], b[i]);
+    sum[i] = nl.add_gate(GateOp::Xor, r.x1[i], carry);
+    if (i == 3) break;
+    a1[i] = nl.add_gate(GateOp::And, b[i], a[i]); // either operand order
+    const NetId a2 = nl.add_gate(GateOp::And, carry, r.x1[i]);
+    carry = nl.add_gate(GateOp::Or, a1[i], a2);
+  }
+  std::vector<NetId> observed = sum;
+  if (shared_x1 >= 0)
+    observed.push_back(nl.add_gate(GateOp::Not, r.x1[shared_x1]));
+  if (observed_a1 >= 0) observed.push_back(a1[std::size_t(observed_a1)]);
+  std::vector<NetId> in = a;
+  in.insert(in.end(), b.begin(), b.end());
+  nl.inputs() = {in};
+  nl.outputs() = {observed};
+  return r;
+}
+
+// The x1 nets of the cells a schedule found.
+std::vector<NetId> found_cells(const Netlist& nl) {
+  const CompiledSchedule sched(nl);
+  std::vector<NetId> x1;
+  for (const auto& cell : sched.adder_cells()) x1.push_back(cell.x1);
+  return x1;
+}
+
+TEST(CompiledSchedule, FindsFullAdderCells) {
+  const Ripple4 r = ripple4();
+  const CompiledSchedule sched(r.nl);
+  const auto cells = sched.adder_cells();
+  // The middle cells are found; the LSB and MSB partial cells are not.
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].x1, r.x1[1]);
+  EXPECT_EQ(cells[1].x1, r.x1[2]);
+  for (int bit : {0, 3}) EXPECT_EQ(sched.cell_of(r.x1[bit]), -1) << bit;
+  for (NetId g = r.x1[1]; g < r.x1[1] + 5; ++g) EXPECT_EQ(sched.cell_of(g), 0);
+  // Cell 1's carry feeds only cell 2, which is the link a run follows;
+  // cell 2's carry feeds the MSB's sum alone, which is no cell.
+  EXPECT_EQ(cells[0].next, 1);
+  EXPECT_EQ(cells[1].next, -1);
+  EXPECT_EQ(cells[1].c, cells[0].carry_out());
+
+  // An extra reader of one cell's x1, or its a1 observed, un-finds
+  // exactly that cell.
+  for (int bit : {1, 2}) {
+    const int other = 3 - bit;
+    const Ripple4 shared = ripple4(bit, -1);
+    EXPECT_EQ(found_cells(shared.nl), std::vector<NetId>{shared.x1[other]})
+        << "x1 of bit " << bit << " read outside its cell";
+    const Ripple4 observed = ripple4(-1, bit);
+    EXPECT_EQ(found_cells(observed.nl),
+              std::vector<NetId>{observed.x1[other]})
+        << "a1 of bit " << bit << " observed";
+  }
+
+  // On LP: 966 cells (4,830 of its 5,764 logic gates). 38 more match
+  // the five-gate pattern but share an inner gate with another adder
+  // through lowering's structural hashing. Each found cell's gates
+  // carry the full-adder roles lowering gave them.
+  const auto low = lower(designs::make_design("LP").graph);
+  const CompiledSchedule lp(low.netlist);
+  EXPECT_EQ(lp.logic_gates(), 5764u);
+  ASSERT_EQ(lp.adder_cells().size(), 966u);
+  const CellRole roles[5] = {CellRole::SumXor1, CellRole::SumXor2,
+                             CellRole::CarryAnd1, CellRole::CarryAnd2,
+                             CellRole::CarryOr};
+  for (const auto& cell : lp.adder_cells())
+    for (int j = 0; j < 5; ++j)
+      ASSERT_EQ(low.netlist.origin(cell.x1 + j).role, roles[j])
+          << "cell at " << cell.x1 << " gate " << j;
 }
 
 // Settle depth of a hand-built netlist with one input and one output bit.
@@ -456,6 +551,87 @@ TEST(EngineEquivalence, TimeSegmentsEveryRegisteredDesign) {
           entry.name + "/carry-save");
     }
   }
+}
+
+// Every stuck-at fault on every pin of the given cells' five gates, in
+// one-fault batches and all at once (one batch at 256 or 512 lanes;
+// 64-lane batches hold 63 faults): the compiled
+// engine must take each faulty cell out of its ripple-carry run and
+// match FullSweep's detect cycles and 24-bit difference words.
+void expect_cell_faults_match(const Netlist& nl,
+                              const std::vector<NetId>& cell_x1,
+                              const std::string& what) {
+  SCOPED_TRACE(what);
+  std::vector<fault::Fault> faults;
+  for (const NetId x1 : cell_x1)
+    for (NetId g = x1; g < x1 + 5; ++g)
+      for (const PinSite site :
+           {PinSite::Output, PinSite::InputA, PinSite::InputB})
+        for (const std::uint8_t stuck : {0, 1})
+          faults.push_back({g, site, stuck});
+  auto gen = tpg::make_generator(tpg::GeneratorKind::LfsrD, 12);
+  const auto stim = gen->generate_raw(384);
+  fault::FaultSimOptions opt;
+  opt.signature.width = 24;
+  opt.signature.taps = tpg::default_polynomial(24).low_terms;
+  auto run = [&](std::span<const fault::Fault> fs, fault::FaultSimEngine e,
+                 std::vector<std::uint32_t>& diff) {
+    fault::FaultSimOptions o = opt;
+    o.engine = e;
+    return fault::simulate_faults(nl, stim, fs, o, diff);
+  };
+  auto expect_same = [&](std::span<const fault::Fault> fs,
+                         const std::string& batch) {
+    std::vector<std::uint32_t> ref_diff, cone_diff;
+    const auto ref = run(fs, fault::FaultSimEngine::FullSweep, ref_diff);
+    const auto cone = run(fs, fault::FaultSimEngine::Compiled, cone_diff);
+    EXPECT_EQ(cone.stats.engine, fault::FaultSimEngine::Compiled);
+    EXPECT_EQ(ref.detect_cycle, cone.detect_cycle) << batch;
+    EXPECT_EQ(ref_diff, cone_diff) << batch;
+    return ref.detected;
+  };
+  std::size_t detected = 0;
+  for (std::size_t i = 0; i < faults.size(); ++i)
+    detected += expect_same({&faults[i], 1}, "fault " + std::to_string(i));
+  EXPECT_EQ(expect_same(faults, "all at once"), detected);
+  // Most of these faults are detectable, so the checks compare verdicts
+  // that differ from the good machine.
+  EXPECT_GT(detected, faults.size() / 2);
+}
+
+TEST(EngineEquivalence, FaultsInsideRippleRuns) {
+  const auto d = designs::make_design("LP");
+  // The first, a middle and the last full cell of one accumulation
+  // adder, in carry order: runs end before, restart after, or stop at
+  // the faulty cell.
+  const auto low = lower(d.graph);
+  const CompiledSchedule sched(low.netlist);
+  const rtl::NodeId adder =
+      d.structural_adders[d.structural_adders.size() / 2];
+  std::vector<NetId> chain;
+  for (const auto& cell : sched.adder_cells())
+    if (low.netlist.origin(cell.x1).node == adder) chain.push_back(cell.x1);
+  ASSERT_GE(chain.size(), 3u);
+  for (std::size_t i = 0; i + 1 < chain.size(); ++i)
+    ASSERT_EQ(sched.adder_cells()[std::size_t(sched.cell_of(chain[i]))].next,
+              sched.cell_of(chain[i + 1]))
+        << "the adder's cells form one ripple-carry chain";
+  expect_cell_faults_match(
+      low.netlist, {chain.front(), chain[chain.size() / 2], chain.back()},
+      "ripple");
+
+  // One cell of the same adder as a carry-save stage (a run of one
+  // cell).
+  const auto csa = lower_carry_save(d);
+  const CompiledSchedule csa_sched(csa.netlist);
+  NetId stage_cell = kNoNet;
+  for (const auto& cell : csa_sched.adder_cells())
+    if (csa.netlist.origin(cell.x1).node == adder && cell.next < 0) {
+      stage_cell = cell.x1;
+      break;
+    }
+  ASSERT_NE(stage_cell, kNoNet);
+  expect_cell_faults_match(csa.netlist, {stage_cell}, "carry-save");
 }
 
 TEST(EngineEquivalence, CarrySaveLowering) {
