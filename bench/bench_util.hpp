@@ -1,7 +1,8 @@
 // Shared helpers for the experiment harnesses in bench/.
 //
-// Every binary regenerates one table or figure of the paper and prints
-// the measured rows next to the paper's published values. Absolute
+// Every binary regenerates one or more tables or figures of the paper
+// (paper_grid: Tables 3-6 and Figures 10-13) and prints the measured
+// rows next to the paper's published values. Absolute
 // numbers differ (our substrate re-derives the designs from scratch);
 // the *shape* — who wins, by what factor, where the crossovers fall —
 // is the reproduction target (see EXPERIMENTS.md).

@@ -27,12 +27,13 @@ namespace fdbist::common {
 /// Cooperative cancellation with an optional deadline.
 ///
 /// A token is shared by reference with workers, who poll cancelled() at
-/// natural stopping points (the fault engine polls at 63-fault batch
-/// boundaries) and wind down gracefully — partial results are returned,
-/// never discarded. cancel() may be called from any thread, including a
-/// signal-adjacent watcher or another worker. The deadline, by contrast,
-/// must be configured before the token is shared (it is plain data; the
-/// happens-before edge comes from thread creation).
+/// natural stopping points (the fault engine polls between work units:
+/// a batch, or one time segment of a batch) and wind down gracefully —
+/// partial results are returned, never discarded. cancel() may be
+/// called from any thread, including a signal-adjacent watcher or
+/// another worker. The deadline, by contrast, must be configured before
+/// the token is shared (it is plain data; the happens-before edge comes
+/// from thread creation).
 ///
 /// Tokens chain: a child constructed with a parent reports cancelled()
 /// when either fires, which lets a scoped deadline (one campaign call)

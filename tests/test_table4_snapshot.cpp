@@ -1,9 +1,10 @@
 // Golden snapshot of the Table 4 experiment: missed-fault counts for
 // each generator kind on each reference filter, after 256 vectors (a
 // reduced configuration) and after the paper's 4096 (the EXPERIMENTS.md
-// Table 4 numbers, which table4_missed_faults reproduces); and of
-// Table 6, the mixed scheme against each single mode at 8192 vectors
-// (table6_mixed_scheme).
+// Table 4 numbers, which bench/paper_grid reproduces); and of Table 6,
+// the mixed scheme against each single mode at 8192 vectors (also
+// paper_grid). Figure 13's claim, the mixed scheme switching at 2048 of
+// 4096 vectors on LP, is asserted as a shape.
 //
 // The fault engine is fully deterministic, so these counts are exact
 // integers, not tolerances. At the paper's budget the measured table
@@ -146,11 +147,10 @@ TEST(Table4Snapshot, SnapshotPreservesPaperOrderingOnLowpass) {
 }
 
 TEST(Table6Snapshot, MixedSchemeAtPaperBudget) {
-  // Table 6 / Figure 13 at the paper's 8k budget: 4k LFSR-1 vectors then
-  // 4k maximum-variance ones, against each single mode over the same
-  // 8192 vectors. Exact misses (table6_mixed_scheme, EXPERIMENTS.md)
-  // plus the paper's shape claim: the mixed scheme beats every single
-  // mode.
+  // Table 6 at the paper's 8k budget: 4k LFSR-1 vectors then 4k
+  // maximum-variance ones, against each single mode over the same 8192
+  // vectors. Exact misses (paper_grid, EXPERIMENTS.md) plus the paper's
+  // shape claim: the mixed scheme beats every single mode.
   constexpr std::size_t kTotal = 8192;
   struct Row {
     const char* name; // registered design
@@ -179,6 +179,40 @@ TEST(Table6Snapshot, MixedSchemeAtPaperBudget) {
       EXPECT_LT(missed[0], missed[k])
           << row.name << ": mixed vs " << gens[k]->name();
   }
+}
+
+TEST(Figure13Snapshot, MixedSchemeTracksLfsr1UntilTheSwitchThenBeatsBoth) {
+  // Figure 13: on LP at 4096 vectors, the mixed scheme runs LFSR-1 until
+  // vector 2048, then maximum-variance mode. SwitchedLfsr returns its
+  // inner Lfsr1's words until the switch, so every fault either run
+  // detects before vector 2048 has the same detect cycle in both; after
+  // it, the max-variance phase must leave fewer misses than either
+  // single mode does over the whole 4096 vectors.
+  constexpr std::size_t kTotal = 4096;
+  constexpr std::int32_t kSwitch = 2048;
+  const auto d = designs::make_design("LP");
+  bist::BistKit kit(d);
+  tpg::SwitchedLfsr mixed(12, kSwitch, 1);
+  tpg::Lfsr1 lfsr1(12, 1);
+  tpg::MaxVarianceLfsr lfsrm(12, 1);
+  const auto rx = kit.evaluate(mixed, kTotal);
+  const auto r1 = kit.evaluate(lfsr1, kTotal);
+  const auto rm = kit.evaluate(lfsrm, kTotal);
+
+  const auto& cx = rx.fault_result.detect_cycle;
+  const auto& c1 = r1.fault_result.detect_cycle;
+  ASSERT_EQ(cx.size(), c1.size());
+  std::size_t early = 0;
+  for (std::size_t i = 0; i < cx.size(); ++i) {
+    const bool before_switch = (cx[i] >= 0 && cx[i] < kSwitch) ||
+                               (c1[i] >= 0 && c1[i] < kSwitch);
+    if (!before_switch) continue;
+    ++early;
+    EXPECT_EQ(cx[i], c1[i]) << "fault " << i;
+  }
+  EXPECT_GT(early, 0u);
+  EXPECT_LT(rx.missed(), r1.missed()) << "mixed vs LFSR-1";
+  EXPECT_LT(rx.missed(), rm.missed()) << "mixed vs LFSR-M";
 }
 
 } // namespace
