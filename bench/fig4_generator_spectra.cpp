@@ -21,18 +21,13 @@ int main() {
       tpg::GeneratorKind::LfsrD, tpg::GeneratorKind::LfsrM,
       tpg::GeneratorKind::Ramp};
 
-  analysis::CompatibilityOptions opt;
-  opt.segment = 256;
   std::vector<std::vector<double>> psds;
   for (const auto k : kKinds) {
     auto gen = tpg::make_generator(k, 12);
-    psds.push_back(analysis::generator_psd(*gen, opt));
+    psds.push_back(analysis::generator_psd(*gen));
   }
   const auto analytic = analysis::lfsr1_power_spectrum(12, psds[0].size());
-
-  dsp::WelchOptions wopt;
-  wopt.segment = opt.segment;
-  const auto freqs = dsp::welch_frequencies(wopt);
+  const auto freqs = dsp::welch_frequencies(analysis::kPsdSegment);
 
   std::printf("  %-7s %8s %8s %8s %8s %8s %10s\n", "freq", "LFSR-1",
               "LFSR-2", "LFSR-D", "LFSR-M", "Ramp", "LFSR1(th)");

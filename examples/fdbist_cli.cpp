@@ -23,7 +23,8 @@
 // generated at the design's input width (the packed word for
 // decimators).
 // --threads N shards fault simulation across N workers (0 = one per
-// hardware thread, the default; 1 = single-threaded legacy path).
+// hardware thread, the default; 1 = the same batches on the calling
+// thread).
 // Results are bit-identical for every N.
 //
 // `campaign` is `faultsim` with resilience: it persists per-fault
@@ -497,20 +498,19 @@ int cmd_fuzz(int argc, char** argv) {
 
 int cmd_spectra(int argc, char** argv) {
   if (argc < 2) return usage();
-  const dsp::WelchOptions opt{};
   std::size_t samples = std::size_t{1} << 14;
   if (argc > 2) {
-    const auto parsed =
-        arg_size(argv[2], "[samples]", opt.segment, std::size_t{1} << 24);
+    const auto parsed = arg_size(argv[2], "[samples]", dsp::kWelchSegment,
+                                 std::size_t{1} << 24);
     if (!parsed) return usage();
     samples = *parsed;
   }
   auto gen = parse_generator(argv[1], samples);
   if (!gen) return usage();
   const auto x = gen->generate_real(samples);
-  const auto psd = dsp::welch_psd(x, opt);
+  const auto psd = dsp::welch_psd(x);
   const auto db = dsp::to_db(psd);
-  const auto f = dsp::welch_frequencies(opt);
+  const auto f = dsp::welch_frequencies();
   for (std::size_t k = 0; k < psd.size(); k += 4)
     std::printf("%.4f %8.2f\n", f[k], db[k]);
   return 0;
@@ -523,13 +523,11 @@ int cmd_export(int argc, char** argv) {
   const auto d = designs::make_design(*name);
   if (std::strcmp(argv[2], "verilog") == 0) {
     const auto low = gate::lower(d.graph);
-    gate::VerilogOptions opt;
-    opt.module_name = "fdbist_" + d.name;
-    gate::write_verilog(std::cout, low.netlist, opt);
+    gate::write_verilog(std::cout, low.netlist, "fdbist_" + d.name);
     return 0;
   }
   if (std::strcmp(argv[2], "dot") == 0) {
-    rtl::write_dot(std::cout, d.graph, {d.name, true});
+    rtl::write_dot(std::cout, d.graph, d.name);
     return 0;
   }
   return usage();

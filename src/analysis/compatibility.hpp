@@ -9,6 +9,7 @@
 // shape mismatch starves the passband and is flagged.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -35,26 +36,16 @@ struct CompatibilityResult {
   Compatibility rating = Compatibility::Good;
 };
 
-struct CompatibilityOptions {
-  std::size_t psd_samples = 1u << 16; ///< generator samples for Welch PSD
-  std::size_t segment = 256;          ///< Welch segment (power of two)
-  /// Rating thresholds on spectral efficiency. Calibrated so the five
-  /// standard generators reproduce the paper's Table 3 on the three
-  /// reference designs: a flat spectrum scores ~1.0; the Type 1 LFSR on
-  /// the narrow lowpass scores ~0.07 ('-'); the Type 2 LFSR's smaller
-  /// rolloff scores ~0.10 ('±' — the paper calls it design-dependent).
-  double good_threshold = 0.55; ///< efficiency >= this: '+'
-  double poor_threshold = 0.09; ///< efficiency < this: '-'
-};
+/// Welch segment of generator_psd: its bins sit at
+/// dsp::welch_frequencies(kPsdSegment).
+inline constexpr std::size_t kPsdSegment = 256;
 
-/// Empirical PSD of a generator (Welch over a generated sequence).
-std::vector<double> generator_psd(tpg::Generator& gen,
-                                  const CompatibilityOptions& opt = {});
+/// Empirical PSD of a generator (Welch over 2^16 generated samples).
+std::vector<double> generator_psd(tpg::Generator& gen);
 
 /// Rate a generator against a filter's quantized impulse response.
 CompatibilityResult rate_compatibility(tpg::Generator& gen,
-                                       const std::vector<double>& h,
-                                       const CompatibilityOptions& opt = {});
+                                       const std::vector<double>& h);
 
 /// One row of Table 3: a generator rated against all provided designs.
 struct CompatibilityRow {
@@ -64,12 +55,10 @@ struct CompatibilityRow {
 
 /// The full Table 3 matrix for the standard five generators.
 std::vector<CompatibilityRow> compatibility_matrix(
-    const std::vector<rtl::FilterDesign>& designs,
-    const CompatibilityOptions& opt = {});
+    const std::vector<rtl::FilterDesign>& designs);
 
 /// Recommend the standard generator with the highest estimated output
 /// variance for the design (ties broken toward lower hardware cost).
-tpg::GeneratorKind recommend_generator(const rtl::FilterDesign& d,
-                                       const CompatibilityOptions& opt = {});
+tpg::GeneratorKind recommend_generator(const rtl::FilterDesign& d);
 
 } // namespace fdbist::analysis

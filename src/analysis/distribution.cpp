@@ -7,6 +7,12 @@
 
 namespace fdbist::analysis {
 
+namespace {
+
+constexpr double kGridMargin = 1.10; // grid half-range / worst case
+
+} // namespace
+
 double DensityEstimate::mass(double a, double b) const {
   double m = 0.0;
   for (std::size_t i = 0; i < density.size(); ++i) {
@@ -44,7 +50,7 @@ DensityEstimate predict_distribution(const std::vector<double>& w,
   // Worst-case amplitude of the sum decides the grid range.
   double l1 = 0.0;
   for (double v : w) l1 += std::abs(v);
-  const double half = std::max(l1 * opt.margin, 1e-9);
+  const double half = std::max(l1 * kGridMargin, 1e-9);
   const std::size_t n = opt.cells;
   const double step = 2.0 * half / static_cast<double>(n);
 

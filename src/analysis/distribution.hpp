@@ -36,10 +36,10 @@ struct DensityEstimate {
 
 struct DistributionOptions {
   std::size_t cells = 1024; ///< grid resolution
-  double margin = 1.10;     ///< grid half-range = margin * worst case
 };
 
-/// Predict the density of sum_i w[i] * x_i for the given source model.
+/// Predict the density of sum_i w[i] * x_i for the given source model,
+/// on a grid whose half-range is 1.1 times the sum's worst case.
 DensityEstimate predict_distribution(const std::vector<double>& w,
                                      SourceModel model,
                                      const DistributionOptions& opt = {});

@@ -36,14 +36,4 @@ std::vector<double> lfsr1_power_spectrum(int width, std::size_t bins) {
   return psd;
 }
 
-std::vector<double> flat_power_spectrum(double variance, std::size_t bins) {
-  return std::vector<double>(bins, variance);
-}
-
-double model_variance(const std::vector<double>& g, double sigma_x2) {
-  double s = 0.0;
-  for (double v : g) s += v * v;
-  return s * sigma_x2;
-}
-
 } // namespace fdbist::analysis

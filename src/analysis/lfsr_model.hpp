@@ -24,12 +24,4 @@ std::vector<double> lfsr1_impulse_model(int width);
 /// (0.25), sampled on `bins` frequencies in [0, 0.5].
 std::vector<double> lfsr1_power_spectrum(int width, std::size_t bins);
 
-/// Equivalent models for the decorrelated and maximum-variance LFSRs:
-/// both are white (flat spectrum) with variance 1/3 and 1 respectively.
-/// Returned as the constant PSD level over the same `bins` grid.
-std::vector<double> flat_power_spectrum(double variance, std::size_t bins);
-
-/// Variance of the signal predicted by a linear model: sum g^2 * sigma_x^2.
-double model_variance(const std::vector<double>& g, double sigma_x2);
-
 } // namespace fdbist::analysis

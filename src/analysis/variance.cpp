@@ -41,23 +41,6 @@ std::vector<double> predict_sigma_lfsr1(const rtl::FilterDesign& d,
   return out;
 }
 
-std::vector<double> predict_sigma(const rtl::FilterDesign& d,
-                                  tpg::GeneratorKind kind, int width) {
-  switch (kind) {
-  case tpg::GeneratorKind::Lfsr1:
-    return predict_sigma_lfsr1(d, width);
-  case tpg::GeneratorKind::Lfsr2:
-  case tpg::GeneratorKind::LfsrD:
-    return predict_sigma_white(d, 1.0 / 3.0);
-  case tpg::GeneratorKind::LfsrM:
-    return predict_sigma_white(d, 1.0);
-  case tpg::GeneratorKind::Ramp:
-    FDBIST_REQUIRE(false,
-                   "the ramp is not a white source; predict via simulation");
-  }
-  return {};
-}
-
 std::vector<AttenuationReport> find_attenuation_problems(
     const rtl::FilterDesign& d, const std::vector<double>& sigma,
     double threshold) {

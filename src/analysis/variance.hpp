@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "rtl/fir_builder.hpp"
-#include "tpg/generator.hpp"
 
 namespace fdbist::analysis {
 
@@ -24,13 +23,6 @@ std::vector<double> predict_sigma_white(const rtl::FilterDesign& d,
 /// model of the given width.
 std::vector<double> predict_sigma_lfsr1(const rtl::FilterDesign& d,
                                         int lfsr_width);
-
-/// Per-node prediction for a standard generator kind: LFSR-1 uses the
-/// linear model; LFSR-D/LFSR-2 use white noise of variance 1/3; LFSR-M
-/// white of variance 1. (The Ramp is not white — no variance shortcut —
-/// so it is rejected with precondition_error; use simulation for ramps.)
-std::vector<double> predict_sigma(const rtl::FilterDesign& d,
-                                  tpg::GeneratorKind kind, int width = 12);
 
 /// A flagged testability problem: an adder whose predicted test-signal
 /// swing is small compared with its full-scale range.

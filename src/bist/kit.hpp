@@ -43,6 +43,9 @@ public:
   /// universe once; the kit can then evaluate any number of generators.
   /// `misr_width` must lie between the output word width and 31.
   explicit BistKit(const rtl::FilterDesign& design, int misr_width = 24);
+  /// The kit keeps a reference to its design, so a temporary would
+  /// dangle: build the design first and pass it by name.
+  BistKit(rtl::FilterDesign&&, int = 24) = delete;
 
   const rtl::FilterDesign& design() const { return design_; }
   const gate::LoweredDesign& lowered() const { return lowered_; }
@@ -70,7 +73,8 @@ public:
                       const fault::FaultSimOptions& opt = {}) const;
 
   /// Like evaluate, but routed through the robust campaign layer
-  /// (fault/campaign.hpp): periodic checkpoints, kill-and-resume,
+  /// (fault/campaign.hpp): one checkpoint of every per-fault verdict
+  /// when its one fault simulation returns, kill-and-resume,
   /// cancellation, deadline. Environmental failures (unreadable or
   /// foreign checkpoint) come back as typed errors; a cancelled or
   /// deadlined run yields a *report* whose fault_result.complete is

@@ -103,11 +103,4 @@ int total_adder_cost(const std::vector<Coefficient>& coefs) {
   return total;
 }
 
-int max_digit_count(const std::vector<Coefficient>& coefs) {
-  int m = 0;
-  for (const auto& c : coefs)
-    m = std::max(m, static_cast<int>(c.terms.size()));
-  return m;
-}
-
 } // namespace fdbist::csd

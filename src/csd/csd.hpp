@@ -71,7 +71,4 @@ std::vector<Coefficient> quantize_all(const std::vector<double>& h,
 /// Total adder cost of a quantized coefficient set.
 int total_adder_cost(const std::vector<Coefficient>& coefs);
 
-/// Largest CSD digit count over the set.
-int max_digit_count(const std::vector<Coefficient>& coefs);
-
 } // namespace fdbist::csd

@@ -79,20 +79,4 @@ std::vector<cplx> ifft(std::vector<cplx> x) {
   return x;
 }
 
-std::vector<cplx> fft_real(const std::vector<double>& x, std::size_t n) {
-  if (n == 0) n = x.size();
-  FDBIST_REQUIRE(n >= x.size(), "fft_real: n must be >= signal length");
-  std::vector<cplx> buf(n, cplx{0.0, 0.0});
-  for (std::size_t i = 0; i < x.size(); ++i) buf[i] = cplx{x[i], 0.0};
-  return fft(std::move(buf));
-}
-
-std::vector<double> power_spectrum(const std::vector<double>& x,
-                                   std::size_t n) {
-  const auto spec = fft_real(x, n);
-  std::vector<double> p(spec.size());
-  for (std::size_t i = 0; i < spec.size(); ++i) p[i] = std::norm(spec[i]);
-  return p;
-}
-
 } // namespace fdbist::dsp

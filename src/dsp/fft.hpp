@@ -20,14 +20,6 @@ std::vector<cplx> fft(std::vector<cplx> x);
 /// Inverse DFT (same length rules), normalized by 1/N.
 std::vector<cplx> ifft(std::vector<cplx> x);
 
-/// Forward DFT of a real signal, zero-padded to `n` (n >= x.size(); pass 0
-/// to use x.size()).
-std::vector<cplx> fft_real(const std::vector<double>& x, std::size_t n = 0);
-
-/// |X[k]|^2 of the real signal `x` zero-padded to length `n`.
-std::vector<double> power_spectrum(const std::vector<double>& x,
-                                   std::size_t n = 0);
-
 /// In-place radix-2 FFT; `x.size()` must be a power of two.
 void fft_pow2_inplace(std::vector<cplx>& x, bool inverse);
 

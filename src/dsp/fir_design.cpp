@@ -83,17 +83,6 @@ std::complex<double> freq_response(const std::vector<double>& h, double f) {
   return acc;
 }
 
-std::vector<double> magnitude_response(const std::vector<double>& h,
-                                       std::size_t n) {
-  FDBIST_REQUIRE(n >= 2, "need at least two frequency samples");
-  std::vector<double> mag(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double f = 0.5 * static_cast<double>(k) / static_cast<double>(n - 1);
-    mag[k] = std::abs(freq_response(h, f));
-  }
-  return mag;
-}
-
 double l1_norm(const std::vector<double>& h) {
   double s = 0.0;
   for (double v : h) s += std::abs(v);

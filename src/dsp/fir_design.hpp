@@ -41,10 +41,6 @@ std::vector<double> design_fir(const FirSpec& spec);
 /// Complex frequency response H(e^{j 2 pi f}) of impulse response `h`.
 std::complex<double> freq_response(const std::vector<double>& h, double f);
 
-/// |H| sampled on `n` uniform frequencies in [0, 0.5].
-std::vector<double> magnitude_response(const std::vector<double>& h,
-                                       std::size_t n);
-
 /// L1 norm of the impulse response: the filter's worst-case gain bound.
 double l1_norm(const std::vector<double>& h);
 

@@ -4,43 +4,32 @@
 
 #include "common/check.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/stats.hpp"
+#include "dsp/window.hpp"
 
 namespace fdbist::dsp {
 
 std::vector<double> welch_psd(const std::vector<double>& x,
-                              const WelchOptions& opt) {
-  FDBIST_REQUIRE(opt.segment >= 8 && (opt.segment & (opt.segment - 1)) == 0,
+                              std::size_t segment) {
+  FDBIST_REQUIRE(segment >= 8 && (segment & (segment - 1)) == 0,
                  "segment length must be a power of two >= 8");
-  const std::size_t overlap =
-      opt.overlap == WelchOptions::kAutoOverlap ? opt.segment / 2
-                                                : opt.overlap;
-  FDBIST_REQUIRE(overlap < opt.segment, "overlap must be < segment");
-  FDBIST_REQUIRE(x.size() >= opt.segment,
-                 "signal shorter than one Welch segment");
+  FDBIST_REQUIRE(x.size() >= segment, "signal shorter than one Welch segment");
 
-  const std::size_t seg = opt.segment;
-  const std::size_t hop = seg - overlap;
-  const auto w = make_window(opt.window, seg, opt.kaiser_beta);
+  const std::size_t hop = segment / 2;
+  const auto w = make_window(WindowKind::Hann, segment);
   double wpow = 0.0; // window power for normalization
   for (double v : w) wpow += v * v;
 
-  const std::size_t bins = seg / 2 + 1;
+  const std::size_t bins = segment / 2 + 1;
   std::vector<double> psd(bins, 0.0);
-  std::vector<cplx> buf(seg);
+  std::vector<cplx> buf(segment);
   std::size_t nseg = 0;
-  for (std::size_t start = 0; start + seg <= x.size(); start += hop) {
-    double m = 0.0;
-    if (opt.remove_mean) {
-      for (std::size_t i = 0; i < seg; ++i) m += x[start + i];
-      m /= static_cast<double>(seg);
-    }
-    for (std::size_t i = 0; i < seg; ++i)
-      buf[i] = cplx{(x[start + i] - m) * w[i], 0.0};
+  for (std::size_t start = 0; start + segment <= x.size(); start += hop) {
+    for (std::size_t i = 0; i < segment; ++i)
+      buf[i] = cplx{x[start + i] * w[i], 0.0};
     fft_pow2_inplace(buf, /*inverse=*/false);
     for (std::size_t k = 0; k < bins; ++k) {
       // One-sided: interior bins collect power from both +f and -f.
-      const double scale = (k == 0 || k == seg / 2) ? 1.0 : 2.0;
+      const double scale = (k == 0 || k == segment / 2) ? 1.0 : 2.0;
       psd[k] += scale * std::norm(buf[k]);
     }
     ++nseg;
@@ -52,11 +41,11 @@ std::vector<double> welch_psd(const std::vector<double>& x,
   return psd;
 }
 
-std::vector<double> welch_frequencies(const WelchOptions& opt) {
-  const std::size_t bins = opt.segment / 2 + 1;
+std::vector<double> welch_frequencies(std::size_t segment) {
+  const std::size_t bins = segment / 2 + 1;
   std::vector<double> f(bins);
   for (std::size_t k = 0; k < bins; ++k)
-    f[k] = static_cast<double>(k) / static_cast<double>(opt.segment);
+    f[k] = static_cast<double>(k) / static_cast<double>(segment);
   return f;
 }
 

@@ -2,32 +2,25 @@
 // helpers used to reproduce Figure 4 of the paper.
 #pragma once
 
+#include <cstddef>
 #include <vector>
-
-#include "dsp/window.hpp"
 
 namespace fdbist::dsp {
 
-struct WelchOptions {
-  /// Sentinel for `overlap`: use segment/2 (the usual Welch choice).
-  static constexpr std::size_t kAutoOverlap = static_cast<std::size_t>(-1);
+/// Default Welch segment length (samples).
+inline constexpr std::size_t kWelchSegment = 256;
 
-  std::size_t segment = 256;          ///< segment length (power of two)
-  std::size_t overlap = kAutoOverlap; ///< samples shared by neighbours
-  WindowKind window = WindowKind::Hann;
-  double kaiser_beta = 8.0;
-  bool remove_mean = false; ///< subtract the per-segment mean first
-};
-
-/// One-sided Welch PSD estimate with `segment/2 + 1` bins covering
-/// normalized frequencies [0, 0.5]. Normalized so that the sum of all bins
-/// times the bin width equals the signal power (white noise of variance v
-/// produces a flat estimate at level 2v for 0 < f < 0.5).
+/// One-sided Welch PSD estimate over Hann-windowed segments of `segment`
+/// samples (a power of two >= 8) at half overlap, with `segment/2 + 1`
+/// bins covering normalized frequencies [0, 0.5]. Normalized so that the
+/// sum of all bins times the bin width equals the signal power (white
+/// noise of variance v produces a flat estimate at level 2v for
+/// 0 < f < 0.5).
 std::vector<double> welch_psd(const std::vector<double>& x,
-                              const WelchOptions& opt = {});
+                              std::size_t segment = kWelchSegment);
 
 /// Frequencies (cycles/sample) corresponding to welch_psd bins.
-std::vector<double> welch_frequencies(const WelchOptions& opt = {});
+std::vector<double> welch_frequencies(std::size_t segment = kWelchSegment);
 
 /// 10*log10 of each element, clamped at `floor_db`.
 std::vector<double> to_db(const std::vector<double>& p,

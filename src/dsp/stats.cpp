@@ -90,19 +90,4 @@ double Histogram::density(std::size_t i) const {
          (static_cast<double>(total) * bin_width());
 }
 
-double total_variation(const Histogram& a, const Histogram& b) {
-  FDBIST_REQUIRE(a.counts.size() == b.counts.size(),
-                 "histogram bin counts must match");
-  FDBIST_REQUIRE(a.total > 0 && b.total > 0, "empty histogram");
-  double tv = 0.0;
-  for (std::size_t i = 0; i < a.counts.size(); ++i) {
-    const double pa =
-        static_cast<double>(a.counts[i]) / static_cast<double>(a.total);
-    const double pb =
-        static_cast<double>(b.counts[i]) / static_cast<double>(b.total);
-    tv += std::abs(pa - pb);
-  }
-  return 0.5 * tv;
-}
-
 } // namespace fdbist::dsp

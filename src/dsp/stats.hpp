@@ -33,8 +33,4 @@ struct Histogram {
   double density(std::size_t i) const;
 };
 
-/// Total variation distance between two histograms' empirical
-/// distributions (0 = identical, 1 = disjoint). Bins must match.
-double total_variation(const Histogram& a, const Histogram& b);
-
 } // namespace fdbist::dsp

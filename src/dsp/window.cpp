@@ -22,20 +22,6 @@ double bessel_i0(double x) {
   return sum;
 }
 
-double kaiser_beta_for_attenuation(double atten_db) {
-  if (atten_db > 50.0) return 0.1102 * (atten_db - 8.7);
-  if (atten_db >= 21.0)
-    return 0.5842 * std::pow(atten_db - 21.0, 0.4) +
-           0.07886 * (atten_db - 21.0);
-  return 0.0;
-}
-
-std::size_t kaiser_length_for(double atten_db, double transition_width) {
-  FDBIST_REQUIRE(transition_width > 0.0, "transition width must be > 0");
-  const double n = (atten_db - 7.95) / (14.36 * transition_width) + 1.0;
-  return n < 3.0 ? 3u : static_cast<std::size_t>(std::ceil(n));
-}
-
 std::vector<double> make_window(WindowKind kind, std::size_t n, double beta) {
   FDBIST_REQUIRE(n >= 1, "window length must be >= 1");
   std::vector<double> w(n, 1.0);

@@ -11,14 +11,6 @@ enum class WindowKind { Rectangular, Hann, Hamming, Blackman, Kaiser };
 std::vector<double> make_window(WindowKind kind, std::size_t n,
                                 double beta = 0.0);
 
-/// Kaiser beta parameter for a target stopband attenuation in dB
-/// (Kaiser's empirical formula).
-double kaiser_beta_for_attenuation(double atten_db);
-
-/// Estimated Kaiser-window FIR length for the given attenuation (dB) and
-/// normalized transition width (cycles/sample).
-std::size_t kaiser_length_for(double atten_db, double transition_width);
-
 /// Zeroth-order modified Bessel function of the first kind (series
 /// expansion), used by the Kaiser window.
 double bessel_i0(double x);

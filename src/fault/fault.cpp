@@ -19,8 +19,7 @@ bool is_logic(gate::GateOp op) {
 
 } // namespace
 
-std::vector<Fault> enumerate_adder_faults(const gate::LoweredDesign& d,
-                                          const EnumerateOptions& opt) {
+std::vector<Fault> enumerate_adder_faults(const gate::LoweredDesign& d) {
   const gate::Netlist& nl = d.netlist;
   const auto fanout = nl.fanout_counts();
 
@@ -28,7 +27,6 @@ std::vector<Fault> enumerate_adder_faults(const gate::LoweredDesign& d,
   // fanout-free and the driver fault is itself enumerated (i.e. the
   // driver is a logic gate inside an adder cell).
   auto collapses_to_driver = [&](gate::NetId driver) {
-    if (!opt.collapse) return false;
     if (fanout[std::size_t(driver)] != 1) return false;
     const gate::Gate& dg = nl.gate(driver);
     if (!is_logic(dg.op)) return false;
@@ -53,11 +51,9 @@ std::vector<Fault> enumerate_adder_faults(const gate::LoweredDesign& d,
          {gate::PinSite::InputA, gate::PinSite::InputB}) {
       const gate::NetId src = site == gate::PinSite::InputA ? g.a : g.b;
       for (int stuck = 0; stuck <= 1; ++stuck) {
-        if (opt.collapse) {
-          if (g.op == gate::GateOp::And && stuck == 0) continue;
-          if (g.op == gate::GateOp::Or && stuck == 1) continue;
-          if (collapses_to_driver(src)) continue;
-        }
+        if (g.op == gate::GateOp::And && stuck == 0) continue;
+        if (g.op == gate::GateOp::Or && stuck == 1) continue;
+        if (collapses_to_driver(src)) continue;
         faults.push_back({id, site, static_cast<std::uint8_t>(stuck)});
       }
     }

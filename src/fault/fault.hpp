@@ -29,15 +29,10 @@ struct Fault {
   friend constexpr bool operator==(const Fault&, const Fault&) = default;
 };
 
-struct EnumerateOptions {
-  bool collapse = true; ///< apply equivalence collapsing (ablatable)
-};
-
 /// All stuck-at faults in the Add/Sub cells of a lowered design, in gate
 /// order: adder-major and LSB-to-MSB within each adder, since lowering
 /// emits an adder's cells together.
-std::vector<Fault> enumerate_adder_faults(const gate::LoweredDesign& d,
-                                          const EnumerateOptions& opt = {});
+std::vector<Fault> enumerate_adder_faults(const gate::LoweredDesign& d);
 
 /// Human-readable location, e.g. "tap20.acc bit 12/15 (s inA s-a-1)".
 std::string describe(const Fault& f, const gate::Netlist& nl,

@@ -1,14 +1,12 @@
 // Serial fault simulation: the reference configuration of the shared
-// batch kernel.
+// batch kernel, and a one-fault oracle.
 //
-// Historically a separate one-fault-at-a-time engine; now one shard of
-// the parallel engine (fault/simulator.hpp): the same batch kernel
-// pinned to a single worker and to the retained full-sweep engine, so
-// it exercises the pre-compilation datapath (whole-netlist sweep, no
-// good-trace reuse) and serves as the differential reference for the
-// compiled cone-restricted engine. detect_cycle_of remains a genuinely
-// independent micro-oracle: one fault, one lane, a straight-line loop
-// with none of the kernel's batching or staging.
+// simulate_faults_serial runs the batch kernel of fault/simulator.hpp
+// on a single worker and the full-sweep engine, so it exercises the
+// whole-netlist sweep with no good-trace reuse and serves as the
+// differential reference for the compiled cone-restricted engine.
+// detect_cycle_of is an independent micro-oracle: one fault, one lane,
+// a straight-line loop with none of the kernel's batching or staging.
 #pragma once
 
 #include <span>

@@ -180,10 +180,11 @@ struct SignatureOptions {
 
 struct FaultSimOptions {
   /// Worker threads the fault batches are sharded across: 0 = one
-  /// worker per hardware thread, 1 = the single-threaded legacy path
-  /// (no threads are spawned). The result is bit-identical for every
-  /// value — each shard owns private gate-sim state and writes disjoint
-  /// detect_cycle entries, and survivors are merged in batch order.
+  /// worker per hardware thread, 1 = the same batches run on the
+  /// calling thread (no threads are spawned). The result is
+  /// bit-identical for every value — each shard owns private gate-sim
+  /// state and writes disjoint detect_cycle entries, and survivors are
+  /// merged in batch order.
   std::size_t num_threads = 0;
 
   /// Called with (faults finalized so far, total) after each finished

@@ -1,8 +1,9 @@
 // Structural Verilog export of a lowered netlist.
 //
 // Emits a synthesizable gate-level module (assign-based combinational
-// logic plus a clocked always block for the registers) so designs built
-// here can be taken to external simulators or synthesis flows.
+// logic plus an always block on `clk` with a synchronous, active-high
+// `rst` for the registers) so designs built here can be taken to
+// external simulators or synthesis flows.
 #pragma once
 
 #include <iosfwd>
@@ -12,19 +13,14 @@
 
 namespace fdbist::gate {
 
-struct VerilogOptions {
-  std::string module_name = "fdbist_filter";
-  std::string clock_name = "clk";
-  std::string reset_name = "rst"; ///< synchronous, active-high
-};
-
 /// Write the netlist as a structural Verilog module. Primary inputs
 /// become one input bus per RTL input; observed outputs become output
 /// buses y0, y1, ...
 void write_verilog(std::ostream& os, const Netlist& nl,
-                   const VerilogOptions& opt = {});
+                   const std::string& module_name = "fdbist_filter");
 
 /// Convenience: export to a string.
-std::string to_verilog(const Netlist& nl, const VerilogOptions& opt = {});
+std::string to_verilog(const Netlist& nl,
+                       const std::string& module_name = "fdbist_filter");
 
 } // namespace fdbist::gate

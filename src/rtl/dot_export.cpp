@@ -21,8 +21,9 @@ const char* node_shape(OpKind k) {
 
 } // namespace
 
-void write_dot(std::ostream& os, const Graph& g, const DotOptions& opt) {
-  os << "digraph \"" << opt.graph_name << "\" {\n";
+void write_dot(std::ostream& os, const Graph& g,
+               const std::string& graph_name) {
+  os << "digraph \"" << graph_name << "\" {\n";
   os << "  rankdir=LR;\n  node [fontsize=10];\n";
   for (std::size_t i = 0; i < g.size(); ++i) {
     const auto id = static_cast<NodeId>(i);
@@ -32,7 +33,7 @@ void write_dot(std::ostream& os, const Graph& g, const DotOptions& opt) {
       os << n.name << "\\n";
     os << op_name(n.kind);
     if (n.kind == OpKind::Scale) os << " 2^-" << n.shift;
-    if (opt.show_formats) os << "\\n" << n.fmt.to_string();
+    os << "\\n" << n.fmt.to_string();
     os << "\"];\n";
   }
   for (std::size_t i = 0; i < g.size(); ++i) {
@@ -44,9 +45,9 @@ void write_dot(std::ostream& os, const Graph& g, const DotOptions& opt) {
   os << "}\n";
 }
 
-std::string to_dot(const Graph& g, const DotOptions& opt) {
+std::string to_dot(const Graph& g, const std::string& graph_name) {
   std::ostringstream os;
-  write_dot(os, g, opt);
+  write_dot(os, g, graph_name);
   return os.str();
 }
 

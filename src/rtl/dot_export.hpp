@@ -1,5 +1,6 @@
 // Graphviz DOT export of RTL graphs, for inspecting filter structure
-// (tap cascades, CSD trees, scaling decisions) visually.
+// (tap cascades, CSD trees, scaling decisions) visually. Each node's
+// label carries its fixed-point format, Qx.y(wN).
 #pragma once
 
 #include <iosfwd>
@@ -9,12 +10,8 @@
 
 namespace fdbist::rtl {
 
-struct DotOptions {
-  std::string graph_name = "fdbist";
-  bool show_formats = true; ///< annotate nodes with Qx.y(wN)
-};
-
-void write_dot(std::ostream& os, const Graph& g, const DotOptions& opt = {});
-std::string to_dot(const Graph& g, const DotOptions& opt = {});
+void write_dot(std::ostream& os, const Graph& g,
+               const std::string& graph_name = "fdbist");
+std::string to_dot(const Graph& g, const std::string& graph_name = "fdbist");
 
 } // namespace fdbist::rtl

@@ -7,17 +7,23 @@
 
 namespace fdbist::rtl {
 
-int width_for_bound(double bound, int frac, const ScalingOptions& opt) {
-  if (bound <= 0.0) return opt.min_width;
+namespace {
+
+constexpr int kMinWidth = 2;  // narrowest signal we will emit
+constexpr int kMaxWidth = 62; // int64 simulation headroom
+
+} // namespace
+
+int width_for_bound(double bound, int frac) {
+  if (bound <= 0.0) return kMinWidth;
   // Smallest p with bound < 2^p (bound == 2^p rounds up: conservative).
   const int p = static_cast<int>(std::floor(std::log2(bound))) + 1;
   const int width = frac + p + 1; // +1 sign bit
-  return std::clamp(width, opt.min_width, opt.max_width);
+  return std::clamp(width, kMinWidth, kMaxWidth);
 }
 
 std::vector<NodeLinearInfo> assign_widths(Graph& g,
-                                          const std::vector<NodeId>& fixed,
-                                          const ScalingOptions& opt) {
+                                          const std::vector<NodeId>& fixed) {
   auto info = analyze_linear(g);
   std::vector<char> is_fixed(g.size(), 0);
   for (const NodeId id : fixed) {
@@ -45,7 +51,7 @@ std::vector<NodeLinearInfo> assign_widths(Graph& g,
     case OpKind::Add:
     case OpKind::Sub:
     case OpKind::Resize:
-      nd.fmt.width = width_for_bound(info[i].l1_bound, nd.fmt.frac, opt);
+      nd.fmt.width = width_for_bound(info[i].l1_bound, nd.fmt.frac);
       break;
     }
     FDBIST_ASSERT(nd.fmt.valid(), "scaling produced an invalid format");

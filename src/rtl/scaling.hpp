@@ -14,22 +14,17 @@
 
 namespace fdbist::rtl {
 
-struct ScalingOptions {
-  int min_width = 2;  ///< narrowest signal we will emit
-  int max_width = 62; ///< int64 simulation headroom
-};
-
 /// Assign the width of every non-fixed node from its L1 amplitude bound,
 /// keeping fractional-bit assignments untouched. Node ids in `fixed` (plus
 /// all Input/Const nodes) keep their existing formats. Returns the linear
 /// info used, so callers can reuse it for analysis.
 std::vector<NodeLinearInfo> assign_widths(Graph& g,
-                                          const std::vector<NodeId>& fixed,
-                                          const ScalingOptions& opt = {});
+                                          const std::vector<NodeId>& fixed);
 
 /// Width needed for a value bound B at `frac` fractional bits, using the
 /// conservative rule width = frac + floor(log2(B)) + 2 (i.e. the smallest
-/// power-of-two range strictly greater than B, plus the sign bit).
-int width_for_bound(double bound, int frac, const ScalingOptions& opt = {});
+/// power-of-two range strictly greater than B, plus the sign bit),
+/// clamped to [2, 62].
+int width_for_bound(double bound, int frac);
 
 } // namespace fdbist::rtl

@@ -46,19 +46,6 @@ Polynomial Polynomial::from_hex_with_top(std::uint32_t bits) {
   return p;
 }
 
-Polynomial Polynomial::reciprocal() const {
-  // reciprocal(p)(x) = x^degree * p(1/x): reverse all degree+1
-  // coefficients. Both top and x^0 terms are 1, so the low-term mask of
-  // the reciprocal is the (degree+1)-bit reversal with the top bit
-  // stripped.
-  const std::uint32_t full = low_terms | (1u << degree);
-  const std::uint32_t rev = bit_reverse(full, degree + 1);
-  Polynomial p;
-  p.degree = degree;
-  p.low_terms = rev & state_mask(degree);
-  return p;
-}
-
 Polynomial default_polynomial(int degree) {
   FDBIST_REQUIRE(degree >= 2 && degree <= 31,
                  "supported LFSR degrees are 2..31");

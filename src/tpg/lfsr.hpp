@@ -23,10 +23,6 @@ struct Polynomial {
   /// Parse the common hex convention that includes the x^degree bit, e.g.
   /// 0x12B9 for x^12+x^9+x^7+x^5+x^4+x^3+1 (the paper's Type 2 example).
   static Polynomial from_hex_with_top(std::uint32_t bits);
-
-  /// x^degree * p(1/x): the reciprocal polynomial (paper Section 6 notes
-  /// it can move an XOR closer to the MSB).
-  Polynomial reciprocal() const;
 };
 
 /// A default primitive polynomial for each supported degree (2..31).

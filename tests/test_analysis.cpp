@@ -30,8 +30,9 @@ TEST(LfsrModel, ImpulseShape) {
 TEST(LfsrModel, VarianceMatchesWordVariance) {
   // The model must reproduce the LFSR word variance of ~1/3:
   // 0.25 * sum g^2 = 0.25 * (1 + 1/3 (1 - 4^-(N-1))) -> ~1/3.
-  const auto g = lfsr1_impulse_model(12);
-  EXPECT_NEAR(model_variance(g, 0.25), 1.0 / 3.0, 1e-3);
+  double energy = 0.0;
+  for (const double v : lfsr1_impulse_model(12)) energy += v * v;
+  EXPECT_NEAR(0.25 * energy, 1.0 / 3.0, 1e-3);
 }
 
 TEST(LfsrModel, SpectrumHasDcNullAndHighShelf) {
@@ -52,9 +53,7 @@ TEST(LfsrModel, SpectrumMatchesMeasuredLfsr) {
   // The analytic PSD must match a Welch estimate of a real Type 1 LFSR.
   tpg::Lfsr1 l(12, 1, tpg::ShiftDirection::MsbToLsb);
   const auto x = l.generate_real(1 << 15);
-  dsp::WelchOptions w;
-  w.segment = 128;
-  const auto measured = dsp::welch_psd(x, w);
+  const auto measured = dsp::welch_psd(x, 128);
   const auto analytic = lfsr1_power_spectrum(12, measured.size());
   // Compare band-averaged shapes (one-sided measured PSD carries 2x),
   // skipping the DC null and the Nyquist edge bin where the one-sided
@@ -68,12 +67,6 @@ TEST(LfsrModel, SpectrumMatchesMeasuredLfsr) {
     }
     EXPECT_NEAR(m / a, 1.0, 0.35) << "band " << k;
   }
-}
-
-TEST(LfsrModel, FlatSpectrum) {
-  const auto p = flat_power_spectrum(1.0 / 3.0, 10);
-  ASSERT_EQ(p.size(), 10u);
-  for (const double v : p) EXPECT_DOUBLE_EQ(v, 1.0 / 3.0);
 }
 
 // ------------------------------------------------------------- variance
@@ -110,16 +103,6 @@ TEST(Variance, Lfsr1PredictsAttenuationVsWhite) {
   const auto pd = predict_sigma_white(d, 1.0 / 3.0);
   const auto n = std::size_t(d.tap_accumulators[20]);
   EXPECT_GT(pd[n], 2.0 * p1[n]);
-}
-
-TEST(Variance, KindDispatch) {
-  const auto& d = lp_design();
-  const auto pm = predict_sigma(d, tpg::GeneratorKind::LfsrM);
-  const auto pd = predict_sigma(d, tpg::GeneratorKind::LfsrD);
-  const auto n = std::size_t(d.output);
-  EXPECT_NEAR(pm[n] / pd[n], std::sqrt(3.0), 1e-9);
-  EXPECT_THROW(predict_sigma(d, tpg::GeneratorKind::Ramp),
-               precondition_error);
 }
 
 TEST(Variance, AttenuationFinderFlagsLowpassUnderLfsr1) {

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bist/kit.hpp"
@@ -63,6 +64,11 @@ const rtl::FilterDesign& small_design() {
       {0.22, -0.31, 0.085, -0.05, 0.19, 0.075}, {}, "small");
   return d;
 }
+
+// The kit keeps a reference to its design, so a temporary one is refused
+// at compile time.
+static_assert(!std::is_constructible_v<BistKit, rtl::FilterDesign>);
+static_assert(!std::is_constructible_v<BistKit, rtl::FilterDesign, int>);
 
 TEST(Kit, ConstructsAndExposesUniverse) {
   BistKit kit(small_design());

@@ -163,7 +163,6 @@ TEST(Quantize, AllAndCounters) {
   const auto coefs = quantize_all(h, {15, 0});
   ASSERT_EQ(coefs.size(), 4u);
   EXPECT_GE(total_adder_cost(coefs), 1);
-  EXPECT_GE(max_digit_count(coefs), 2);
   EXPECT_EQ(coefs[2].adder_cost(), 0);
 }
 

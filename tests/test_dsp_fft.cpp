@@ -109,27 +109,6 @@ TEST(Fft, Linearity) {
     EXPECT_NEAR(std::abs(Fs[k] - (2.0 * Fa[k] + 3.0 * Fb[k])), 0.0, 1e-8);
 }
 
-TEST(FftReal, ZeroPads) {
-  const std::vector<double> x{1.0, 2.0, 3.0};
-  const auto X = fft_real(x, 8);
-  ASSERT_EQ(X.size(), 8u);
-  EXPECT_NEAR(X[0].real(), 6.0, kTol);
-}
-
-TEST(FftReal, RejectsShortPadding) {
-  const std::vector<double> x{1.0, 2.0, 3.0};
-  EXPECT_THROW(fft_real(x, 2), precondition_error);
-}
-
-TEST(PowerSpectrum, MatchesMagnitudeSquared) {
-  const std::vector<double> x{1.0, -1.0, 0.5, 0.25};
-  const auto X = fft_real(x);
-  const auto P = power_spectrum(x);
-  ASSERT_EQ(P.size(), X.size());
-  for (std::size_t k = 0; k < P.size(); ++k)
-    EXPECT_NEAR(P[k], std::norm(X[k]), kTol);
-}
-
 TEST(Fft, EmptyInputIsNoop) {
   EXPECT_TRUE(fft({}).empty());
   EXPECT_TRUE(ifft({}).empty());

@@ -120,15 +120,6 @@ TEST(FreqResponse, MatchesDirectEvaluation) {
               0.0, 1e-12);
 }
 
-TEST(MagnitudeResponse, GridEndpoints) {
-  const std::vector<double> h{1.0, 1.0};
-  const auto m = magnitude_response(h, 11);
-  ASSERT_EQ(m.size(), 11u);
-  EXPECT_NEAR(m.front(), 2.0, 1e-12);       // DC
-  EXPECT_NEAR(m.back(), 0.0, 1e-12);        // Nyquist null
-  EXPECT_THROW(magnitude_response(h, 1), precondition_error);
-}
-
 TEST(Norms, L1AndEnergy) {
   const std::vector<double> h{0.5, -0.25, 0.25};
   EXPECT_DOUBLE_EQ(l1_norm(h), 1.0);

@@ -85,27 +85,5 @@ TEST(BesselI0, EvenFunction) {
   EXPECT_NEAR(bessel_i0(-3.0), bessel_i0(3.0), 1e-12);
 }
 
-TEST(KaiserParams, BetaFormulaRegions) {
-  EXPECT_DOUBLE_EQ(kaiser_beta_for_attenuation(15.0), 0.0);
-  EXPECT_NEAR(kaiser_beta_for_attenuation(30.0),
-              0.5842 * std::pow(9.0, 0.4) + 0.07886 * 9.0, 1e-12);
-  EXPECT_NEAR(kaiser_beta_for_attenuation(60.0), 0.1102 * 51.3, 1e-12);
-  // Monotonic in attenuation.
-  double prev = -1.0;
-  for (double a = 10.0; a <= 100.0; a += 5.0) {
-    const double b = kaiser_beta_for_attenuation(a);
-    EXPECT_GE(b, prev);
-    prev = b;
-  }
-}
-
-TEST(KaiserParams, LengthEstimate) {
-  // Narrower transitions need longer filters.
-  EXPECT_GT(kaiser_length_for(60.0, 0.02), kaiser_length_for(60.0, 0.1));
-  EXPECT_GT(kaiser_length_for(80.0, 0.05), kaiser_length_for(40.0, 0.05));
-  EXPECT_GE(kaiser_length_for(10.0, 10.0), 3u);
-  EXPECT_THROW(kaiser_length_for(60.0, 0.0), precondition_error);
-}
-
 } // namespace
 } // namespace fdbist::dsp

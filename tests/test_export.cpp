@@ -61,19 +61,11 @@ TEST(Verilog, RegisterCountMatches) {
 
 TEST(Verilog, CustomNames) {
   const auto low = gate::lower(small_design().graph);
-  gate::VerilogOptions opt;
-  opt.module_name = "my_filter";
-  opt.clock_name = "clock";
-  opt.reset_name = "reset_n";
-  const auto v = gate::to_verilog(low.netlist, opt);
+  const auto v = gate::to_verilog(low.netlist, "my_filter");
   EXPECT_NE(v.find("module my_filter"), std::string::npos);
-  EXPECT_NE(v.find("posedge clock"), std::string::npos);
-  EXPECT_NE(v.find("if (reset_n)"), std::string::npos);
-  gate::VerilogOptions bad;
-  bad.module_name = "";
+  EXPECT_NE(v.find("if (rst)"), std::string::npos);
   std::ostringstream os;
-  EXPECT_THROW(gate::write_verilog(os, low.netlist, bad),
-               precondition_error);
+  EXPECT_THROW(gate::write_verilog(os, low.netlist, ""), precondition_error);
 }
 
 TEST(Dot, ContainsAllNodesAndEdges) {
@@ -87,9 +79,10 @@ TEST(Dot, ContainsAllNodesAndEdges) {
        p = dot.find("[shape=", p + 1))
     ++nodes;
   EXPECT_EQ(nodes, d.graph.size());
-  // Named nodes carry their labels.
+  // Named nodes carry their labels, and every label its format.
   EXPECT_NE(dot.find("tap1.acc"), std::string::npos);
   EXPECT_NE(dot.find("x.reg"), std::string::npos);
+  EXPECT_NE(dot.find("(w16)"), std::string::npos);
 }
 
 // Round-trip: the emitted text, parsed back, must structurally match the
@@ -112,7 +105,7 @@ TEST(ExportRoundTrip, VerilogReparsesForEveryTable1Design) {
 TEST(ExportRoundTrip, DotReparsesForEveryTable1Design) {
   for (const char* name : {"LP", "BP", "HP"}) {
     const auto d = designs::make_design(name);
-    auto parsed = verify::parse_dot(rtl::to_dot(d.graph, {d.name, true}));
+    auto parsed = verify::parse_dot(rtl::to_dot(d.graph, d.name));
     ASSERT_TRUE(parsed) << d.name << ": " << parsed.error().to_string();
     EXPECT_EQ(parsed->graph_name, d.name);
     const auto match = verify::match_dot(*parsed, d.graph);
@@ -158,17 +151,6 @@ TEST(ExportRoundTrip, ReparserCatchesMissingDotEdge) {
   auto parsed = verify::parse_dot(missing);
   ASSERT_TRUE(parsed) << parsed.error().to_string();
   EXPECT_TRUE(verify::match_dot(*parsed, d.graph).failed);
-}
-
-TEST(Dot, FormatsToggle) {
-  const auto& d = small_design();
-  rtl::DotOptions opt;
-  opt.show_formats = false;
-  const auto plain = rtl::to_dot(d.graph, opt);
-  EXPECT_EQ(plain.find("(w16)"), std::string::npos);
-  opt.show_formats = true;
-  const auto annotated = rtl::to_dot(d.graph, opt);
-  EXPECT_NE(annotated.find("(w16)"), std::string::npos);
 }
 
 } // namespace

@@ -32,18 +32,41 @@ struct TinyAdder {
 
 TEST(Enumerate, CountsPerCellShape) {
   TinyAdder t;
-  const auto collapsed = enumerate_adder_faults(t.low);
-  EnumerateOptions raw_opt;
-  raw_opt.collapse = false;
-  const auto full = enumerate_adder_faults(t.low, raw_opt);
-  EXPECT_GT(full.size(), collapsed.size());
-  EXPECT_GT(collapsed.size(), 0u);
-  // Every fault references a logic gate with an adder-cell role.
-  for (const auto& f : collapsed) {
-    const auto& og = t.low.netlist.origin(f.gate);
+  const gate::Netlist& nl = t.low.netlist;
+  const auto faults = enumerate_adder_faults(t.low);
+  ASSERT_GT(faults.size(), 0u);
+  const auto fanout = nl.fanout_counts();
+  auto enumerated_logic = [&](gate::NetId id) {
+    const gate::GateOp op = nl.gate(id).op;
+    return (op == gate::GateOp::Not || op == gate::GateOp::And ||
+            op == gate::GateOp::Or || op == gate::GateOp::Xor) &&
+           nl.origin(id).role != gate::CellRole::None;
+  };
+  std::size_t cell_gates = 0;
+  for (std::size_t i = 0; i < nl.size(); ++i)
+    cell_gates += enumerated_logic(static_cast<gate::NetId>(i));
+
+  // Both output faults of every cell gate; the input faults that remain
+  // are the ones no collapsing rule folds into an output fault.
+  std::size_t output_faults = 0;
+  for (const auto& f : faults) {
+    const auto& og = nl.origin(f.gate);
     EXPECT_NE(og.role, gate::CellRole::None);
     EXPECT_EQ(og.node, t.s);
+    if (f.site == gate::PinSite::Output) {
+      ++output_faults;
+      continue;
+    }
+    const gate::Gate& g = nl.gate(f.gate);
+    EXPECT_NE(g.op, gate::GateOp::Not);
+    EXPECT_FALSE(g.op == gate::GateOp::And && f.stuck == 0);
+    EXPECT_FALSE(g.op == gate::GateOp::Or && f.stuck == 1);
+    const gate::NetId src = f.site == gate::PinSite::InputA ? g.a : g.b;
+    EXPECT_FALSE(fanout[std::size_t(src)] == 1 && enumerated_logic(src))
+        << describe(f, nl, t.g);
   }
+  EXPECT_EQ(output_faults, 2 * cell_gates);
+  EXPECT_GT(faults.size(), output_faults);
 }
 
 TEST(Enumerate, NoDuplicates) {

@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "fault/simulator.hpp"
 #include "gate/lower.hpp"
 #include "gate/schedule.hpp"
@@ -26,8 +27,10 @@ struct Fixture {
   std::vector<std::int64_t> stim;
 };
 
-// A lowered filter small enough for fast tests but with several hundred
-// collapsed faults, so every run spans many 63-fault batches.
+// A lowered filter small enough for fast tests but with 8,281 collapsed
+// faults: a run over its 256 vectors takes 135 batches at 64 lanes, 34 at
+// 256 and 18 at 512, so the threads share many batches at every SIMD
+// width.
 const Fixture& fixture() {
   static const Fixture f = [] {
     auto d = rtl::build_fir(
@@ -91,7 +94,10 @@ std::vector<std::size_t> stage1_survivors(const FaultSimResult& r) {
 }
 
 TEST(FaultParallel, FixtureSpansManyBatches) {
-  ASSERT_GT(fixture().faults.size(), std::size_t{4} * 63)
+  // More than four full batches at the widest backend (511 faults each).
+  const std::size_t widest_batch =
+      common::simd_lane_count(common::SimdBackend::Avx512) - 1;
+  ASSERT_GT(fixture().faults.size(), 4 * widest_batch)
       << "fixture too small to exercise sharding";
 }
 
